@@ -21,7 +21,6 @@ martingale drift as representation diagnostics.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 
@@ -30,9 +29,15 @@ import numpy as np
 from . import rng
 from .model import ModelParams, PiecewiseLinearPayoff
 from .sde import simulate_paths
-from .surface import GreekFields, PriceSurface, greeks
-
-_CHUNK_CELLS = 1 << 22
+from .surface import (
+    PriceSurface,
+    _bilinear_read,
+    _bilinear_weights,
+    _require_dense_slices,
+    _SliceMemo,
+    _write_json,
+    greeks,
+)
 
 
 @dataclass(frozen=True)
@@ -40,17 +45,13 @@ class DriverSpec:
     """Driver of the backward equation under trivial forward dynamics.
 
     ``kind`` selects the moving-factor driver (``f_delta``) or its frozen
-    limit (``f0``).  The default coefficients are the ones forced by the
-    pricing equation — quadratic in the asset coordinate, with the
-    curvature-sign multiplier applied to both asset terms; ``literal=True``
-    switches to the variant with the asset coordinate to the first power,
-    a doubled cross coefficient, and the multiplier keyed to the mixed
-    entry, kept selectable for side-by-side comparison only.
+    limit (``f0``).  The coefficients are the ones forced by the pricing
+    equation — quadratic in the asset coordinate, with the curvature-sign
+    multiplier applied to both asset terms.
     """
 
     kind: str
     params: ModelParams
-    literal: bool = False
 
     def __post_init__(self):
         if self.kind not in ("f0", "f_delta"):
@@ -69,19 +70,12 @@ class DriverSpec:
         v = np.asarray(v, dtype=float)
         ev = np.exp(v)
         sb = self.sigma_bar(s11)
-        x_diff = x if self.literal else x * x
-        out = -0.5 * x_diff * ev * ev * sb * sb * np.asarray(s11)
+        out = -0.5 * (x * x) * ev * ev * sb * sb * np.asarray(s11)
         if self.kind == "f_delta":
-            if self.literal:
-                cross = (
-                    2.0 * math.sqrt(p.delta) * x * ev * p.sigma * p.rho
-                    * self.sigma_bar(s12) * np.asarray(s12)
-                )
-            else:
-                cross = (
-                    math.sqrt(p.delta) * x * ev * p.sigma * p.rho
-                    * sb * np.asarray(s12)
-                )
+            cross = (
+                math.sqrt(p.delta) * x * ev * p.sigma * p.rho
+                * sb * np.asarray(s12)
+            )
             out = out - cross - p.delta * (
                 0.5 * p.sigma**2 * np.asarray(s22)
                 + (p.a - p.b * np.exp(p.alpha * v)) * np.asarray(z2)
@@ -91,10 +85,10 @@ class DriverSpec:
         return out
 
 
-def build_driver(params: ModelParams, kind: str, literal: bool = False) -> DriverSpec:
+def build_driver(params: ModelParams, kind: str) -> DriverSpec:
     """Driver paired with a solved surface kind: ``f_delta`` for the
     moving-factor equation, ``f0`` for the frozen limit."""
-    return DriverSpec(kind=kind, params=params, literal=literal)
+    return DriverSpec(kind=kind, params=params)
 
 
 @dataclass(frozen=True)
@@ -135,12 +129,7 @@ class BsdeResidualReport:
 
     def to_json(self, path, extra: dict | None = None) -> None:
         """Write every field (plus ``extra`` entries) as a JSON document."""
-        doc = self.as_dict()
-        if extra:
-            doc.update(extra)
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(path, {**self.as_dict(), **(extra or {})})
 
 
 @dataclass(frozen=True)
@@ -163,23 +152,6 @@ def _driver_for_surface(surface: PriceSurface, params: ModelParams) -> DriverSpe
             f"no driver is associated with surface kind {surface.kind!r}"
         )
     return build_driver(params, kind)
-
-
-def _interp_weights(grid, x, v):
-    fx = (x - grid.x_min) / grid.dx
-    fv = (v - grid.v_min) / grid.dv
-    ix = np.clip(np.floor(fx).astype(int), 0, grid.n_x)
-    iv = np.clip(np.floor(fv).astype(int), 0, grid.n_v - 2)
-    return ix, iv, fx - ix, fv - iv
-
-
-def _interp_field(F, ix, iv, wx, wv):
-    return (
-        F[ix, iv] * (1.0 - wx) * (1.0 - wv)
-        + F[ix + 1, iv] * wx * (1.0 - wv)
-        + F[ix, iv + 1] * (1.0 - wx) * wv
-        + F[ix + 1, iv + 1] * wx * wv
-    )
 
 
 def simulate_2bsde_residual(
@@ -215,30 +187,16 @@ def simulate_2bsde_residual(
         )
     if n_paths <= 0 or n_steps <= 0:
         raise ValueError("n_paths and n_steps must be positive")
-    if surface.n_kept < grid.n_t + 1:
-        gaps = np.diff(surface.kept_times) * grid.dt
-        if gaps.max() > grid.T / n_steps * (1.0 + 1e-9):
-            raise ValueError(
-                "retained slices are coarser in time than the simulation; "
-                "re-solve with store_slices=True and max_kept_slices >= "
-                f"{n_steps + 1}"
-            )
+    _require_dense_slices(surface, n_steps, surface.kind)
     if driver is None:
         driver = _driver_for_surface(surface, params)
     dt = grid.T / n_steps
     sqdt = math.sqrt(dt)
     y0_fd = surface.value_at(0, x0, v0)
     terminal = surface.slice_at(grid.n_t)
-    fields: dict[int, GreekFields] = {}
-    positions = [surface.nearest_pos(k * dt) for k in range(n_steps)]
-
-    def fields_at(pos: int) -> GreekFields:
-        if pos not in fields:
-            fields[pos] = greeks(surface, surface.kept_times[pos])
-        return fields[pos]
-
+    fields_at = _SliceMemo(surface, greeks)
     if chunk_size is None:
-        chunk_size = max(1, _CHUNK_CELLS // (2 * n_steps))
+        chunk_size = max(1, rng._CHUNK_CELLS // (2 * n_steps))
     sum_resid = 0.0
     sum_sq = 0.0
     n_used = 0
@@ -249,17 +207,17 @@ def simulate_2bsde_residual(
         y = np.full(m, y0_fd)
         alive = np.ones(m, dtype=bool)
         for k in range(n_steps):
-            g = fields_at(positions[k])
+            g = fields_at(k * dt)
             idx = np.flatnonzero(alive)
             if idx.size == 0:
                 break
             xa, va = x[idx], v[idx]
-            ix, iv, wx, wv = _interp_weights(grid, xa, va)
-            z1a = _interp_field(g.delta, ix, iv, wx, wv)
-            z2a = _interp_field(g.vega, ix, iv, wx, wv)
-            s11 = _interp_field(g.gamma, ix, iv, wx, wv)
-            s12 = _interp_field(g.vanna, ix, iv, wx, wv)
-            s22 = _interp_field(g.vomma, ix, iv, wx, wv)
+            cell = _bilinear_weights(grid, xa, va)
+            z1a = _bilinear_read(g.delta, *cell)
+            z2a = _bilinear_read(g.vega, *cell)
+            s11 = _bilinear_read(g.gamma, *cell)
+            s12 = _bilinear_read(g.vanna, *cell)
+            s22 = _bilinear_read(g.vomma, *cell)
             f = driver(xa, va, z2a, s11, s12, s22)
             dw1 = sqdt * z[idx, k, 0]
             dw2 = sqdt * z[idx, k, 1]
@@ -275,8 +233,9 @@ def simulate_2bsde_residual(
             if payoff is not None:
                 h_term = np.asarray(payoff(x[idx]), dtype=float)
             else:
-                ix, iv, wx, wv = _interp_weights(grid, x[idx], v[idx])
-                h_term = _interp_field(terminal, ix, iv, wx, wv)
+                h_term = _bilinear_read(
+                    terminal, *_bilinear_weights(grid, x[idx], v[idx])
+                )
             resid = h_term - y[idx]
             sum_resid += float(resid.sum())
             sum_sq += float((resid**2).sum())

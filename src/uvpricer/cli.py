@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -22,8 +21,9 @@ from .bsde import simulate_2bsde_residual
 from .config import RunConfig, apply_override, config_hash, load_config
 from .convergence import corrector_sweep, run_delta_sweep
 from .errors import ConfigError, FitError, NonFiniteError, PoleError, StabilityError
-from .hjb import min_time_steps, solve_bsb_1d, solve_corrector, solve_hjb_2d
+from .hjb import min_time_steps, solve_bsb_1d, solve_hjb_2d
 from .sde import simulate_paths
+from .surface import _write_json
 
 
 def _resolve_grid(cfg: RunConfig, kind: str, delta: float | None = None):
@@ -60,9 +60,7 @@ def _write_summary(out: Path, command: str, chash: str, cfg: RunConfig,
     }
     if details is not None:
         doc["details"] = details
-    with open(out / "summary.json", "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "summary.json", doc)
 
 
 def _headers(chash: str, cfg: RunConfig, **extra) -> tuple[str, ...]:
@@ -146,11 +144,7 @@ def cmd_corrector(cfg: RunConfig, out: Path, chash: str) -> None:
     report.to_json(out / "corrector.json",
                    extra={"config_hash": chash,
                           "sigma_vol_of_vol_assumed": cfg.sigma_assumed})
-    p0 = solve_bsb_1d(cfg.model, cfg.payoff, grid, store_slices=True,
-                      cell_average_terminal=block.cell_average_terminal)
-    p1 = solve_corrector(cfg.model.with_delta(report.rows[0].delta),
-                         cfg.payoff, grid, p0)
-    p1.to_csv(out / "surface_p1.csv", header_lines=headers)
+    report.p1_surface.to_csv(out / "surface_p1.csv", header_lines=headers)
     for row in report.rows:
         print(f"delta={row.delta:g}: e_delta={row.e_delta!r}")
     print(f"|e|/delta max/min ratio = {report.ratio!r}")

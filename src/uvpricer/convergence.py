@@ -15,9 +15,8 @@ Greeks of the limit and corrector surfaces.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,7 +24,17 @@ from .errors import FitError
 from .hjb import min_time_steps, solve_bsb_1d, solve_corrector, solve_hjb_2d
 from .model import GridSpec, ModelParams, PiecewiseLinearPayoff
 from .sde import simulate_paths
-from .surface import PriceSurface, WorstCaseControl, greeks
+from .surface import (
+    PriceSurface,
+    WorstCaseControl,
+    _bilinear_read,
+    _bilinear_weights,
+    _require_dense_slices,
+    _SliceMemo,
+    _write_header,
+    _write_json,
+    greeks,
+)
 
 
 def _json_safe(value: float) -> float | None:
@@ -87,8 +96,7 @@ class ConvergenceReport:
     def to_csv(self, path, header_lines=()) -> None:
         """Write ``delta,p_delta,p0,error,abs_error,excluded`` rows."""
         with open(path, "w", newline="") as fh:
-            for line in header_lines:
-                fh.write(f"# {line}\n")
+            _write_header(fh, header_lines)
             fh.write("delta,p_delta,p0,error,abs_error,excluded\n")
             for row in self.rows:
                 fh.write(
@@ -110,18 +118,12 @@ class ConvergenceReport:
         }
 
     def to_json(self, path, extra: dict | None = None) -> None:
-        doc = self.as_dict()
-        if extra:
-            doc.update(extra)
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(path, {**self.as_dict(), **(extra or {})})
 
     def to_plot_script(self, path, csv_name: str, header_lines=()) -> None:
         """Emit a gnuplot script rendering |error| against delta, log-log."""
         fit = f"exp({self.intercept!r}) * x**({self.slope!r})"
-        lines = [f"# {line}" for line in header_lines]
-        lines += [
+        lines = [
             "set datafile separator ','",
             "set datafile commentschars '#'",
             "set logscale xy",
@@ -133,6 +135,7 @@ class ConvergenceReport:
             f"     {fit} with lines title 'fit, slope={self.slope:.3f}'",
         ]
         with open(path, "w") as fh:
+            _write_header(fh, header_lines)
             fh.write("\n".join(lines) + "\n")
 
 
@@ -165,6 +168,82 @@ def _refined_for_floor(params: ModelParams, grid: GridSpec) -> GridSpec:
     )
 
 
+def _remainder(p_delta: float, p0: float, p1: float | None, delta: float) -> float:
+    """``p_delta - p0``, less ``sqrt(delta) p1`` when a corrector is given."""
+    error = p_delta - p0
+    return error if p1 is None else error - math.sqrt(delta) * p1
+
+
+def _limit_values(params_base, payoff, grid, x0, v0, p1_delta,
+                  cell_average_terminal, corrector):
+    """``(P0, P1, P1 surface)`` at ``(0, x0, v0)``; the last two are None
+    unless ``corrector``, and only then does the ``P0`` solve keep slices."""
+    p0 = solve_bsb_1d(params_base, payoff, grid, store_slices=corrector,
+                      cell_average_terminal=cell_average_terminal)
+    if not corrector:
+        return p0.value_at(0, x0, v0), None, None
+    p1 = solve_corrector(params_base.with_delta(p1_delta), payoff, grid, p0)
+    return p0.value_at(0, x0, v0), p1.value_at(0, x0, v0), p1
+
+
+def _solve_deltas(params_base, payoff, grid, x0, v0, ds, cell_average_terminal):
+    """``P_delta(0, x0, v0)`` per delta; a failing solve names its delta."""
+    p_vals = {}
+    for d in ds:
+        try:
+            p_vals[d] = solve_hjb_2d(
+                params_base.with_delta(d), payoff, grid,
+                cell_average_terminal=cell_average_terminal,
+            ).value_at(0, x0, v0)
+        except Exception as exc:
+            _attach_delta(exc, d)
+            raise
+    return p_vals
+
+
+def _sweep(params_base, payoff, grid, point, deltas, cell_average_terminal,
+           noise_floor, corrector):
+    """Shared core of both sweeps.
+
+    Solves the limit (and, with ``corrector``, the corrector) once and the
+    moving-factor equation per delta, then measures the noise floor unless
+    given: the change of the smallest delta's remainder when the grid is
+    refined (half the x-spacing, step count re-matched to the stability
+    bound).  Returns ``(point, rows, noise_floor, p1)`` with rows
+    ``(delta, p_delta, p0, p1, remainder, excluded)`` by descending delta;
+    a row is excluded when its remainder is below ten times the floor.
+    """
+    ds = _check_sweep_inputs(grid, point, deltas)
+    x0, v0 = float(point[0]), float(point[1])
+    p0_val, p1_val, p1 = _limit_values(params_base, payoff, grid, x0, v0,
+                                       ds[0], cell_average_terminal, corrector)
+    p_vals = _solve_deltas(params_base, payoff, grid, x0, v0, ds,
+                           cell_average_terminal)
+
+    if noise_floor is None:
+        d_min = ds[-1]
+        fine = _refined_for_floor(params_base.with_delta(d_min), grid)
+        pd_fine = _solve_deltas(params_base, payoff, fine, x0, v0, [d_min],
+                                cell_average_terminal)[d_min]
+        try:
+            p0_fine, p1_fine, _ = _limit_values(
+                params_base, payoff, fine, x0, v0, d_min,
+                cell_average_terminal, corrector,
+            )
+        except Exception as exc:
+            _attach_delta(exc, d_min)
+            raise
+        noise_floor = abs(_remainder(pd_fine, p0_fine, p1_fine, d_min)
+                          - _remainder(p_vals[d_min], p0_val, p1_val, d_min))
+
+    rows = []
+    for d in ds:
+        e = _remainder(p_vals[d], p0_val, p1_val, d)
+        excluded = abs(e) < 10.0 * noise_floor or e == 0.0
+        rows.append((d, p_vals[d], p0_val, p1_val, e, excluded))
+    return (0.0, x0, v0), rows, float(noise_floor), p1
+
+
 def run_delta_sweep(
     params_base: ModelParams,
     payoff: PiecewiseLinearPayoff,
@@ -185,59 +264,21 @@ def run_delta_sweep(
     the floor are excluded from the slope fit; at least two rows must
     survive.
     """
-    ds = _check_sweep_inputs(grid, point, deltas)
-    x0, v0 = float(point[0]), float(point[1])
-
-    p0_surface = solve_bsb_1d(
-        params_base, payoff, grid, cell_average_terminal=cell_average_terminal
+    point, values, noise_floor, _ = _sweep(
+        params_base, payoff, grid, point, deltas, cell_average_terminal,
+        noise_floor, corrector=False,
     )
-    p0_val = p0_surface.value_at(0, x0, v0)
-
-    p_vals: dict[float, float] = {}
-    for d in ds:
-        params_d = params_base.with_delta(d)
-        try:
-            surface = solve_hjb_2d(
-                params_d, payoff, grid, cell_average_terminal=cell_average_terminal
-            )
-        except Exception as exc:
-            _attach_delta(exc, d)
-            raise
-        p_vals[d] = surface.value_at(0, x0, v0)
-
-    if noise_floor is None:
-        d_min = ds[-1]
-        params_d = params_base.with_delta(d_min)
-        fine = _refined_for_floor(params_d, grid)
-        try:
-            pd_fine = solve_hjb_2d(
-                params_d, payoff, fine, cell_average_terminal=cell_average_terminal
-            ).value_at(0, x0, v0)
-            p0_fine = solve_bsb_1d(
-                params_base, payoff, fine,
-                cell_average_terminal=cell_average_terminal,
-            ).value_at(0, x0, v0)
-        except Exception as exc:
-            _attach_delta(exc, d_min)
-            raise
-        err_coarse = p_vals[d_min] - p0_val
-        noise_floor = abs((pd_fine - p0_fine) - err_coarse)
-
-    rows = []
-    for d in ds:
-        err = p_vals[d] - p0_val
-        excluded = abs(err) < 10.0 * noise_floor or err == 0.0
-        rows.append(
-            SweepRow(delta=d, p_delta=p_vals[d], p0=p0_val, error=err,
-                     abs_error=abs(err), excluded=excluded)
-        )
-
+    rows = tuple(
+        SweepRow(delta=d, p_delta=pd, p0=p0, error=err, abs_error=abs(err),
+                 excluded=excluded)
+        for d, pd, p0, _, err, excluded in values
+    )
     usable = [row for row in rows if not row.excluded]
     report_kwargs = dict(
-        point=(0.0, x0, v0),
-        rows=tuple(rows),
+        point=point,
+        rows=rows,
         deltas_excluded=tuple(row.delta for row in rows if row.excluded),
-        noise_floor=float(noise_floor),
+        noise_floor=noise_floor,
         grid=grid,
         params=params_base,
     )
@@ -275,7 +316,8 @@ class CorrectorReport:
 
     ``ratio`` is max/min of ``|e_delta|/delta`` over the usable rows; a
     bounded ratio across a delta sweep is the numerical signature of the
-    linear scaling of the remainder.
+    linear scaling of the remainder.  ``p1_surface`` is the corrector
+    surface the sweep solved (not part of the serialized report).
     """
 
     point: tuple[float, float, float]
@@ -283,6 +325,8 @@ class CorrectorReport:
     noise_floor: float
     grid: GridSpec
     params: ModelParams
+    p1_surface: PriceSurface | None = field(default=None, repr=False,
+                                            compare=False)
 
     @property
     def usable_rows(self) -> tuple[CorrectorRow, ...]:
@@ -298,8 +342,7 @@ class CorrectorReport:
     def to_csv(self, path, header_lines=()) -> None:
         """Write ``delta,p_delta,p0,p1,e_delta,e_over_delta,excluded`` rows."""
         with open(path, "w", newline="") as fh:
-            for line in header_lines:
-                fh.write(f"# {line}\n")
+            _write_header(fh, header_lines)
             fh.write("delta,p_delta,p0,p1,e_delta,e_over_delta,excluded\n")
             for row in self.rows:
                 fh.write(
@@ -319,12 +362,7 @@ class CorrectorReport:
         }
 
     def to_json(self, path, extra: dict | None = None) -> None:
-        doc = self.as_dict()
-        if extra:
-            doc.update(extra)
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(path, {**self.as_dict(), **(extra or {})})
 
 
 def corrector_sweep(
@@ -343,71 +381,18 @@ def corrector_sweep(
     ``p_delta - p0 - sqrt(delta) p1`` at ``(0, point)``.  The noise floor
     is measured like :func:`run_delta_sweep`, on the remainder itself.
     """
-    ds = _check_sweep_inputs(grid, point, deltas)
-    x0, v0 = float(point[0]), float(point[1])
-
-    p0_surface = solve_bsb_1d(
-        params_base, payoff, grid, store_slices=True,
-        cell_average_terminal=cell_average_terminal,
+    point, values, noise_floor, p1_surface = _sweep(
+        params_base, payoff, grid, point, deltas, cell_average_terminal,
+        noise_floor, corrector=True,
     )
-    params_any = params_base.with_delta(ds[0])
-    p1_surface = solve_corrector(params_any, payoff, grid, p0_surface)
-    p0_val = p0_surface.value_at(0, x0, v0)
-    p1_val = p1_surface.value_at(0, x0, v0)
-
-    p_vals: dict[float, float] = {}
-    for d in ds:
-        params_d = params_base.with_delta(d)
-        try:
-            surface = solve_hjb_2d(
-                params_d, payoff, grid, cell_average_terminal=cell_average_terminal
-            )
-        except Exception as exc:
-            _attach_delta(exc, d)
-            raise
-        p_vals[d] = surface.value_at(0, x0, v0)
-
-    def remainder(pd, p0v, p1v, d):
-        return pd - p0v - math.sqrt(d) * p1v
-
-    if noise_floor is None:
-        d_min = ds[-1]
-        params_d = params_base.with_delta(d_min)
-        fine = _refined_for_floor(params_d, grid)
-        try:
-            pd_fine = solve_hjb_2d(
-                params_d, payoff, fine, cell_average_terminal=cell_average_terminal
-            ).value_at(0, x0, v0)
-            p0_fine_surface = solve_bsb_1d(
-                params_base, payoff, fine, store_slices=True,
-                cell_average_terminal=cell_average_terminal,
-            )
-            p1_fine = solve_corrector(
-                params_d, payoff, fine, p0_fine_surface
-            ).value_at(0, x0, v0)
-        except Exception as exc:
-            _attach_delta(exc, d_min)
-            raise
-        e_coarse = remainder(p_vals[d_min], p0_val, p1_val, d_min)
-        e_fine = remainder(pd_fine, p0_fine_surface.value_at(0, x0, v0),
-                           p1_fine, d_min)
-        noise_floor = abs(e_fine - e_coarse)
-
-    rows = []
-    for d in ds:
-        e = remainder(p_vals[d], p0_val, p1_val, d)
-        excluded = abs(e) < 10.0 * noise_floor or e == 0.0
-        rows.append(
-            CorrectorRow(delta=d, p_delta=p_vals[d], p0=p0_val, p1=p1_val,
-                         e_delta=e, e_over_delta=e / d, excluded=excluded)
-        )
-    return CorrectorReport(
-        point=(0.0, x0, v0),
-        rows=tuple(rows),
-        noise_floor=float(noise_floor),
-        grid=grid,
-        params=params_base,
+    rows = tuple(
+        CorrectorRow(delta=d, p_delta=pd, p0=p0, p1=p1, e_delta=e,
+                     e_over_delta=e / d, excluded=excluded)
+        for d, pd, p0, p1, e, excluded in values
     )
+    return CorrectorReport(point=point, rows=rows, noise_floor=noise_floor,
+                           grid=grid, params=params_base,
+                           p1_surface=p1_surface)
 
 
 @dataclass(frozen=True)
@@ -428,17 +413,6 @@ class FeynmanKacReport:
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
-
-
-def _dense_enough(surface: PriceSurface, n_steps: int, name: str) -> None:
-    if surface.n_kept < surface.grid.n_t + 1:
-        gaps = np.diff(surface.kept_times) * surface.grid.dt
-        if gaps.max() > surface.grid.T / n_steps * (1.0 + 1e-9):
-            raise ValueError(
-                f"{name} surface slices are coarser in time than the "
-                f"simulation; re-solve with store_slices=True and "
-                f"max_kept_slices >= {n_steps + 1}"
-            )
 
 
 def feynman_kac_terms(
@@ -488,7 +462,7 @@ def feynman_kac_terms(
     elif p_delta.kind != "full_delta" or p_delta.grid != grid:
         raise ValueError("p_delta must be a full_delta surface on the grid")
     for surface, name in ((p0, "p0"), (p1, "p1"), (p_delta, "p_delta")):
-        _dense_enough(surface, n_steps, name)
+        _require_dense_slices(surface, n_steps, name)
 
     x0, v0 = float(point[0]), float(point[1])
     policy_surface = p_delta if control_source == "delta" else p0
@@ -502,16 +476,9 @@ def feynman_kac_terms(
     d_sq = hi * hi - lo * lo
     rho_sigma = params.rho * params.sigma
 
-    caches = {id(s): {"pos": -1, "g": None} for s in (p_delta, p0, p1)}
-
-    def greeks_at(surface, t):
-        cache = caches[id(surface)]
-        pos = surface.nearest_pos(t)
-        if pos != cache["pos"]:
-            cache["g"] = greeks(surface, surface.kept_times[pos])
-            cache["pos"] = pos
-        return cache["g"]
-
+    greeks_d, greeks_0, greeks_1 = (
+        _SliceMemo(surface, greeks) for surface in (p_delta, p0, p1)
+    )
     i0_acc = np.zeros(n_paths)
     i1_acc = np.zeros(n_paths)
     i2_acc = np.zeros(n_paths) if include_higher else None
@@ -521,47 +488,33 @@ def feynman_kac_terms(
         w = dt * (0.5 if k in (0, n_steps) else 1.0)
         x = batch.x_paths[:, k]
         v = batch.v_paths[:, k]
-        jx = np.clip(np.floor((x - grid.x_min) / grid.dx).astype(int),
-                     0, grid.n_x)
-        jv = np.clip(np.floor((v - grid.v_min) / grid.dv).astype(int),
-                     0, grid.n_v - 2)
-        wx = (x - grid.x_min) / grid.dx - jx
-        wv = (v - grid.v_min) / grid.dv - jv
-
-        def interp(F):
-            return (
-                F[jx, jv] * (1.0 - wx) * (1.0 - wv)
-                + F[jx + 1, jv] * wx * (1.0 - wv)
-                + F[jx, jv + 1] * (1.0 - wx) * wv
-                + F[jx + 1, jv + 1] * wx * wv
-            )
-
-        g_d = greeks_at(p_delta, t)
-        g_0 = greeks_at(p0, t)
-        gamma_d = interp(g_d.gamma)
-        gamma_0 = interp(g_0.gamma)
+        cell = _bilinear_weights(grid, x, v)
+        g_d = greeks_d(t)
+        g_0 = greeks_0(t)
+        gamma_d = _bilinear_read(g_d.gamma, *cell)
+        gamma_0 = _bilinear_read(g_0.gamma, *cell)
         ind = (
             (gamma_d >= 0.0).astype(float) - (gamma_0 >= 0.0).astype(float)
         )
         ev = np.exp(v)
-        g_1 = greeks_at(p1, t)
+        g_1 = greeks_1(t)
         base = 0.5 * d_sq * ind * ev * ev * x * x
         i0_acc += w * base * gamma_0
         i1_acc += w * (
-            d_lin * ind * rho_sigma * ev * x * interp(g_0.vanna)
-            + base * interp(g_1.gamma)
+            d_lin * ind * rho_sigma * ev * x * _bilinear_read(g_0.vanna, *cell)
+            + base * _bilinear_read(g_1.gamma, *cell)
         )
         if include_higher:
             q_star = np.where(gamma_d >= 0.0, hi, lo)
             drift_v = params.a - params.b * np.exp(params.alpha * v)
             i2_acc += w * (
-                q_star * rho_sigma * ev * x * interp(g_1.vanna)
-                + 0.5 * params.sigma**2 * interp(g_0.vomma)
-                + drift_v * interp(g_0.vega)
+                q_star * rho_sigma * ev * x * _bilinear_read(g_1.vanna, *cell)
+                + 0.5 * params.sigma**2 * _bilinear_read(g_0.vomma, *cell)
+                + drift_v * _bilinear_read(g_0.vega, *cell)
             )
             i3_acc += w * (
-                0.5 * params.sigma**2 * interp(g_1.vomma)
-                + drift_v * interp(g_1.vega)
+                0.5 * params.sigma**2 * _bilinear_read(g_1.vomma, *cell)
+                + drift_v * _bilinear_read(g_1.vega, *cell)
             )
 
     def stats(acc):

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import NonFiniteError, StabilityError
 from .model import GridSpec, ModelParams, PiecewiseLinearPayoff
-from .surface import PriceSurface
+from .surface import PriceSurface, _q_sup, _SliceMemo
 
 
 def min_time_steps(
@@ -109,6 +109,26 @@ def _check_finite(P: np.ndarray, time_index: int) -> None:
         )
 
 
+def _pxx(P: np.ndarray, dx: float) -> np.ndarray:
+    """Central second x-difference on the interior rows."""
+    return (P[2:] - 2.0 * P[1:-1] + P[:-2]) / dx**2
+
+
+def _px(P: np.ndarray, dx: float) -> np.ndarray:
+    """Central first x-difference on the interior rows."""
+    return (P[2:] - P[:-2]) / (2.0 * dx)
+
+
+def _pxv(d_x: np.ndarray, dv: float) -> np.ndarray:
+    """Cross derivative from the x-difference ``d_x``: central in v, first
+    order one-sided at the two v-edges."""
+    out = np.empty_like(d_x)
+    out[:, 1:-1] = (d_x[:, 2:] - d_x[:, :-2]) / (2.0 * dv)
+    out[:, 0] = (d_x[:, 1] - d_x[:, 0]) / dv
+    out[:, -1] = (d_x[:, -1] - d_x[:, -2]) / dv
+    return out
+
+
 class _Marcher:
     """Backward marcher handling slice retention and boundary rows."""
 
@@ -179,25 +199,12 @@ def solve_hjb_2d(
 
     def rhs(P, k):
         inner = P[1:-1]
-        pxx = (P[2:] - 2.0 * inner + P[:-2]) / dx**2
-        d_x = (P[2:] - P[:-2]) / (2.0 * dx)
-        pxv = np.empty_like(d_x)
-        pxv[:, 1:-1] = (d_x[:, 2:] - d_x[:, :-2]) / (2.0 * dv)
-        pxv[:, 0] = (d_x[:, 1] - d_x[:, 0]) / dv
-        pxv[:, -1] = (d_x[:, -1] - d_x[:, -2]) / dv
+        d_x = _px(P, dx)
         pvv = np.zeros_like(d_x)
         pvv[:, 1:-1] = (inner[:, 2:] - 2.0 * inner[:, 1:-1] + inner[:, :-2]) / dv**2
         dfwd = (inner[:, 1:] - inner[:, :-1]) / dv
         pv = dfwd[:, j_upwind]
-        aa = a_coef * pxx
-        bb = b_coef * pxv
-        ham = np.maximum(lo * lo * aa + lo * bb, hi * hi * aa + hi * bb)
-        concave = aa < 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q_hat = np.where(concave, -bb / (2.0 * aa), hi)
-            f_hat = np.where(concave, -(bb * bb) / (4.0 * aa), -np.inf)
-        inside = concave & (q_hat > lo) & (q_hat < hi)
-        ham = np.where(inside, np.maximum(ham, f_hat), ham)
+        ham = _q_sup(a_coef * _pxx(P, dx), b_coef * _pxv(d_x, dv), lo, hi)[0]
         out = ham + c_vv * pvv + drift_v[None, :] * pv
         if r != 0.0:
             out += r * (xc * d_x - inner)
@@ -246,12 +253,10 @@ def solve_bsb_1d(
     lo2, hi2 = params.sigma_min**2, params.sigma_max**2
 
     def rhs(P, k):
-        inner = P[1:-1]
-        pxx = (P[2:] - 2.0 * inner + P[:-2]) / dx**2
+        pxx = _pxx(P, dx)
         ham = a_coef * np.where(pxx >= 0.0, hi2, lo2) * pxx
         if r != 0.0:
-            d_x = (P[2:] - P[:-2]) / (2.0 * dx)
-            ham = ham + r * (xc * d_x - inner)
+            ham = ham + r * (xc * _px(P, dx) - P[1:-1])
         return ham
 
     marcher = _Marcher(params, payoff, grid, kept)
@@ -315,28 +320,16 @@ def solve_corrector(
     dx, dv = grid.dx, grid.dv
     lo, hi = params.sigma_min, params.sigma_max
 
-    cache = {"pos": -1, "q0": None, "source": None}
+    def frozen_fields(surface, time_index):
+        F0 = surface.slice_at(time_index)
+        q0 = np.where(_pxx(F0, dx) >= 0.0, hi, lo)
+        return q0, q0 * src_coef * _pxv(_px(F0, dx), dv)
 
-    def frozen_fields(k):
-        pos = p0.nearest_pos(k * grid.dt)
-        if pos != cache["pos"]:
-            F0 = p0.values[pos]
-            gxx0 = (F0[2:] - 2.0 * F0[1:-1] + F0[:-2]) / dx**2
-            q0 = np.where(gxx0 >= 0.0, hi, lo)
-            d_x0 = (F0[2:] - F0[:-2]) / (2.0 * dx)
-            vanna0 = np.empty_like(d_x0)
-            vanna0[:, 1:-1] = (d_x0[:, 2:] - d_x0[:, :-2]) / (2.0 * dv)
-            vanna0[:, 0] = (d_x0[:, 1] - d_x0[:, 0]) / dv
-            vanna0[:, -1] = (d_x0[:, -1] - d_x0[:, -2]) / dv
-            cache["pos"] = pos
-            cache["q0"] = q0
-            cache["source"] = q0 * src_coef * vanna0
-        return cache["q0"], cache["source"]
+    frozen_at = _SliceMemo(p0, frozen_fields)
 
     def rhs(P, k):
-        q0, source = frozen_fields(k)
-        pxx = (P[2:] - 2.0 * P[1:-1] + P[:-2]) / dx**2
-        return diff_coef * q0**2 * pxx + source
+        q0, source = frozen_at(k * grid.dt)
+        return diff_coef * q0**2 * _pxx(P, dx) + source
 
     marcher = _Marcher(params, payoff, grid, kept)
     # Zero boundary data: the payoff plays no role beyond the x_min row,

@@ -19,6 +19,8 @@ from scipy.special import ndtri
 
 _WORDS_PER_BLOCK = 4
 _INV_2_53 = 2.0**-53
+# Monte-Carlo chunks are capped near this many (path, step) cells.
+_CHUNK_CELLS = 1 << 22
 
 
 def normal_increments(

@@ -21,10 +21,8 @@ import numpy as np
 
 from .errors import PoleError
 from .model import ModelParams, PiecewiseLinearPayoff
-from .rng import chunk_ranges, normal_increments
-
-# Increment chunks are capped near this many (path, step) cells.
-_CHUNK_CELLS = 1 << 22
+from .rng import _CHUNK_CELLS, chunk_ranges, normal_increments
+from .surface import _write_header
 
 
 @dataclass(frozen=True)
@@ -59,8 +57,7 @@ class PathBatch:
         keep = self.n_paths if max_paths is None else min(max_paths, self.n_paths)
         t = self.t_nodes
         with open(path, "w", newline="") as fh:
-            for line in header_lines:
-                fh.write(f"# {line}\n")
+            _write_header(fh, header_lines)
             writer = csv.writer(fh)
             writer.writerow(["path", "step", "t", "x", "v"])
             for i in range(keep):
@@ -110,7 +107,11 @@ def _policy_tag(q_policy) -> str:
     return str(getattr(q_policy, "tag", q_policy.__class__.__name__))
 
 
-def _check_initial_state(x0: float, v0: float) -> None:
+def _check_run(n_paths: int, n_steps: int, T: float, x0: float, v0: float) -> None:
+    if n_paths < 1 or n_steps < 1:
+        raise ValueError(f"need n_paths >= 1 and n_steps >= 1, got {n_paths}, {n_steps}")
+    if not T > 0.0:
+        raise ValueError(f"horizon must be positive, got {T}")
     if not (np.isfinite(x0) and np.isfinite(v0)):
         raise ValueError(f"initial state must be finite, got x0={x0}, v0={v0}")
     if x0 <= 0.0:
@@ -127,6 +128,36 @@ def _check_fixed_q(params: ModelParams, q: float) -> float:
             f"[{params.sigma_min}, {params.sigma_max}]"
         )
     return q
+
+
+def _increment_chunks(params: ModelParams, n_paths: int, n_steps: int,
+                      dt: float, seed: int, chunk_size: int | None):
+    """Yield ``(first, count, dw1, dw2)`` per path chunk: the asset and
+    factor Brownian increments, correlated by ``rho``, each of shape
+    ``(count, n_steps)``."""
+    sq_dt = math.sqrt(dt)
+    rho = params.rho
+    rho_perp = math.sqrt(max(0.0, 1.0 - rho * rho))
+    if chunk_size is None:
+        chunk_size = max(1, _CHUNK_CELLS // n_steps)
+    for first, count in chunk_ranges(n_paths, chunk_size):
+        z = normal_increments(seed, count, n_steps, first_path=first)
+        dw1 = sq_dt * z[:, :, 0]
+        yield first, count, dw1, rho * dw1 + rho_perp * sq_dt * z[:, :, 1]
+
+
+def _log_x_step(params: ModelParams, q, ev, dt: float, dw1):
+    """Log-space Euler increment of the asset at local volatility ``q ev``."""
+    return (params.r - 0.5 * q * q * ev * ev) * dt + q * ev * dw1
+
+
+def _factor_step(params: ModelParams, v: np.ndarray, dt: float, dw2) -> np.ndarray:
+    """Euler step of the factor; ``delta = 0`` leaves it frozen."""
+    if params.delta == 0.0:
+        return v
+    v = v + params.delta * (params.a - params.b * np.exp(params.alpha * v)) * dt
+    v += math.sqrt(params.delta) * params.sigma * dw2
+    return v
 
 
 def simulate_paths(
@@ -146,11 +177,7 @@ def simulate_paths(
     interval, or any object with ``values(t, x, v) -> array`` (and an
     optional ``tag``) evaluated at the start of each step.
     """
-    if n_paths < 1 or n_steps < 1:
-        raise ValueError(f"need n_paths >= 1 and n_steps >= 1, got {n_paths}, {n_steps}")
-    if not T > 0.0:
-        raise ValueError(f"horizon must be positive, got {T}")
-    _check_initial_state(x0, v0)
+    _check_run(n_paths, n_steps, T, x0, v0)
     fixed_q = None
     if isinstance(q_policy, (int, float)):
         fixed_q = _check_fixed_q(params, q_policy)
@@ -161,36 +188,22 @@ def simulate_paths(
         )
 
     dt = T / n_steps
-    sq_dt = math.sqrt(dt)
-    rho = params.rho
-    rho_perp = math.sqrt(max(0.0, 1.0 - rho * rho))
-    freeze_v = params.delta == 0.0
-    drift_scale = params.delta
-    noise_scale = math.sqrt(params.delta) * params.sigma
-
-    if chunk_size is None:
-        chunk_size = max(1, _CHUNK_CELLS // n_steps)
-
     x_out = np.empty((n_paths, n_steps + 1))
     v_out = np.empty((n_paths, n_steps + 1))
-    for first, count in chunk_ranges(n_paths, chunk_size):
-        z = normal_increments(seed, count, n_steps, first_path=first)
-        dw1 = sq_dt * z[:, :, 0]
-        dw2 = rho * dw1 + rho_perp * sq_dt * z[:, :, 1]
+    for first, count, dw1, dw2 in _increment_chunks(
+        params, n_paths, n_steps, dt, seed, chunk_size
+    ):
         log_x = np.full(count, math.log(x0))
         v = np.full(count, float(v0))
         x_out[first : first + count, 0] = x0
         v_out[first : first + count, 0] = v0
         for k in range(n_steps):
-            ev = np.exp(v)
             if fixed_q is not None:
                 q = fixed_q
             else:
                 q = q_policy.values(k * dt, np.exp(log_x), v)
-            log_x += (params.r - 0.5 * q * q * ev * ev) * dt + q * ev * dw1[:, k]
-            if not freeze_v:
-                v = v + drift_scale * (params.a - params.b * np.exp(params.alpha * v)) * dt
-                v += noise_scale * dw2[:, k]
+            log_x += _log_x_step(params, q, np.exp(v), dt, dw1[:, k])
+            v = _factor_step(params, v, dt, dw2[:, k])
             x_out[first : first + count, k + 1] = np.exp(log_x)
             v_out[first : first + count, k + 1] = v
     x_out.flags.writeable = False
@@ -256,39 +269,23 @@ def coupled_payoff_gap(
     ``V = v0`` for ever.  The report also carries the payoff-level gap
     ``E[(h(X^moving_T) - h(X^frozen_T))^2]``.
     """
-    if n_paths < 1 or n_steps < 1:
-        raise ValueError(f"need n_paths >= 1 and n_steps >= 1, got {n_paths}, {n_steps}")
-    if not T > 0.0:
-        raise ValueError(f"horizon must be positive, got {T}")
-    _check_initial_state(x0, v0)
+    _check_run(n_paths, n_steps, T, x0, v0)
     q = _check_fixed_q(params, q)
 
     dt = T / n_steps
-    sq_dt = math.sqrt(dt)
-    rho = params.rho
-    rho_perp = math.sqrt(max(0.0, 1.0 - rho * rho))
-    freeze = params.delta == 0.0
-    noise_scale = math.sqrt(params.delta) * params.sigma
     ev0 = math.exp(v0)
-    if chunk_size is None:
-        chunk_size = max(1, _CHUNK_CELLS // n_steps)
-
     gap_samples = np.empty(n_paths)
     pay_samples = np.empty(n_paths)
-    for first, count in chunk_ranges(n_paths, chunk_size):
-        z = normal_increments(seed, count, n_steps, first_path=first)
-        dw1 = sq_dt * z[:, :, 0]
-        dw2 = rho * dw1 + rho_perp * sq_dt * z[:, :, 1]
+    for first, count, dw1, dw2 in _increment_chunks(
+        params, n_paths, n_steps, dt, seed, chunk_size
+    ):
         log_x_mov = np.full(count, math.log(x0))
         log_x_frz = np.full(count, math.log(x0))
         v = np.full(count, float(v0))
         for k in range(n_steps):
-            ev = np.exp(v)
-            log_x_mov += (params.r - 0.5 * q * q * ev * ev) * dt + q * ev * dw1[:, k]
-            log_x_frz += (params.r - 0.5 * q * q * ev0 * ev0) * dt + q * ev0 * dw1[:, k]
-            if not freeze:
-                v = v + params.delta * (params.a - params.b * np.exp(params.alpha * v)) * dt
-                v += noise_scale * dw2[:, k]
+            log_x_mov += _log_x_step(params, q, np.exp(v), dt, dw1[:, k])
+            log_x_frz += _log_x_step(params, q, ev0, dt, dw1[:, k])
+            v = _factor_step(params, v, dt, dw2[:, k])
         x_mov = np.exp(log_x_mov)
         x_frz = np.exp(log_x_frz)
         gap_samples[first : first + count] = (x_mov - x_frz) ** 2

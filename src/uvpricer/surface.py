@@ -9,17 +9,34 @@ solve, tagged by ``kind``:
 
 From a slice one can read discrete Greeks, extract the pointwise optimal
 volatility multiplier, and build masks of the curvature zero set and of the
-nodes where the moving-factor and limit controls disagree.
+nodes where the moving-factor and limit controls disagree.  The kernels the
+solvers and Monte-Carlo checks share live here too: bilinear reads, the
+pointwise sup over the multiplier, the last-slice memo, the slice-density
+check and the artifact writers.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import GridSpec, ModelParams
+
+
+def _write_header(fh, header_lines) -> None:
+    """Write each artifact header line as a ``# `` comment."""
+    for line in header_lines:
+        fh.write(f"# {line}\n")
+
+
+def _write_json(path, doc: dict) -> None:
+    """Write ``doc`` as an indented, key-sorted JSON artifact."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _axis_first_deriv(F: np.ndarray, h: float, axis: int) -> np.ndarray:
@@ -74,8 +91,7 @@ class ControlField:
     def to_csv(self, path, x_nodes, v_nodes, header_lines=()) -> None:
         """Write the field as ``x,v,q_star`` rows."""
         with open(path, "w", newline="") as fh:
-            for line in header_lines:
-                fh.write(f"# {line}\n")
+            _write_header(fh, header_lines)
             writer = csv.writer(fh)
             writer.writerow(["x", "v", "q_star"])
             for i, x in enumerate(x_nodes):
@@ -183,8 +199,7 @@ class PriceSurface:
         v_nodes = self.grid.v_nodes
         dt = self.grid.dt
         with open(path, "w", newline="") as fh:
-            for line in header_lines:
-                fh.write(f"# {line}\n")
+            _write_header(fh, header_lines)
             writer = csv.writer(fh)
             writer.writerow(["t", "x", "v", "value"])
             for k in time_indices:
@@ -198,24 +213,31 @@ class PriceSurface:
                         )
 
 
-def _bilinear(grid: GridSpec, F: np.ndarray, x, v, extrapolate: bool):
-    x_arr = np.asarray(x, dtype=float)
-    v_arr = np.asarray(v, dtype=float)
-    fx = (x_arr - grid.x_min) / grid.dx
-    fv = (v_arr - grid.v_min) / grid.dv
+def _bilinear_weights(grid: GridSpec, x, v):
+    """Lower-left cell indices and in-cell offsets of the points ``(x, v)``."""
+    fx = (np.asarray(x, dtype=float) - grid.x_min) / grid.dx
+    fv = (np.asarray(v, dtype=float) - grid.v_min) / grid.dv
     ix = np.clip(np.floor(fx).astype(int), 0, grid.n_x)
     iv = np.clip(np.floor(fv).astype(int), 0, grid.n_v - 2)
-    wx = fx - ix
-    wv = fv - iv
-    if not extrapolate:
-        wx = np.clip(wx, 0.0, 1.0)
-        wv = np.clip(wv, 0.0, 1.0)
-    out = (
+    return ix, iv, fx - ix, fv - iv
+
+
+def _bilinear_read(F: np.ndarray, ix, iv, wx, wv):
+    """Bilinear combination of ``F`` at weights from :func:`_bilinear_weights`."""
+    return (
         F[ix, iv] * (1.0 - wx) * (1.0 - wv)
         + F[ix + 1, iv] * wx * (1.0 - wv)
         + F[ix, iv + 1] * (1.0 - wx) * wv
         + F[ix + 1, iv + 1] * wx * wv
     )
+
+
+def _bilinear(grid: GridSpec, F: np.ndarray, x, v, extrapolate: bool):
+    ix, iv, wx, wv = _bilinear_weights(grid, x, v)
+    if not extrapolate:
+        wx = np.clip(wx, 0.0, 1.0)
+        wv = np.clip(wv, 0.0, 1.0)
+    out = _bilinear_read(F, ix, iv, wx, wv)
     if np.isscalar(x) and np.isscalar(v):
         return float(out)
     return out
@@ -251,6 +273,32 @@ def default_gamma_tolerance(surface: PriceSurface) -> float:
     return max(1e-6 * payoff_scale / surface.grid.dx**2, 1e-12)
 
 
+def _q_sup(aa, bb, lo: float, hi: float):
+    """Pointwise supremum of ``f(q) = q^2 aa + q bb`` over ``q in [lo, hi]``.
+
+    Both endpoints are tried, plus the stationary point ``q_hat`` where the
+    quadratic is concave and ``q_hat`` is interior.  Returns ``(sup, f_lo,
+    f_hi, q_hat)``; ``sup`` exceeds ``max(f_lo, f_hi)`` exactly where the
+    interior point wins.
+    """
+    f_lo = lo * lo * aa + lo * bb
+    f_hi = hi * hi * aa + hi * bb
+    sup = np.maximum(f_lo, f_hi)
+    concave = aa < 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q_hat = np.where(concave, -bb / (2.0 * aa), hi)
+        f_hat = np.where(concave, -(bb * bb) / (4.0 * aa), -np.inf)
+    inside = concave & (q_hat > lo) & (q_hat < hi)
+    return np.where(inside, np.maximum(sup, f_hat), sup), f_lo, f_hi, q_hat
+
+
+def _q_argsup(aa, bb, lo: float, hi: float) -> np.ndarray:
+    """A maximizer of :func:`_q_sup`'s quadratic; ties go to ``hi``."""
+    sup, f_lo, f_hi, q_hat = _q_sup(aa, bb, lo, hi)
+    q = np.where(f_hi >= f_lo, hi, lo)
+    return np.where(sup > np.maximum(f_lo, f_hi), q_hat, q)
+
+
 def optimal_control_field(
     surface: PriceSurface,
     params: ModelParams,
@@ -281,16 +329,7 @@ def optimal_control_field(
         ev = np.exp(surface.grid.v_nodes)[None, :]
         aa = 0.5 * ev**2 * x**2 * g.gamma
         bb = np.sqrt(params.delta) * params.rho * params.sigma * x * ev * g.vanna
-        f_lo = lo * lo * aa + lo * bb
-        f_hi = hi * hi * aa + hi * bb
-        q = np.where(f_hi >= f_lo, hi, lo)
-        concave = aa < 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q_hat = np.where(concave, -bb / (2.0 * aa), hi)
-            f_hat = np.where(concave, -(bb * bb) / (4.0 * aa), -np.inf)
-        inside = concave & (q_hat > lo) & (q_hat < hi)
-        better = inside & (f_hat > np.maximum(f_lo, f_hi))
-        q = np.where(better, q_hat, q)
+        q = _q_argsup(aa, bb, lo, hi)
     return ControlField(
         q_star=q, source_kind=surface.kind, gamma_tolerance=float(gamma_tolerance)
     )
@@ -326,6 +365,28 @@ def mismatch_set(
     )
 
 
+class _SliceMemo:
+    """``derive(surface, time_index)`` of the retained slice nearest in time.
+
+    Only the last slice's result is kept: callers step through time in
+    order, so each slice is derived once per pass while memory stays at one
+    field.
+    """
+
+    def __init__(self, surface: PriceSurface, derive):
+        self._surface = surface
+        self._derive = derive
+        self._pos = -1
+        self._field = None
+
+    def __call__(self, t: float):
+        pos = self._surface.nearest_pos(t)
+        if pos != self._pos:
+            self._field = self._derive(self._surface, self._surface.kept_times[pos])
+            self._pos = pos
+        return self._field
+
+
 class WorstCaseControl:
     """Path policy reading the maximizing multiplier off a solved surface.
 
@@ -344,24 +405,14 @@ class WorstCaseControl:
                 "worst-case policy needs a surface solved with stored slices"
             )
         self._surface = surface
-        self._params = params
-        self._tolerance = gamma_tolerance
-        self._cached_pos = -1
-        self._cached_field = None
-
-    def _field_at(self, pos: int) -> np.ndarray:
-        if pos != self._cached_pos:
-            time_index = self._surface.kept_times[pos]
-            field = optimal_control_field(
-                self._surface, self._params, time_index, self._tolerance
-            )
-            self._cached_field = field.q_star
-            self._cached_pos = pos
-        return self._cached_field
+        self._field_at = _SliceMemo(
+            surface,
+            lambda s, k: optimal_control_field(s, params, k, gamma_tolerance).q_star,
+        )
 
     def values(self, t: float, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         grid = self._surface.grid
-        q_grid = self._field_at(self._surface.nearest_pos(t))
+        q_grid = self._field_at(t)
         ix = np.clip(
             np.rint((np.asarray(x) - grid.x_min) / grid.dx).astype(int),
             0, grid.n_x + 1,
@@ -371,3 +422,15 @@ class WorstCaseControl:
             0, grid.n_v - 1,
         )
         return q_grid[ix, iv]
+
+
+def _require_dense_slices(surface: PriceSurface, n_steps: int, name: str) -> None:
+    """Refuse retained slices coarser in time than ``n_steps`` steps."""
+    if surface.n_kept < surface.grid.n_t + 1:
+        gaps = np.diff(surface.kept_times) * surface.grid.dt
+        if gaps.max() > surface.grid.T / n_steps * (1.0 + 1e-9):
+            raise ValueError(
+                f"{name} surface slices are coarser in time than the "
+                f"simulation; re-solve with store_slices=True and "
+                f"max_kept_slices >= {n_steps + 1}"
+            )

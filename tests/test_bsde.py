@@ -64,23 +64,6 @@ class TestDriverSpec:
         assert d(10.0, 0.0, 0.0, 1.0, 0.0, 0.0) == pytest.approx(-0.5 * 100 * 0.04)
         assert d(10.0, 0.0, 0.0, -1.0, 0.0, 0.0) == pytest.approx(0.5 * 100 * 0.01)
 
-    def test_literal_variant_coefficients(self):
-        """The literal form drops one power of x and doubles the cross term."""
-        p = mk_params(delta=0.25)
-        rec = build_driver(p, "f0")
-        lit = build_driver(p, "f0", literal=True)
-        x = np.array([2.0, 50.0, 120.0])
-        args = (x, -0.4, 0.0, 1.3, 0.7, -0.2)
-        assert lit(*args) * x == pytest.approx(rec(*args))
-        # cross term only (s11 = 0): reconstructed uses sigma_bar(0) = max,
-        # literal uses twice sigma_bar(s12)
-        rec_d = build_driver(p, "f_delta")
-        lit_d = build_driver(p, "f_delta", literal=True)
-        up = (100.0, -0.5, 0.0, 0.0, 1.0, 0.0)
-        assert lit_d(*up) == pytest.approx(2.0 * rec_d(*up))
-        dn = (100.0, -0.5, 0.0, 0.0, -1.0, 0.0)
-        assert lit_d(*dn) == pytest.approx(2.0 * (0.1 / 0.2) * rec_d(*dn))
-
     def test_scalar_and_array_forms(self):
         """Scalar inputs give a float, arrays give arrays."""
         d = build_driver(mk_params(), "f0")

@@ -2,10 +2,12 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
+import uvpricer.hjb as hjb
 from uvpricer.analytic import bs_call
 from uvpricer.cli import main
 from uvpricer.config import (
@@ -320,6 +322,28 @@ class TestSweepCommands:
         assert values and max(abs(v) for v in values) == 0.0
         assert (out / "corrector.csv").exists()
         assert json.loads((out / "corrector.json").read_text())["config_hash"]
+
+    def test_corrector_solves_each_limit_surface_once(self, tmp_path,
+                                                      monkeypatch):
+        """The corrector command solves P0 once and P1 once."""
+        calls = {"solve_bsb_1d": 0, "solve_corrector": 0}
+        for name in calls:
+            original = getattr(hjb, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            for mod_name, module in list(sys.modules.items()):
+                if mod_name == "uvpricer" or mod_name.startswith("uvpricer."):
+                    for attr, value in list(vars(module).items()):
+                        if value is original:
+                            monkeypatch.setattr(module, attr, counted)
+        doc = base_doc(tmp_path / "out")
+        doc["corrector"] = {"point": [100.0, -1.0], "deltas": [0.16, 0.36],
+                            "noise_floor": 0.0}
+        assert main(["corrector", "--config", write_doc(tmp_path, doc)]) == 0
+        assert calls == {"solve_bsb_1d": 1, "solve_corrector": 1}
 
 
 class TestSimulateCommand:

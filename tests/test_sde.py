@@ -222,6 +222,13 @@ class TestCoupledPayoffGap:
         tol = 3.0 * max(coarse.std_error, fine.std_error)
         assert abs(coarse.gap_sq - fine.gap_sq) <= tol
 
+    def test_chunk_invariance(self):
+        """Chunking the paths leaves the report bit for bit unchanged."""
+        args = (make_params(), self.PAYOFF, 100.0, -1.0, 0.15, 3000, 20, 0.15, 9)
+        whole = coupled_payoff_gap(*args, chunk_size=None)
+        chunked = coupled_payoff_gap(*args, chunk_size=700)
+        assert chunked == whole
+
     def test_payoff_gap_controlled_by_lipschitz_constant(self):
         """The payoff gap obeys the Lipschitz comparison with the asset gap."""
         rep = coupled_payoff_gap(

@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from uvpricer.model import GridSpec, ModelParams, PiecewiseLinearPayoff
 from uvpricer.surface import (
     ControlField,
     PriceSurface,
     WorstCaseControl,
+    _q_argsup,
+    _q_sup,
     default_gamma_tolerance,
     greeks,
     mismatch_set,
@@ -223,6 +227,49 @@ class TestOptimalControlField:
         lines = out.read_text().splitlines()
         assert lines[0] == "x,v,q_star"
         assert len(lines) == 1 + 11 * 5
+
+
+COEF = st.floats(min_value=-1e3, max_value=1e3)
+
+
+@st.composite
+def quadratics(draw):
+    """``(aa, bb)`` drawn freely, or with the stationary point ``-bb/(2 aa)``
+    drawn from [0, 2.5] so that it often falls inside the interval."""
+    aa = draw(COEF)
+    if draw(st.booleans()):
+        return aa, draw(COEF)
+    return aa, -2.0 * aa * draw(st.floats(min_value=0.0, max_value=2.5))
+
+
+class TestQSup:
+    @given(coef=quadratics(),
+           lo=st.floats(min_value=0.01, max_value=1.0),
+           width=st.floats(min_value=1e-3, max_value=1.0),
+           u=st.floats(min_value=0.0, max_value=1.0))
+    def test_sup_is_attained_in_the_interval(self, coef, lo, width, u):
+        """The sup dominates every q in the interval, the endpoints
+        exactly, and equals f at the returned maximizer."""
+        aa, bb = coef
+        hi = lo + width
+
+        def f(q):
+            return q * q * aa + q * bb
+
+        sup = _q_sup(np.array([aa]), np.array([bb]), lo, hi)[0][0]
+        q_star = _q_argsup(np.array([aa]), np.array([bb]), lo, hi)[0]
+        scale = 1e-9 * (abs(aa) * hi * hi + abs(bb) * hi) + 1e-300
+        assert lo <= q_star <= hi
+        assert sup >= f(lo) and sup >= f(hi)
+        assert sup >= f(lo + u * width) - scale
+        assert abs(sup - f(q_star)) <= scale
+
+    @given(lo=st.floats(min_value=0.01, max_value=1.0),
+           width=st.floats(min_value=1e-3, max_value=1.0))
+    def test_flat_quadratic_ties_to_upper_bound(self, lo, width):
+        """With aa = bb = 0 every q ties and the maximizer is the upper bound."""
+        zero = np.zeros(1)
+        assert _q_argsup(zero, zero, lo, lo + width)[0] == lo + width
 
 
 class TestMismatchSet:
