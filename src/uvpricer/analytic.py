@@ -9,9 +9,14 @@ that benchmark in closed form for any piecewise-linear payoff.
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .model import PiecewiseLinearPayoff
+
+
+def _norm_pdf(d):
+    """Standard normal density, by the same formula as ``scipy.stats.norm``."""
+    return np.exp(-d**2 / 2.0) / np.sqrt(2 * np.pi)
 
 
 def bs_call(x, strike: float, vol: float, tau: float, rate: float = 0.0):
@@ -36,7 +41,7 @@ def bs_call(x, strike: float, vol: float, tau: float, rate: float = 0.0):
         d2 = d1 - srt
         out = np.where(
             x_arr > 0.0,
-            x_arr * norm.cdf(d1) - strike * disc * norm.cdf(d2),
+            x_arr * ndtr(d1) - strike * disc * ndtr(d2),
             0.0,
         )
     if np.isscalar(x) or x_arr.ndim == 0:
@@ -55,7 +60,7 @@ def bs_call_vega(x, strike: float, vol: float, tau: float, rate: float = 0.0):
         srt = vol * np.sqrt(tau)
         with np.errstate(divide="ignore"):
             d1 = (np.log(x_arr / strike) + (rate + 0.5 * vol**2) * tau) / srt
-        out = np.where(x_arr > 0.0, x_arr * norm.pdf(d1) * np.sqrt(tau), 0.0)
+        out = np.where(x_arr > 0.0, x_arr * _norm_pdf(d1) * np.sqrt(tau), 0.0)
     if np.isscalar(x) or np.asarray(x).ndim == 0:
         return float(out)
     return out

@@ -41,6 +41,36 @@ def _json_safe(value: float) -> float | None:
     return float(value) if math.isfinite(value) else None
 
 
+def _usable(rows) -> tuple:
+    """The rows left in the fit: those not excluded by the noise floor."""
+    return tuple(row for row in rows if not row.excluded)
+
+
+def _report_dict(report, **specific) -> dict:
+    """``as_dict`` of a sweep report: its own keys plus the shared ones."""
+    return {
+        "point": list(report.point),
+        "rows": [dataclasses.asdict(row) for row in report.rows],
+        **specific,
+        "n_usable_rows": len(report.usable_rows),
+        "noise_floor": report.noise_floor,
+        "grid": dataclasses.asdict(report.grid),
+        "params": dataclasses.asdict(report.params),
+    }
+
+
+def _write_rows(path, header_lines, row_type, rows) -> None:
+    """Write report rows as CSV: the field names, then ``repr`` of every
+    value field and ``int`` of the closing ``excluded`` flag."""
+    names = [f.name for f in dataclasses.fields(row_type)][:-1]
+    with open(path, "w", newline="") as fh:
+        _write_header(fh, header_lines)
+        fh.write(",".join(names) + ",excluded\n")
+        for row in rows:
+            cells = [repr(getattr(row, name)) for name in names]
+            fh.write(",".join(cells) + f",{int(row.excluded)}\n")
+
+
 def fit_loglog(deltas, abs_errors) -> tuple[float, float]:
     """Least-squares slope and intercept of log|error| against log delta."""
     d = np.asarray(deltas, dtype=float)
@@ -91,31 +121,19 @@ class ConvergenceReport:
 
     @property
     def usable_rows(self) -> tuple[SweepRow, ...]:
-        return tuple(row for row in self.rows if not row.excluded)
+        return _usable(self.rows)
 
     def to_csv(self, path, header_lines=()) -> None:
         """Write ``delta,p_delta,p0,error,abs_error,excluded`` rows."""
-        with open(path, "w", newline="") as fh:
-            _write_header(fh, header_lines)
-            fh.write("delta,p_delta,p0,error,abs_error,excluded\n")
-            for row in self.rows:
-                fh.write(
-                    f"{row.delta!r},{row.p_delta!r},{row.p0!r},"
-                    f"{row.error!r},{row.abs_error!r},{int(row.excluded)}\n"
-                )
+        _write_rows(path, header_lines, SweepRow, self.rows)
 
     def as_dict(self) -> dict:
-        return {
-            "point": list(self.point),
-            "rows": [dataclasses.asdict(row) for row in self.rows],
-            "slope": _json_safe(self.slope),
-            "intercept": _json_safe(self.intercept),
-            "deltas_excluded": list(self.deltas_excluded),
-            "n_usable_rows": len(self.usable_rows),
-            "noise_floor": self.noise_floor,
-            "grid": dataclasses.asdict(self.grid),
-            "params": dataclasses.asdict(self.params),
-        }
+        return _report_dict(
+            self,
+            slope=_json_safe(self.slope),
+            intercept=_json_safe(self.intercept),
+            deltas_excluded=list(self.deltas_excluded),
+        )
 
     def to_json(self, path, extra: dict | None = None) -> None:
         _write_json(path, {**self.as_dict(), **(extra or {})})
@@ -330,7 +348,7 @@ class CorrectorReport:
 
     @property
     def usable_rows(self) -> tuple[CorrectorRow, ...]:
-        return tuple(row for row in self.rows if not row.excluded)
+        return _usable(self.rows)
 
     @property
     def ratio(self) -> float:
@@ -341,25 +359,10 @@ class CorrectorReport:
 
     def to_csv(self, path, header_lines=()) -> None:
         """Write ``delta,p_delta,p0,p1,e_delta,e_over_delta,excluded`` rows."""
-        with open(path, "w", newline="") as fh:
-            _write_header(fh, header_lines)
-            fh.write("delta,p_delta,p0,p1,e_delta,e_over_delta,excluded\n")
-            for row in self.rows:
-                fh.write(
-                    f"{row.delta!r},{row.p_delta!r},{row.p0!r},{row.p1!r},"
-                    f"{row.e_delta!r},{row.e_over_delta!r},{int(row.excluded)}\n"
-                )
+        _write_rows(path, header_lines, CorrectorRow, self.rows)
 
     def as_dict(self) -> dict:
-        return {
-            "point": list(self.point),
-            "rows": [dataclasses.asdict(row) for row in self.rows],
-            "ratio": _json_safe(self.ratio),
-            "n_usable_rows": len(self.usable_rows),
-            "noise_floor": self.noise_floor,
-            "grid": dataclasses.asdict(self.grid),
-            "params": dataclasses.asdict(self.params),
-        }
+        return _report_dict(self, ratio=_json_safe(self.ratio))
 
     def to_json(self, path, extra: dict | None = None) -> None:
         _write_json(path, {**self.as_dict(), **(extra or {})})

@@ -9,6 +9,10 @@ the two standard normals for that step.  Consequences:
   are requested or how the batch is chunked, and
 * disjoint path ranges can be generated independently (in parallel or
   lazily) and concatenated without overlap.
+
+The normals are stored step-major: the array returned is a transposed view
+of a C-contiguous ``(2, n_steps, n_paths)`` buffer, so each step's draws of
+one channel are one contiguous row.
 """
 
 from __future__ import annotations
@@ -21,6 +25,9 @@ _WORDS_PER_BLOCK = 4
 _INV_2_53 = 2.0**-53
 # Monte-Carlo chunks are capped near this many (path, step) cells.
 _CHUNK_CELLS = 1 << 22
+# Raw Philox words are drawn in path blocks of about this many cells, so a
+# chunk never holds all of its raw words at once.
+_BLOCK_CELLS = 1 << 16
 
 
 def normal_increments(
@@ -28,9 +35,10 @@ def normal_increments(
 ) -> np.ndarray:
     """Standard normal pairs for paths ``first_path .. first_path+n_paths-1``.
 
-    Returns an array of shape ``(n_paths, n_steps, 2)``.  Calling with
-    ``first_path=k`` reproduces rows ``k:`` of a larger call with
-    ``first_path=0`` and the same ``(seed, n_steps)``.
+    Returns an array of shape ``(n_paths, n_steps, 2)``, a view of
+    step-major storage.  Calling with ``first_path=k`` reproduces rows
+    ``k:`` of a larger call with ``first_path=0`` and the same
+    ``(seed, n_steps)``.
     """
     if n_paths < 1 or n_steps < 1:
         raise ValueError(
@@ -38,12 +46,21 @@ def normal_increments(
         )
     if first_path < 0:
         raise ValueError(f"first_path must be non-negative, got {first_path}")
-    bitgen = Philox(key=seed, counter=first_path * n_steps)
-    raw = bitgen.random_raw(n_paths * n_steps * _WORDS_PER_BLOCK)
-    raw = raw.reshape(n_paths, n_steps, _WORDS_PER_BLOCK)[:, :, :2]
-    # Top 53 bits -> uniform on (0, 1), strictly inside so ndtri stays finite.
-    uniforms = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * _INV_2_53
-    return ndtri(uniforms)
+    out = np.empty((2, n_steps, n_paths))
+    block = max(1, _BLOCK_CELLS // n_steps)
+    for p0 in range(0, n_paths, block):
+        m = min(block, n_paths - p0)
+        bitgen = Philox(key=seed, counter=(first_path + p0) * n_steps)
+        raw = bitgen.random_raw(m * n_steps * _WORDS_PER_BLOCK)
+        raw >>= np.uint64(11)
+        words = raw.reshape(m, n_steps, _WORDS_PER_BLOCK)[:, :, :2].T
+        # Top 53 bits -> uniform on (0, 1), strictly inside so ndtri stays
+        # finite; the 53-bit integers convert to float64 exactly.
+        dest = out[:, :, p0 : p0 + m]
+        np.add(words, 0.5, out=dest)
+        np.multiply(dest, _INV_2_53, out=dest)
+    ndtri(out, out=out)
+    return out.T
 
 
 def chunk_ranges(n_paths: int, chunk_size: int):

@@ -8,13 +8,18 @@ positive; ``V`` uses plain Euler-Maruyama.  ``delta = 0`` freezes the factor
 exactly — no drift or noise is applied at all.
 
 Increments come from :mod:`uvpricer.rng`, so batches are reproducible and
-chunk-order independent.
+chunk-order independent; fixed-``q`` chunks therefore run in parallel, one
+thread per CPU the process may use, with results that do not depend on
+the schedule.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +28,11 @@ from .errors import PoleError
 from .model import ModelParams, PiecewiseLinearPayoff
 from .rng import _CHUNK_CELLS, chunk_ranges, normal_increments
 from .surface import _write_header
+
+# Fixed-q chunks run on one thread per CPU in the process's affinity mask.
+_WORKERS = len(os.sched_getaffinity(0))
+_POOL = None
+_POOL_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -130,20 +140,63 @@ def _check_fixed_q(params: ModelParams, q: float) -> float:
     return q
 
 
-def _increment_chunks(params: ModelParams, n_paths: int, n_steps: int,
-                      dt: float, seed: int, chunk_size: int | None):
-    """Yield ``(first, count, dw1, dw2)`` per path chunk: the asset and
-    factor Brownian increments, correlated by ``rho``, each of shape
-    ``(count, n_steps)``."""
+def _chunks(n_paths: int, n_steps: int, chunk_size: int | None,
+            parallel: bool) -> list[tuple[int, int]]:
+    """``(first, count)`` path ranges of one batch.
+
+    Without ``chunk_size``, a parallel batch splits into a multiple of
+    ``_WORKERS`` balanced chunks near ``_CHUNK_CELLS // 4`` cells each; a
+    sequential one into chunks of at most ``_CHUNK_CELLS`` cells.
+    """
+    if chunk_size is None and parallel:
+        target = max(1, _CHUNK_CELLS // 4 // n_steps)
+        n_chunks = min(n_paths, _WORKERS * -(-n_paths // (target * _WORKERS)))
+        ends = [n_paths * i // n_chunks for i in range(n_chunks + 1)]
+        return [(lo, hi - lo) for lo, hi in zip(ends, ends[1:])]
+    if chunk_size is None:
+        chunk_size = max(1, _CHUNK_CELLS // n_steps)
+    return list(chunk_ranges(n_paths, chunk_size))
+
+
+def _pool() -> ThreadPoolExecutor:
+    """The shared chunk pool, created on first use."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            _POOL = ThreadPoolExecutor(max_workers=_WORKERS)
+        return _POOL
+
+
+def _march_chunks(params: ModelParams, n_paths: int, n_steps: int, dt: float,
+                  seed: int, chunk_size: int | None, parallel: bool, march) -> None:
+    """Call ``march(first, count, dw1, dw2)`` once per path chunk.
+
+    ``dw1`` and ``dw2`` are the asset and factor Brownian increments,
+    correlated by ``rho``, step-major with shape ``(n_steps, count)`` so
+    ``dw1[k]`` is one contiguous row.  With ``parallel`` the chunks run on
+    a pool of one thread per CPU the process may use (Philox, ``ndtri``
+    and numpy ufuncs release the GIL); ``march`` must then write only its
+    own path slice.
+    """
     sq_dt = math.sqrt(dt)
     rho = params.rho
     rho_perp = math.sqrt(max(0.0, 1.0 - rho * rho))
-    if chunk_size is None:
-        chunk_size = max(1, _CHUNK_CELLS // n_steps)
-    for first, count in chunk_ranges(n_paths, chunk_size):
+
+    def run(chunk):
+        first, count = chunk
         z = normal_increments(seed, count, n_steps, first_path=first)
-        dw1 = sq_dt * z[:, :, 0]
-        yield first, count, dw1, rho * dw1 + rho_perp * sq_dt * z[:, :, 1]
+        dw1 = sq_dt * z[:, :, 0].T
+        dw2 = rho * dw1 + rho_perp * sq_dt * z[:, :, 1].T
+        del z
+        march(first, count, dw1, dw2)
+
+    chunks = _chunks(n_paths, n_steps, chunk_size, parallel)
+    if parallel and _WORKERS > 1 and len(chunks) > 1:
+        for _ in _pool().map(run, chunks):
+            pass
+    else:
+        for chunk in chunks:
+            run(chunk)
 
 
 def _log_x_step(params: ModelParams, q, ev, dt: float, dw1):
@@ -188,24 +241,34 @@ def simulate_paths(
         )
 
     dt = T / n_steps
-    x_out = np.empty((n_paths, n_steps + 1))
-    v_out = np.empty((n_paths, n_steps + 1))
-    for first, count, dw1, dw2 in _increment_chunks(
-        params, n_paths, n_steps, dt, seed, chunk_size
-    ):
+    # Step-major storage keeps every step's write one contiguous row.
+    x_steps = np.empty((n_steps + 1, n_paths))
+    v_steps = np.empty((n_steps + 1, n_paths))
+
+    def march(first, count, dw1, dw2):
+        rows = slice(first, first + count)
         log_x = np.full(count, math.log(x0))
         v = np.full(count, float(v0))
-        x_out[first : first + count, 0] = x0
-        v_out[first : first + count, 0] = v0
+        x_steps[0, rows] = x0
+        v_steps[0, rows] = v0
         for k in range(n_steps):
             if fixed_q is not None:
                 q = fixed_q
             else:
                 q = q_policy.values(k * dt, np.exp(log_x), v)
-            log_x += _log_x_step(params, q, np.exp(v), dt, dw1[:, k])
-            v = _factor_step(params, v, dt, dw2[:, k])
-            x_out[first : first + count, k + 1] = np.exp(log_x)
-            v_out[first : first + count, k + 1] = v
+            log_x += _log_x_step(params, q, np.exp(v), dt, dw1[k])
+            v = _factor_step(params, v, dt, dw2[k])
+            x_steps[k + 1, rows] = np.exp(log_x)
+            v_steps[k + 1, rows] = v
+
+    # A policy (e.g. a WorstCaseControl with its last-slice memo) is only
+    # ever called from this thread.
+    _march_chunks(params, n_paths, n_steps, dt, seed, chunk_size,
+                  fixed_q is not None, march)
+    # Drop each step-major buffer once copied, so at most three are alive.
+    x_out = np.ascontiguousarray(x_steps.T)
+    del x_steps
+    v_out = np.ascontiguousarray(v_steps.T)
     x_out.flags.writeable = False
     v_out.flags.writeable = False
     return PathBatch(
@@ -276,20 +339,21 @@ def coupled_payoff_gap(
     ev0 = math.exp(v0)
     gap_samples = np.empty(n_paths)
     pay_samples = np.empty(n_paths)
-    for first, count, dw1, dw2 in _increment_chunks(
-        params, n_paths, n_steps, dt, seed, chunk_size
-    ):
+
+    def march(first, count, dw1, dw2):
         log_x_mov = np.full(count, math.log(x0))
         log_x_frz = np.full(count, math.log(x0))
         v = np.full(count, float(v0))
         for k in range(n_steps):
-            log_x_mov += _log_x_step(params, q, np.exp(v), dt, dw1[:, k])
-            log_x_frz += _log_x_step(params, q, ev0, dt, dw1[:, k])
-            v = _factor_step(params, v, dt, dw2[:, k])
+            log_x_mov += _log_x_step(params, q, np.exp(v), dt, dw1[k])
+            log_x_frz += _log_x_step(params, q, ev0, dt, dw1[k])
+            v = _factor_step(params, v, dt, dw2[k])
         x_mov = np.exp(log_x_mov)
         x_frz = np.exp(log_x_frz)
         gap_samples[first : first + count] = (x_mov - x_frz) ** 2
         pay_samples[first : first + count] = (payoff(x_mov) - payoff(x_frz)) ** 2
+
+    _march_chunks(params, n_paths, n_steps, dt, seed, chunk_size, True, march)
     gap, gap_se = _mean_and_se(gap_samples)
     pay, pay_se = _mean_and_se(pay_samples)
     return CoupledGap(

@@ -5,11 +5,24 @@ Expected prices were frozen from an independent log-normal quadrature of
 ``scipy.integrate.quad`` (absolute error below 1e-7 in every case).
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.special import ndtr
 from scipy.stats import norm
 
-from uvpricer.analytic import bs_call, bs_call_vega, fixed_vol_price, fixed_vol_vega
+import uvpricer
+from uvpricer.analytic import (
+    _norm_pdf,
+    bs_call,
+    bs_call_vega,
+    fixed_vol_price,
+    fixed_vol_vega,
+)
 from uvpricer.model import PiecewiseLinearPayoff
 
 BUTTERFLY = PiecewiseLinearPayoff.butterfly(90.0, 100.0, 110.0)
@@ -107,3 +120,28 @@ class TestFixedVolPrice:
         """Negative time to maturity raises ValueError."""
         with pytest.raises(ValueError):
             bs_call(100.0, 100.0, 0.2, -0.1)
+
+
+class TestNormalKernels:
+    def test_bit_identical_to_scipy_stats(self):
+        """The cdf and pdf used here equal ``scipy.stats.norm`` bit for bit."""
+        rng = np.random.default_rng(3)
+        d = np.concatenate([
+            rng.normal(0.0, 3.0, 20_000),
+            rng.uniform(-45.0, 45.0, 20_000),
+            [0.0, -0.0, np.inf, -np.inf, 40.0, -40.0, 1e-300, -1e-300],
+        ])
+        assert np.array_equal(ndtr(d), norm.cdf(d))
+        assert np.array_equal(_norm_pdf(d), norm.pdf(d))
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        """Importing the package does not pay for ``scipy.stats``."""
+        src = str(Path(uvpricer.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        code = "import sys, uvpricer; print('scipy.stats' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"

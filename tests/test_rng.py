@@ -2,8 +2,23 @@
 
 import numpy as np
 import pytest
+from numpy.random import Philox
+from scipy.special import ndtri
 
+from uvpricer import rng
 from uvpricer.rng import chunk_ranges, normal_increments
+
+BLOCK = rng._BLOCK_CELLS
+
+
+def reference_increments(seed, n_paths, n_steps, first_path=0):
+    """The addressing contract drawn with one ``random_raw`` call: words 0
+    and 1 of counter block ``path * n_steps + step``, top 53 bits, ndtri."""
+    raw = Philox(key=seed, counter=first_path * n_steps).random_raw(
+        n_paths * n_steps * 4
+    )
+    raw = raw.reshape(n_paths, n_steps, 4)[:, :, :2]
+    return ndtri(((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53)
 
 
 class TestNormalIncrements:
@@ -67,6 +82,51 @@ class TestNormalIncrements:
         kwargs.update(bad)
         with pytest.raises(ValueError):
             normal_increments(**kwargs)
+
+
+class TestBlockedDraw:
+    @pytest.mark.parametrize(
+        "n_paths, n_steps, first_path",
+        [
+            (1, 1, 0),
+            (BLOCK + 3, 1, 0),
+            (BLOCK + 3, 1, 11),
+            (2 * (BLOCK // 150) + 7, 150, 0),
+            (2 * (BLOCK // 150) + 7, 150, 1234),
+            (BLOCK // 150, 150, 5),
+            (3, BLOCK + 5, 0),
+            (3, BLOCK + 5, 2),
+        ],
+    )
+    def test_matches_single_draw_reference(self, n_paths, n_steps, first_path):
+        """Blocked, step-major drawing gives exactly the single-draw values."""
+        z = normal_increments(31, n_paths, n_steps, first_path=first_path)
+        assert np.array_equal(z, reference_increments(31, n_paths, n_steps, first_path))
+
+    def test_step_rows_are_contiguous(self):
+        """Each channel's draws for one step are one contiguous row."""
+        z = normal_increments(4, 50, 7)
+        assert z[:, :, 0].T.flags.c_contiguous
+        assert z[:, :, 1].T.flags.c_contiguous
+
+    @pytest.mark.parametrize("n_steps", [1, 150, BLOCK + 5])
+    def test_raw_draws_stay_within_the_block_budget(self, monkeypatch, n_steps):
+        """No single Philox draw holds more than one block of raw words."""
+        sizes = []
+
+        class Recording:
+            def __init__(self, **kwargs):
+                self._inner = Philox(**kwargs)
+
+            def random_raw(self, size):
+                sizes.append(size)
+                return self._inner.random_raw(size)
+
+        monkeypatch.setattr(rng, "Philox", Recording)
+        n_paths = 3 * max(1, BLOCK // n_steps) + 1
+        normal_increments(8, n_paths, n_steps)
+        assert sum(sizes) == 4 * n_paths * n_steps
+        assert max(sizes) <= 4 * max(BLOCK, n_steps)
 
 
 class TestChunkRanges:

@@ -1,10 +1,16 @@
 """Tests for path simulation, moment estimators, and the closed-form MGF."""
 
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from uvpricer import sde
 from uvpricer.errors import PoleError
 from uvpricer.model import ModelParams, PiecewiseLinearPayoff
 from uvpricer.rng import normal_increments
@@ -141,6 +147,135 @@ class TestSimulatePaths:
         base.update(kwargs)
         with pytest.raises(exc):
             simulate_paths(make_params(), **base)
+
+
+class TestPathEngine:
+    PAYOFF = PiecewiseLinearPayoff.butterfly(90.0, 100.0, 110.0)
+
+    @staticmethod
+    def run_both(params, n_paths, n_steps, seed, **kwargs):
+        batch = simulate_paths(params, 100.0, -1.0, 0.15, n_paths, n_steps,
+                               0.15, seed, **kwargs)
+        gap = coupled_payoff_gap(params, TestPathEngine.PAYOFF, 100.0, -1.0,
+                                 0.15, n_paths, n_steps, 0.15, seed, **kwargs)
+        return batch, gap
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n_paths=st.integers(1, 300),
+        n_steps=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        chunk=st.integers(1, 300),
+        budget=st.integers(1, 2000),
+        delta=st.sampled_from([0.0, 0.3, 1.0]),
+    )
+    def test_chunking_and_workers_do_not_change_results(
+        self, n_paths, n_steps, seed, chunk, budget, delta
+    ):
+        """Fixed-q batches and gaps are bit-identical for any chunking, any
+        chunk budget and a one-worker pool."""
+        params = make_params(delta=delta)
+        ref_batch, ref_gap = self.run_both(params, n_paths, n_steps, seed)
+        runs = [self.run_both(params, n_paths, n_steps, seed, chunk_size=c)
+                for c in (chunk, n_paths)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sde, "_CHUNK_CELLS", budget)
+            runs.append(self.run_both(params, n_paths, n_steps, seed))
+            mp.setattr(sde, "_WORKERS", 1)
+            runs.append(self.run_both(params, n_paths, n_steps, seed))
+            runs.append(self.run_both(params, n_paths, n_steps, seed, chunk_size=chunk))
+        for batch, gap in runs:
+            assert np.array_equal(batch.x_paths, ref_batch.x_paths)
+            assert np.array_equal(batch.v_paths, ref_batch.v_paths)
+            assert gap == ref_gap
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        n_small=st.integers(1, 120),
+        extra=st.integers(1, 200),
+        n_steps=st.integers(1, 10),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batch_extension_keeps_leading_paths(self, n_small, extra, n_steps, seed):
+        """Rows ``:n`` of a larger batch are the smaller batch."""
+        params = make_params()
+        small = simulate_paths(params, 100.0, -1.0, 0.15, n_small, n_steps, 0.15, seed)
+        large = simulate_paths(params, 100.0, -1.0, 0.15, n_small + extra, n_steps,
+                               0.15, seed, chunk_size=7)
+        assert np.array_equal(large.x_paths[:n_small], small.x_paths)
+        assert np.array_equal(large.v_paths[:n_small], small.v_paths)
+
+    def test_balanced_chunks_are_a_multiple_of_the_workers(self, monkeypatch):
+        """Default fixed-q chunks come in multiples of the worker count, no
+        larger than a quarter of the chunk budget and at most one path apart."""
+        n_paths, n_steps = 40_000, 150
+        for workers in (1, 2, 3, 8):
+            monkeypatch.setattr(sde, "_WORKERS", workers)
+            chunks = sde._chunks(n_paths, n_steps, None, parallel=True)
+            counts = [count for _, count in chunks]
+            assert len(chunks) % workers == 0
+            assert sum(counts) == n_paths
+            assert max(counts) * n_steps <= sde._CHUNK_CELLS // 4
+            assert max(counts) - min(counts) <= 1
+        assert sde._chunks(n_paths, n_steps, None, parallel=False) == [
+            (0, sde._CHUNK_CELLS // n_steps),
+            (sde._CHUNK_CELLS // n_steps, n_paths - sde._CHUNK_CELLS // n_steps),
+        ]
+
+    @pytest.mark.parametrize("policy", ["fixed", "object"])
+    def test_path_arrays_are_c_contiguous_and_read_only(self, policy):
+        """Both path arrays are C-ordered and refuse writes."""
+        q = 0.15 if policy == "fixed" else _Extremes()
+        batch = simulate_paths(make_params(), 100.0, -1.0, q, 60, 9, 0.1, seed=3,
+                               chunk_size=25)
+        for arr in (batch.x_paths, batch.v_paths):
+            assert arr.flags.c_contiguous
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
+
+    def test_oversubscribed_pool_matches_sequential_run(self, monkeypatch):
+        """More workers than cores and a tiny switch interval leave every
+        path and gap sample where a one-worker run puts it."""
+        params = make_params()
+        kwargs = dict(n_paths=400, n_steps=9, seed=77, chunk_size=13)
+        monkeypatch.setattr(sde, "_WORKERS", 1)
+        ref_batch, ref_gap = self.run_both(params, **kwargs)
+        monkeypatch.setattr(sde, "_WORKERS", 2 * len(os.sched_getaffinity(0)) + 1)
+        monkeypatch.setattr(sde, "_POOL", None)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                batch, gap = self.run_both(params, **kwargs)
+                assert np.array_equal(batch.x_paths, ref_batch.x_paths)
+                assert np.array_equal(batch.v_paths, ref_batch.v_paths)
+                assert gap == ref_gap
+            assert sde._POOL is not None
+        finally:
+            sys.setswitchinterval(interval)
+            if sde._POOL is not None:
+                sde._POOL.shutdown(wait=True)
+
+    def test_policy_is_queried_on_the_calling_thread(self):
+        """A policy object never runs on the pool, even over many chunks."""
+        policy = _Extremes()
+        simulate_paths(make_params(), 100.0, -1.0, policy, 50, 4, 0.1, seed=2,
+                       chunk_size=5)
+        assert policy.threads == {threading.get_ident()}
+
+
+class _Extremes:
+    """Bang-bang policy on the factor that records the calling threads."""
+
+    tag = "bang-bang on v"
+
+    def __init__(self):
+        self.threads = set()
+
+    def values(self, t, x, v):
+        self.threads.add(threading.get_ident())
+        return np.where(v < -1.0, 0.2, 0.1)
 
 
 class TestEstimateMoment:
