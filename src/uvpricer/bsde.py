@@ -208,25 +208,26 @@ def simulate_2bsde_residual(
         alive = np.ones(m, dtype=bool)
         for k in range(n_steps):
             g = fields_at(k * dt)
-            idx = np.flatnonzero(alive)
-            if idx.size == 0:
+            if not alive.any():
                 break
-            xa, va = x[idx], v[idx]
-            cell = _bilinear_weights(grid, xa, va)
-            z1a = _bilinear_read(g.delta, *cell)
-            z2a = _bilinear_read(g.vega, *cell)
+            # Every path is read; a path that left the grid keeps its exit
+            # state and only the alive paths' results are used.
+            cell = _bilinear_weights(grid, x, v)
+            z1 = _bilinear_read(g.delta, *cell)
+            z2 = _bilinear_read(g.vega, *cell)
             s11 = _bilinear_read(g.gamma, *cell)
             s12 = _bilinear_read(g.vanna, *cell)
             s22 = _bilinear_read(g.vomma, *cell)
-            f = driver(xa, va, z2a, s11, s12, s22)
-            dw1 = sqdt * z[idx, k, 0]
-            dw2 = sqdt * z[idx, k, 1]
-            y[idx] += (f + 0.5 * (s11 + s22)) * dt + z1a * dw1 + z2a * dw2
-            x[idx] = xa + dw1
-            v[idx] = va + dw2
-            alive[idx] = (
-                (x[idx] >= grid.x_min) & (x[idx] <= grid.x_max)
-                & (v[idx] >= grid.v_min) & (v[idx] <= grid.v_max)
+            f = driver(x, v, z2, s11, s12, s22)
+            dw1 = sqdt * z[:, k, 0]
+            dw2 = sqdt * z[:, k, 1]
+            dy = (f + 0.5 * (s11 + s22)) * dt + z1 * dw1 + z2 * dw2
+            np.add(y, dy, out=y, where=alive)
+            np.add(x, dw1, out=x, where=alive)
+            np.add(v, dw2, out=v, where=alive)
+            alive &= (
+                (x >= grid.x_min) & (x <= grid.x_max)
+                & (v >= grid.v_min) & (v <= grid.v_max)
             )
         idx = np.flatnonzero(alive)
         if idx.size:

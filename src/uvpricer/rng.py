@@ -31,14 +31,16 @@ _BLOCK_CELLS = 1 << 16
 
 
 def normal_increments(
-    seed: int, n_paths: int, n_steps: int, first_path: int = 0
+    seed: int, n_paths: int, n_steps: int, first_path: int = 0, out=None
 ) -> np.ndarray:
     """Standard normal pairs for paths ``first_path .. first_path+n_paths-1``.
 
     Returns an array of shape ``(n_paths, n_steps, 2)``, a view of
-    step-major storage.  Calling with ``first_path=k`` reproduces rows
-    ``k:`` of a larger call with ``first_path=0`` and the same
-    ``(seed, n_steps)``.
+    step-major storage: ``out`` when given (a float64 array of shape
+    ``(2, n_steps, n_paths)``, possibly a strided slice of a larger
+    buffer), else a fresh array.  Calling with ``first_path=k``
+    reproduces rows ``k:`` of a larger call with ``first_path=0`` and the
+    same ``(seed, n_steps)``.
     """
     if n_paths < 1 or n_steps < 1:
         raise ValueError(
@@ -46,7 +48,13 @@ def normal_increments(
         )
     if first_path < 0:
         raise ValueError(f"first_path must be non-negative, got {first_path}")
-    out = np.empty((2, n_steps, n_paths))
+    if out is None:
+        out = np.empty((2, n_steps, n_paths))
+    elif out.shape != (2, n_steps, n_paths) or out.dtype != np.float64:
+        raise ValueError(
+            f"out must be float64 of shape {(2, n_steps, n_paths)}, got "
+            f"{out.dtype} {out.shape}"
+        )
     block = max(1, _BLOCK_CELLS // n_steps)
     for p0 in range(0, n_paths, block):
         m = min(block, n_paths - p0)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -173,25 +174,41 @@ def _march_chunks(params: ModelParams, n_paths: int, n_steps: int, dt: float,
 
     ``dw1`` and ``dw2`` are the asset and factor Brownian increments,
     correlated by ``rho``, step-major with shape ``(n_steps, count)`` so
-    ``dw1[k]`` is one contiguous row.  With ``parallel`` the chunks run on
-    a pool of one thread per CPU the process may use (Philox, ``ndtri``
-    and numpy ufuncs release the GIL); ``march`` must then write only its
-    own path slice.
+    ``dw1[k]`` is one contiguous row; both are views of a reused
+    workspace, valid only during the call.  With ``parallel`` the chunks
+    run on a pool of one thread per CPU the process may use (Philox,
+    ``ndtri`` and numpy ufuncs release the GIL); ``march`` must then write
+    only its own path slice.
     """
     sq_dt = math.sqrt(dt)
     rho = params.rho
-    rho_perp = math.sqrt(max(0.0, 1.0 - rho * rho))
+    rho_perp_dt = math.sqrt(max(0.0, 1.0 - rho * rho)) * sq_dt
+    chunks = _chunks(n_paths, n_steps, chunk_size, parallel)
+    pooled = parallel and _WORKERS > 1 and len(chunks) > 1
+    # One step-major workspace per worker, allocated on this thread and
+    # handed out through a queue, so pool threads allocate only row-sized
+    # temporaries and their arenas do not keep chunk-sized blocks.
+    width = max(count for _, count in chunks)
+    spaces = queue.SimpleQueue()
+    for _ in range(min(_WORKERS, len(chunks)) if pooled else 1):
+        spaces.put(np.empty((2, n_steps, width)))
 
     def run(chunk):
         first, count = chunk
-        z = normal_increments(seed, count, n_steps, first_path=first)
-        dw1 = sq_dt * z[:, :, 0].T
-        dw2 = rho * dw1 + rho_perp * sq_dt * z[:, :, 1].T
-        del z
-        march(first, count, dw1, dw2)
+        space = spaces.get()
+        try:
+            z = space[:, :, :count]
+            normal_increments(seed, count, n_steps, first_path=first, out=z)
+            dw1, dw2 = z
+            np.multiply(dw1, sq_dt, out=dw1)
+            np.multiply(dw2, rho_perp_dt, out=dw2)
+            for k in range(n_steps):
+                dw2[k] += rho * dw1[k]
+            march(first, count, dw1, dw2)
+        finally:
+            spaces.put(space)
 
-    chunks = _chunks(n_paths, n_steps, chunk_size, parallel)
-    if parallel and _WORKERS > 1 and len(chunks) > 1:
+    if pooled:
         for _ in _pool().map(run, chunks):
             pass
     else:

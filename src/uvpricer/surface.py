@@ -213,31 +213,52 @@ class PriceSurface:
                         )
 
 
-def _bilinear_weights(grid: GridSpec, x, v):
-    """Lower-left cell indices and in-cell offsets of the points ``(x, v)``."""
+def _bilinear_weights(grid: GridSpec, x, v, extrapolate: bool = True):
+    """Cell of the points ``(x, v)`` for :func:`_bilinear_read`.
+
+    Returns the flat index ``ix * n_v + iv`` of each lower-left node, the
+    flat index of its ``ix + 1`` neighbour, the in-cell offsets ``wx``,
+    ``wv`` and their complements ``1 - wx``, ``1 - wv``.  Offsets outside
+    ``[0, 1]`` extrapolate linearly unless ``extrapolate`` is False (then
+    they are clamped).
+    """
     fx = (np.asarray(x, dtype=float) - grid.x_min) / grid.dx
     fv = (np.asarray(v, dtype=float) - grid.v_min) / grid.dv
     ix = np.clip(np.floor(fx).astype(int), 0, grid.n_x)
     iv = np.clip(np.floor(fv).astype(int), 0, grid.n_v - 2)
-    return ix, iv, fx - ix, fv - iv
-
-
-def _bilinear_read(F: np.ndarray, ix, iv, wx, wv):
-    """Bilinear combination of ``F`` at weights from :func:`_bilinear_weights`."""
-    return (
-        F[ix, iv] * (1.0 - wx) * (1.0 - wv)
-        + F[ix + 1, iv] * wx * (1.0 - wv)
-        + F[ix, iv + 1] * (1.0 - wx) * wv
-        + F[ix + 1, iv + 1] * wx * wv
-    )
-
-
-def _bilinear(grid: GridSpec, F: np.ndarray, x, v, extrapolate: bool):
-    ix, iv, wx, wv = _bilinear_weights(grid, x, v)
+    wx = fx - ix
+    wv = fv - iv
     if not extrapolate:
         wx = np.clip(wx, 0.0, 1.0)
         wv = np.clip(wv, 0.0, 1.0)
-    out = _bilinear_read(F, ix, iv, wx, wv)
+    lower = ix * grid.n_v + iv
+    return lower, lower + grid.n_v, wx, wv, 1.0 - wx, 1.0 - wv
+
+
+def _bilinear_read(F: np.ndarray, lower, upper, wx, wv, ux, uv):
+    """Bilinear combination of ``F`` over a cell from :func:`_bilinear_weights`.
+
+    The four corners are 1-D ``take`` reads of the flattened slice (the
+    ``iv + 1`` corners read the same indices one element further on).
+    """
+    flat = np.asarray(F, dtype=float).ravel()
+    up = flat[1:]
+    # In place, in the order of the 2-D form's left-to-right expression
+    # ``F00 * ux * uv + F10 * wx * uv + F01 * ux * wv + F11 * wx * wv``.
+    out = flat.take(lower)
+    out *= ux
+    out *= uv
+    for src, index, w, u in ((flat, upper, wx, uv), (up, lower, ux, wv),
+                             (up, upper, wx, wv)):
+        corner = src.take(index)
+        corner *= w
+        corner *= u
+        out += corner
+    return out
+
+
+def _bilinear(grid: GridSpec, F: np.ndarray, x, v, extrapolate: bool):
+    out = _bilinear_read(F, *_bilinear_weights(grid, x, v, extrapolate))
     if np.isscalar(x) and np.isscalar(v):
         return float(out)
     return out
@@ -421,7 +442,7 @@ class WorstCaseControl:
             np.rint((np.asarray(v) - grid.v_min) / grid.dv).astype(int),
             0, grid.n_v - 1,
         )
-        return q_grid[ix, iv]
+        return q_grid.ravel().take(ix * grid.n_v + iv)
 
 
 def _require_dense_slices(surface: PriceSurface, n_steps: int, name: str) -> None:

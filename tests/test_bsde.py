@@ -1,11 +1,14 @@
 """Tests for the backward-representation drivers and diagnostics."""
 
 import dataclasses
+import functools
 import json
+import math
 
 import numpy as np
 import pytest
 
+from uvpricer import rng
 from uvpricer.analytic import bs_call
 from uvpricer.bsde import (
     BsdeResidualReport,
@@ -16,7 +19,9 @@ from uvpricer.bsde import (
 )
 from uvpricer.hjb import min_time_steps, solve_bsb_1d, solve_hjb_2d
 from uvpricer.model import GridSpec, ModelParams, PiecewiseLinearPayoff
-from uvpricer.surface import WorstCaseControl
+from uvpricer.surface import WorstCaseControl, _SliceMemo, greeks
+
+from bilinear_reference import gather_read, gather_weights
 
 
 def mk_params(sigma_min=0.1, sigma_max=0.2, delta=0.0, rho=0.5, r=0.0, sigma=0.5):
@@ -199,6 +204,103 @@ class TestResidualSimulation:
             BsdeResidualReport(y0_fd=1.0, y0_mean=1.0,
                                terminal_residual_rms=0.1,
                                n_paths_used=-1, n_paths_discarded=0)
+
+
+
+def gather_residual(surface, params, x_tilde0, n_paths, n_steps, seed,
+                    payoff=None, chunk_size=None):
+    """The 2BSDE residual as a gather/scatter loop over the alive paths."""
+    grid = surface.grid
+    x0, v0 = x_tilde0
+    driver = build_driver(
+        params, {"full_delta": "f_delta", "limit_p0": "f0"}[surface.kind]
+    )
+    dt = grid.T / n_steps
+    sqdt = math.sqrt(dt)
+    y0_fd = surface.value_at(0, x0, v0)
+    terminal = surface.slice_at(grid.n_t)
+    fields_at = _SliceMemo(surface, greeks)
+    if chunk_size is None:
+        chunk_size = max(1, rng._CHUNK_CELLS // (2 * n_steps))
+    sum_resid = 0.0
+    sum_sq = 0.0
+    n_used = 0
+    for start, m in rng.chunk_ranges(n_paths, chunk_size):
+        z = rng.normal_increments(seed, m, n_steps, first_path=start)
+        x = np.full(m, x0)
+        v = np.full(m, v0)
+        y = np.full(m, y0_fd)
+        alive = np.ones(m, dtype=bool)
+        for k in range(n_steps):
+            g = fields_at(k * dt)
+            idx = np.flatnonzero(alive)
+            if idx.size == 0:
+                break
+            xa, va = x[idx], v[idx]
+            cell = gather_weights(grid, xa, va)
+            z1a = gather_read(g.delta, *cell)
+            z2a = gather_read(g.vega, *cell)
+            s11 = gather_read(g.gamma, *cell)
+            s12 = gather_read(g.vanna, *cell)
+            s22 = gather_read(g.vomma, *cell)
+            f = driver(xa, va, z2a, s11, s12, s22)
+            dw1 = sqdt * z[idx, k, 0]
+            dw2 = sqdt * z[idx, k, 1]
+            y[idx] += (f + 0.5 * (s11 + s22)) * dt + z1a * dw1 + z2a * dw2
+            x[idx] = xa + dw1
+            v[idx] = va + dw2
+            alive[idx] = (
+                (x[idx] >= grid.x_min) & (x[idx] <= grid.x_max)
+                & (v[idx] >= grid.v_min) & (v[idx] <= grid.v_max)
+            )
+        idx = np.flatnonzero(alive)
+        if idx.size:
+            if payoff is not None:
+                h_term = np.asarray(payoff(x[idx]), dtype=float)
+            else:
+                h_term = gather_read(terminal, *gather_weights(grid, x[idx], v[idx]))
+            resid = h_term - y[idx]
+            sum_resid += float(resid.sum())
+            sum_sq += float((resid**2).sum())
+            n_used += idx.size
+    return BsdeResidualReport(
+        y0_fd=float(y0_fd),
+        y0_mean=float(y0_fd + sum_resid / n_used),
+        terminal_residual_rms=math.sqrt(sum_sq / n_used),
+        n_paths_used=int(n_used),
+        n_paths_discarded=int(n_paths - n_used),
+    )
+
+
+@functools.cache
+def narrow_surface(kind):
+    """A surface on a rectangle narrow enough to lose many paths."""
+    p = mk_params(delta=0.3)
+    h = PiecewiseLinearPayoff.butterfly(98.0, 100.0, 102.0)
+    grid_kwargs = dict(x_min=98.5, x_max=101.5, n_x=23, v_min=-0.8,
+                       v_max=-0.2, n_v=9)
+    if kind == "full_delta":
+        surface = solve_hjb_2d(p, h, mk_grid(p, "full", **grid_kwargs),
+                               store_slices=True, max_kept_slices=10**9)
+    else:
+        surface = limit_family(p, h, **grid_kwargs)
+    return p, h, surface
+
+
+class TestMaskedMarch:
+    @pytest.mark.parametrize("kind", ["full_delta", "limit_p0"])
+    @pytest.mark.parametrize("chunk_size", [None, 700])
+    @pytest.mark.parametrize("with_payoff", [True, False])
+    def test_equals_the_gather_scatter_loop(self, kind, chunk_size, with_payoff):
+        """Marching every path under its alive mask reports exactly what the
+        gather/scatter loop over the alive paths reports, with paths lost."""
+        p, h, surface = narrow_surface(kind)
+        args = (surface, p, (100.0, -0.5), 3000, 16, 13)
+        payoff = h if with_payoff else None
+        got = simulate_2bsde_residual(*args, payoff=payoff, chunk_size=chunk_size)
+        want = gather_residual(*args, payoff=payoff, chunk_size=chunk_size)
+        assert got == want
+        assert 0.2 < got.discard_fraction < 0.9
 
 
 class TestMartingaleCheck:

@@ -9,6 +9,7 @@ import pytest
 
 from uvpricer.convergence import (
     ConvergenceReport,
+    FeynmanKacReport,
     SweepRow,
     corrector_sweep,
     feynman_kac_terms,
@@ -18,6 +19,10 @@ from uvpricer.convergence import (
 from uvpricer.errors import FitError, StabilityError
 from uvpricer.hjb import min_time_steps, solve_bsb_1d, solve_corrector, solve_hjb_2d
 from uvpricer.model import GridSpec, ModelParams, PiecewiseLinearPayoff
+from uvpricer.sde import simulate_paths
+from uvpricer.surface import _SliceMemo, greeks, optimal_control_field
+
+from bilinear_reference import gather_read, gather_weights
 
 
 def mk_params(**overrides):
@@ -250,6 +255,92 @@ class TestCorrectorSweep:
         assert doc["rows"][0]["delta"] == 0.36
 
 
+
+class GatherPolicy:
+    """Worst-case policy reading its nearest node with 2-D gathers."""
+
+    tag = "gather policy"
+
+    def __init__(self, surface, params):
+        self.grid = surface.grid
+        self.field_at = _SliceMemo(
+            surface, lambda s, k: optimal_control_field(s, params, k).q_star
+        )
+
+    def values(self, t, x, v):
+        grid = self.grid
+        ix = np.clip(np.rint((x - grid.x_min) / grid.dx).astype(int), 0, grid.n_x + 1)
+        iv = np.clip(np.rint((v - grid.v_min) / grid.dv).astype(int), 0, grid.n_v - 1)
+        return self.field_at(t)[ix, iv]
+
+
+def gather_feynman_kac(params, grid, p0, p1, p_delta, delta, n_paths, n_steps,
+                       seed, point, control_source, include_higher):
+    """The Feynman-Kac terms as a per-step loop of 2-D gathers."""
+    params_d = params.with_delta(float(delta))
+    policy = GatherPolicy(p_delta if control_source == "delta" else p0, params_d)
+    batch = simulate_paths(params_d, point[0], point[1], policy, n_paths,
+                           n_steps, grid.T, seed)
+    dt = grid.T / n_steps
+    lo, hi = params.sigma_min, params.sigma_max
+    d_lin = hi - lo
+    d_sq = hi * hi - lo * lo
+    rho_sigma = params.rho * params.sigma
+    greeks_d, greeks_0, greeks_1 = (
+        _SliceMemo(surface, greeks) for surface in (p_delta, p0, p1)
+    )
+    i0_acc = np.zeros(n_paths)
+    i1_acc = np.zeros(n_paths)
+    i2_acc = np.zeros(n_paths)
+    i3_acc = np.zeros(n_paths)
+    for k in range(n_steps + 1):
+        t = k * dt
+        w = dt * (0.5 if k in (0, n_steps) else 1.0)
+        x = batch.x_paths[:, k]
+        v = batch.v_paths[:, k]
+        cell = gather_weights(grid, x, v)
+        g_d = greeks_d(t)
+        g_0 = greeks_0(t)
+        gamma_d = gather_read(g_d.gamma, *cell)
+        gamma_0 = gather_read(g_0.gamma, *cell)
+        ind = (gamma_d >= 0.0).astype(float) - (gamma_0 >= 0.0).astype(float)
+        ev = np.exp(v)
+        g_1 = greeks_1(t)
+        base = 0.5 * d_sq * ind * ev * ev * x * x
+        i0_acc += w * base * gamma_0
+        i1_acc += w * (
+            d_lin * ind * rho_sigma * ev * x * gather_read(g_0.vanna, *cell)
+            + base * gather_read(g_1.gamma, *cell)
+        )
+        q_star = np.where(gamma_d >= 0.0, hi, lo)
+        drift_v = params.a - params.b * np.exp(params.alpha * v)
+        i2_acc += w * (
+            q_star * rho_sigma * ev * x * gather_read(g_1.vanna, *cell)
+            + 0.5 * params.sigma**2 * gather_read(g_0.vomma, *cell)
+            + drift_v * gather_read(g_0.vega, *cell)
+        )
+        i3_acc += w * (
+            0.5 * params.sigma**2 * gather_read(g_1.vomma, *cell)
+            + drift_v * gather_read(g_1.vega, *cell)
+        )
+
+    def stats(acc):
+        return float(acc.mean()), float(acc.std(ddof=1) / math.sqrt(n_paths))
+
+    extra = {}
+    if include_higher:
+        extra["i2"], extra["i2_std_error"] = stats(i2_acc)
+        extra["i3"], extra["i3_std_error"] = stats(i3_acc)
+    (i0, i0_se), (i1, i1_se) = stats(i0_acc), stats(i1_acc)
+    return FeynmanKacReport(
+        i0=i0, i0_std_error=i0_se, i1=i1, i1_std_error=i1_se,
+        delta=float(delta), n_paths=int(n_paths),
+        control_source=("full_delta field" if control_source == "delta"
+                        else "limit field (proxy)"),
+        **extra,
+    )
+
+
 class TestFeynmanKacTerms:
     def setup_method(self):
         self.params = mk_params(delta=0.2)
@@ -315,6 +406,23 @@ class TestFeynmanKacTerms:
         explicit = self.run_terms(p_delta=p_delta)
         assert explicit.i0 == report.i0
         assert explicit.i1 == report.i1
+
+    @pytest.mark.parametrize("control_source", ["delta", "p0"])
+    @pytest.mark.parametrize("include_higher", [True, False])
+    def test_equals_the_gather_loop(self, control_source, include_higher):
+        """Flat reads give exactly the terms of the 2-D gather loop, paths
+        leaving the grid included."""
+        params_d = dataclasses.replace(self.params, delta=0.2)
+        p_delta = solve_hjb_2d(params_d, BUTTERFLY, self.grid,
+                               store_slices=True, max_kept_slices=2 * 30 + 1)
+        kwargs = dict(delta=0.2, n_paths=1500, n_steps=30, seed=17,
+                      point=(150.0, -1.0), control_source=control_source,
+                      include_higher=include_higher)
+        got = self.run_terms(p_delta=p_delta, **kwargs)
+        want = gather_feynman_kac(self.params, self.grid, self.p0, self.p1,
+                                  p_delta, **kwargs)
+        assert got == want
+        assert got.i0 != 0.0
 
     def test_limit_field_proxy_is_flagged(self):
         """Driving paths with the limit field is recorded in the report."""

@@ -129,6 +129,36 @@ class TestBlockedDraw:
         assert max(sizes) <= 4 * max(BLOCK, n_steps)
 
 
+class TestOutBuffer:
+    @pytest.mark.parametrize("n_paths, n_steps, first_path",
+                             [(1, 1, 0), (37, 5, 3), (2 * (BLOCK // 150) + 7, 150, 9)])
+    def test_writes_into_the_buffer(self, n_paths, n_steps, first_path):
+        """``out=`` is filled in place and the returned view reads it."""
+        buf = np.empty((2, n_steps, n_paths))
+        z = normal_increments(5, n_paths, n_steps, first_path=first_path, out=buf)
+        assert z.shape == (n_paths, n_steps, 2)
+        assert z.base is buf or np.shares_memory(z, buf)
+        want = normal_increments(5, n_paths, n_steps, first_path=first_path)
+        assert np.array_equal(z, want)
+        assert np.array_equal(buf.T, want)
+
+    def test_strided_path_slice(self):
+        """A path slice of a wider buffer is filled and its neighbours kept."""
+        n_paths, n_steps = 2 * (BLOCK // 40) + 3, 40
+        wide = np.full((2, n_steps, n_paths + 7), np.nan)
+        view = wide[:, :, 4 : 4 + n_paths]
+        z = normal_increments(6, n_paths, n_steps, first_path=11, out=view)
+        assert np.array_equal(z, normal_increments(6, n_paths, n_steps, first_path=11))
+        assert np.isnan(wide[:, :, :4]).all() and np.isnan(wide[:, :, 4 + n_paths:]).all()
+
+    @pytest.mark.parametrize("buf", [np.empty((2, 5, 6)), np.empty((5, 7, 2)),
+                                     np.empty((2, 5, 7), dtype=np.float32)])
+    def test_wrong_buffer_rejected(self, buf):
+        """A buffer of another shape or dtype is refused."""
+        with pytest.raises(ValueError, match="out must be"):
+            normal_increments(1, 7, 5, out=buf)
+
+
 class TestChunkRanges:
     def test_covers_exactly(self):
         """Chunks tile the path range without gaps or overlap."""

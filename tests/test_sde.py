@@ -257,6 +257,42 @@ class TestPathEngine:
             if sde._POOL is not None:
                 sde._POOL.shutdown(wait=True)
 
+    @pytest.mark.parametrize("parallel, chunk_size", [(True, None), (True, 13),
+                                                      (False, 13), (False, None)])
+    def test_increments_and_workspaces(self, monkeypatch, parallel, chunk_size):
+        """Every chunk's increments equal the two-expression form
+        ``sq_dt z0`` and ``rho dw1 + rho_perp sq_dt z1`` bit for bit, and are
+        drawn into at most one reused workspace per worker."""
+        params = make_params(rho=-0.3)
+        n_paths, n_steps, dt, seed = 203, 7, 0.02, 8
+        bases = []
+
+        def recording(*args, out=None, **kwargs):
+            assert out is not None
+            bases.append(out.base if out.base is not None else out)
+            return normal_increments(*args, out=out, **kwargs)
+
+        monkeypatch.setattr(sde, "normal_increments", recording)
+        monkeypatch.setattr(sde, "_CHUNK_CELLS", 60 * n_steps)
+        seen = {}
+
+        def march(first, count, dw1, dw2):
+            seen[first] = (count, dw1.copy(), dw2.copy())
+
+        sde._march_chunks(params, n_paths, n_steps, dt, seed, chunk_size,
+                          parallel, march)
+        assert sum(count for count, _, _ in seen.values()) == n_paths
+        assert len(seen) > 1
+        assert len({id(b) for b in bases}) <= (sde._WORKERS if parallel else 1)
+        sq_dt = math.sqrt(dt)
+        rho_perp = math.sqrt(1.0 - params.rho**2)
+        for first, (count, dw1, dw2) in seen.items():
+            z = normal_increments(seed, count, n_steps, first_path=first)
+            want1 = sq_dt * z[:, :, 0].T
+            want2 = params.rho * want1 + rho_perp * sq_dt * z[:, :, 1].T
+            assert np.array_equal(dw1, want1)
+            assert np.array_equal(dw2, want2)
+
     def test_policy_is_queried_on_the_calling_thread(self):
         """A policy object never runs on the pool, even over many chunks."""
         policy = _Extremes()

@@ -10,6 +10,8 @@ from uvpricer.surface import (
     ControlField,
     PriceSurface,
     WorstCaseControl,
+    _bilinear_read,
+    _bilinear_weights,
     _q_argsup,
     _q_sup,
     default_gamma_tolerance,
@@ -17,6 +19,8 @@ from uvpricer.surface import (
     mismatch_set,
     optimal_control_field,
 )
+
+from bilinear_reference import gather_read, gather_weights
 
 PARAMS = ModelParams(
     r=0.0, a=0.6, b=0.5, alpha=2.0, sigma=0.5, rho=0.5,
@@ -227,6 +231,116 @@ class TestOptimalControlField:
         lines = out.read_text().splitlines()
         assert lines[0] == "x,v,q_star"
         assert len(lines) == 1 + 11 * 5
+
+
+def reference_bilinear(grid, F, x, v, extrapolate=True):
+    """The 2-D gather form of ``_bilinear``'s read."""
+    return gather_read(F, *gather_weights(grid, x, v, extrapolate))
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def grids_and_slices(draw):
+    """A random grid and one slice of random values on it."""
+    x_min = draw(st.floats(min_value=0.0, max_value=100.0))
+    v_min = draw(st.floats(min_value=-3.0, max_value=1.0))
+    grid = GridSpec(
+        x_min=x_min, x_max=x_min + draw(st.floats(min_value=0.5, max_value=300.0)),
+        n_x=draw(st.integers(min_value=3, max_value=40)),
+        v_min=v_min, v_max=v_min + draw(st.floats(min_value=0.1, max_value=4.0)),
+        n_v=draw(st.integers(min_value=3, max_value=12)), T=1.0, n_t=1,
+    )
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    F = np.random.default_rng(seed).standard_normal((grid.n_x + 2, grid.n_v))
+    return grid, F
+
+
+# Positions in units of the grid's width: inside, on the edges and outside.
+UNIT = st.floats(min_value=-0.5, max_value=1.5)
+
+
+class TestFlatBilinearKernel:
+    @given(case=grids_and_slices(),
+           ux=st.lists(UNIT, min_size=1, max_size=30),
+           uv=st.lists(UNIT, min_size=1, max_size=30),
+           extrapolate=st.booleans())
+    def test_matches_the_2d_gather_bit_for_bit(self, case, ux, uv, extrapolate):
+        """Array reads equal the 2-D ``F[ix, iv]`` form exactly, extrapolated
+        or clamped, inside and outside the rectangle."""
+        grid, F = case
+        n = min(len(ux), len(uv))
+        x = grid.x_min + np.asarray(ux[:n]) * (grid.x_max - grid.x_min)
+        v = grid.v_min + np.asarray(uv[:n]) * (grid.v_max - grid.v_min)
+        want = reference_bilinear(grid, F, x, v, extrapolate)
+        got = _bilinear_read(F, *_bilinear_weights(grid, x, v, extrapolate))
+        assert same_bits(got, want)
+        surface = PriceSurface(values=np.stack([F, F]), grid=grid, params=PARAMS,
+                               kind="limit_p0", kept_times=(0, 1))
+        assert same_bits(surface.value_at(0, x, v, extrapolate), want)
+        # A scalar factor level broadcasts against the asset points.
+        assert same_bits(surface.value_at(1, x, float(v[0]), extrapolate),
+                         reference_bilinear(grid, F, x, float(v[0]), extrapolate))
+
+    @given(case=grids_and_slices(),
+           ux=UNIT, uv=UNIT, extrapolate=st.booleans())
+    def test_scalar_reads(self, case, ux, uv, extrapolate):
+        """A scalar point reads a Python float equal to the 2-D form."""
+        grid, F = case
+        x = grid.x_min + ux * (grid.x_max - grid.x_min)
+        v = grid.v_min + uv * (grid.v_max - grid.v_min)
+        surface = PriceSurface(values=np.stack([F, F]), grid=grid, params=PARAMS,
+                               kind="limit_p0", kept_times=(0, 1))
+        got = surface.value_at(0, x, v, extrapolate)
+        assert type(got) is float
+        assert same_bits(got, float(reference_bilinear(grid, F, x, v, extrapolate)))
+
+    @given(case=grids_and_slices(),
+           fx=st.floats(min_value=0.0, max_value=1.0),
+           fv=st.floats(min_value=0.0, max_value=1.0))
+    def test_last_cell(self, case, fx, fv):
+        """Points of the top-right cell use ``ix = n_x``, ``iv = n_v - 2``
+        and read the last node of the slice."""
+        grid, F = case
+        x = np.array([grid.x_max - (1.0 - fx) * grid.dx, grid.x_max])
+        v = np.array([grid.v_max - (1.0 - fv) * grid.dv, grid.v_max])
+        lower, upper = _bilinear_weights(grid, x, v)[:2]
+        assert lower[1] == grid.n_x * grid.n_v + grid.n_v - 2
+        assert upper[1] + 1 == F.size - 1
+        got = _bilinear_read(F, *_bilinear_weights(grid, x, v))
+        assert same_bits(got, reference_bilinear(grid, F, x, v))
+
+    def test_greek_fields_are_c_contiguous(self):
+        """Flat reads of Greek fields need no copy."""
+        s = make_surface(lambda X, V, t: X**2 * np.exp(V))
+        g = greeks(s, 0)
+        for field in (g.delta, g.gamma, g.vega, g.vanna, g.vomma):
+            assert field.flags.c_contiguous
+            assert np.shares_memory(field.ravel(), field)
+
+    @given(case=grids_and_slices(),
+           ux=st.lists(UNIT, min_size=1, max_size=30),
+           uv=st.lists(UNIT, min_size=1, max_size=30))
+    def test_policy_reads_the_nearest_node(self, case, ux, uv):
+        """The worst-case policy's flat nearest-node read equals ``q[ix, iv]``."""
+        grid, F = case
+        grid = GridSpec(x_min=grid.x_min, x_max=grid.x_max, n_x=grid.n_x,
+                        v_min=grid.v_min, v_max=grid.v_max, n_v=grid.n_v,
+                        T=1.0, n_t=2)
+        surface = PriceSurface(values=np.stack([F, F, F]), grid=grid,
+                               params=PARAMS, kind="limit_p0",
+                               kept_times=(0, 1, 2))
+        n = min(len(ux), len(uv))
+        x = grid.x_min + np.asarray(ux[:n]) * (grid.x_max - grid.x_min)
+        v = grid.v_min + np.asarray(uv[:n]) * (grid.v_max - grid.v_min)
+        q = optimal_control_field(surface, PARAMS, 1).q_star
+        ix = np.clip(np.rint((x - grid.x_min) / grid.dx).astype(int), 0, grid.n_x + 1)
+        iv = np.clip(np.rint((v - grid.v_min) / grid.dv).astype(int), 0, grid.n_v - 1)
+        got = WorstCaseControl(surface, PARAMS).values(0.5, x, v)
+        assert same_bits(got, q[ix, iv])
 
 
 COEF = st.floats(min_value=-1e3, max_value=1e3)
