@@ -109,24 +109,64 @@ def _check_finite(P: np.ndarray, time_index: int) -> None:
         )
 
 
-def _pxx(P: np.ndarray, dx: float) -> np.ndarray:
+# The stencils write into ``out`` when given (else a new array).  Each
+# applies the same IEEE operations in the same order as its expression
+# form, so buffered and allocating calls agree bit for bit.  The
+# v-stencils read offset-by-one slices of the flattened C-contiguous rows
+# and then overwrite the two edge columns, where those slices straddle
+# two rows.
+
+
+def _pxx(P: np.ndarray, dx: float, out=None) -> np.ndarray:
     """Central second x-difference on the interior rows."""
-    return (P[2:] - 2.0 * P[1:-1] + P[:-2]) / dx**2
+    out = np.multiply(P[1:-1], 2.0, out=out)
+    np.subtract(P[2:], out, out=out)
+    out += P[:-2]
+    out /= dx**2
+    return out
 
 
-def _px(P: np.ndarray, dx: float) -> np.ndarray:
+def _px(P: np.ndarray, dx: float, out=None) -> np.ndarray:
     """Central first x-difference on the interior rows."""
-    return (P[2:] - P[:-2]) / (2.0 * dx)
+    out = np.subtract(P[2:], P[:-2], out=out)
+    out /= 2.0 * dx
+    return out
 
 
-def _pxv(d_x: np.ndarray, dv: float) -> np.ndarray:
+def _pxv(d_x: np.ndarray, dv: float, out=None) -> np.ndarray:
     """Cross derivative from the x-difference ``d_x``: central in v, first
     order one-sided at the two v-edges."""
-    out = np.empty_like(d_x)
-    out[:, 1:-1] = (d_x[:, 2:] - d_x[:, :-2]) / (2.0 * dv)
-    out[:, 0] = (d_x[:, 1] - d_x[:, 0]) / dv
-    out[:, -1] = (d_x[:, -1] - d_x[:, -2]) / dv
+    if out is None:
+        out = np.empty_like(d_x)
+    flat, mid = d_x.reshape(-1), out.reshape(-1)[1:-1]
+    np.subtract(flat[2:], flat[:-2], out=mid)
+    mid /= 2.0 * dv
+    left, right = out[:, 0], out[:, -1]
+    np.subtract(d_x[:, 1], d_x[:, 0], out=left)
+    left /= dv
+    np.subtract(d_x[:, -1], d_x[:, -2], out=right)
+    right /= dv
     return out
+
+
+def _pvv(inner: np.ndarray, dv: float, out: np.ndarray) -> np.ndarray:
+    """Central second v-difference, zero on the two v-edge columns."""
+    flat, mid = inner.reshape(-1), out.reshape(-1)[1:-1]
+    np.multiply(flat[1:-1], 2.0, out=mid)
+    np.subtract(flat[2:], mid, out=mid)
+    mid += flat[:-2]
+    mid /= dv**2
+    out[:, 0] = 0.0
+    out[:, -1] = 0.0
+    return out
+
+
+def _discount(P: np.ndarray, xc: np.ndarray, d_x: np.ndarray, r: float):
+    """Discount and drift terms ``r (x P_x - P)`` of the interior rows,
+    written over the x-difference ``d_x``."""
+    np.multiply(d_x, xc, out=d_x)
+    np.subtract(d_x, P[1:-1], out=d_x)
+    return np.multiply(d_x, r, out=d_x)
 
 
 class _Marcher:
@@ -141,27 +181,41 @@ class _Marcher:
         self.exact_x_min = grid.x_min == 0.0
 
     def run(self, terminal: np.ndarray, rhs) -> np.ndarray:
-        """March ``terminal`` down to t=0; ``rhs(P, k)`` returns the interior
-        time derivative used at step ``k -> k-1``."""
+        """March ``terminal`` down to t=0; ``rhs(P, k, out)`` writes into
+        ``out`` the interior time derivative used at step ``k -> k-1``.
+
+        Two slices are swapped step by step: the step is written into the
+        one not read.  A slice is scanned for its first non-finite node
+        only when its sum is not finite (any non-finite node makes it so);
+        overflow is not warned about, as it either leaves such a node or
+        only overflows that sum.
+        """
         grid = self.grid
         dt = grid.dt
         values = np.empty((len(self.kept), *terminal.shape))
         P = terminal.copy()
+        Q = np.empty_like(P)
+        step = np.empty_like(P[1:-1])
         if grid.n_t in self.pos:
             values[self.pos[grid.n_t]] = P
-        for k in range(grid.n_t, 0, -1):
-            new = np.empty_like(P)
-            new[1:-1] = P[1:-1] + dt * rhs(P, k)
-            t_new = (k - 1) * dt
-            if self.exact_x_min:
-                new[0] = math.exp(-self.params.r * (grid.T - t_new)) * self.h0
-            else:
-                new[0] = 2.0 * new[1] - new[2]
-            new[-1] = 2.0 * new[-2] - new[-3]
-            _check_finite(new, k - 1)
-            P = new
-            if (k - 1) in self.pos:
-                values[self.pos[k - 1]] = P
+        with np.errstate(over="ignore"):
+            for k in range(grid.n_t, 0, -1):
+                rhs(P, k, step)
+                step *= dt
+                np.add(P[1:-1], step, out=Q[1:-1])
+                t_new = (k - 1) * dt
+                if self.exact_x_min:
+                    Q[0] = math.exp(-self.params.r * (grid.T - t_new)) * self.h0
+                else:
+                    np.multiply(Q[1], 2.0, out=Q[0])
+                    Q[0] -= Q[2]
+                np.multiply(Q[-2], 2.0, out=Q[-1])
+                Q[-1] -= Q[-3]
+                if not math.isfinite(Q.sum()):
+                    _check_finite(Q, k - 1)
+                P, Q = Q, P
+                if (k - 1) in self.pos:
+                    values[self.pos[k - 1]] = P
         return values
 
 
@@ -183,32 +237,40 @@ def solve_hjb_2d(
     """
     _require_stability(params, grid, "full")
     kept = _kept_indices(grid.n_t, store_slices, max_kept_slices)
-    xc = grid.x_nodes[1:-1][:, None]
+    n_x, n_v = grid.n_x, grid.n_v
+    shape = (n_x, n_v)
+    xc = np.broadcast_to(grid.x_nodes[1:-1][:, None], shape).copy()
     ev = np.exp(grid.v_nodes)[None, :]
     a_coef = 0.5 * xc**2 * ev**2
     b_coef = math.sqrt(params.delta) * params.rho * params.sigma * xc * ev
     c_vv = 0.5 * params.delta * params.sigma**2
     drift_v = params.delta * (params.a - params.b * np.exp(params.alpha * grid.v_nodes))
-    n_v = grid.n_v
-    # Upwind gather: forward difference where the drift is nonnegative,
-    # backward where negative, clamped to one-sided at the v-edges.
+    drift = np.broadcast_to(drift_v, shape).copy()
+    # Upwind read: forward difference where the drift is nonnegative,
+    # backward where negative, clamped to one-sided at the v-edges; as
+    # flat indices into the forward differences of the flattened rows.
     j_upwind = np.where(drift_v >= 0.0, np.arange(n_v), np.arange(n_v) - 1)
     j_upwind = np.clip(j_upwind, 0, n_v - 2)
+    upwind = (np.arange(n_x)[:, None] * n_v + j_upwind).ravel()
     dx, dv, r = grid.dx, grid.dv, params.r
     lo, hi = params.sigma_min, params.sigma_max
+    d_x, aa, bb, f_lo, f_hi, work = (np.empty(shape) for _ in range(6))
+    fwd = np.empty(n_x * n_v - 1)
 
-    def rhs(P, k):
+    def rhs(P, k, out):
         inner = P[1:-1]
-        d_x = _px(P, dx)
-        pvv = np.zeros_like(d_x)
-        pvv[:, 1:-1] = (inner[:, 2:] - 2.0 * inner[:, 1:-1] + inner[:, :-2]) / dv**2
-        dfwd = (inner[:, 1:] - inner[:, :-1]) / dv
-        pv = dfwd[:, j_upwind]
-        ham = _q_sup(a_coef * _pxx(P, dx), b_coef * _pxv(d_x, dv), lo, hi)[0]
-        out = ham + c_vv * pvv + drift_v[None, :] * pv
+        _px(P, dx, out=d_x)
+        np.multiply(_pxx(P, dx, out=aa), a_coef, out=aa)
+        np.multiply(_pxv(d_x, dv, out=bb), b_coef, out=bb)
+        _q_sup(aa, bb, lo, hi, out=(out, f_lo, f_hi))
+        # The zero edge columns are added too: -0.0 + 0.0 is +0.0.
+        out += np.multiply(_pvv(inner, dv, out=work), c_vv, out=work)
+        flat = inner.reshape(-1)
+        np.divide(np.subtract(flat[1:], flat[:-1], out=fwd), dv, out=fwd)
+        np.take(fwd, upwind, out=work.reshape(-1), mode="clip")
+        out += np.multiply(work, drift, out=work)
         if r != 0.0:
-            out += r * (xc * d_x - inner)
-        return out
+            out += _discount(P, xc, d_x, r)
 
     marcher = _Marcher(params, payoff, grid, kept)
     terminal = _terminal_slice(payoff, grid, cell_average_terminal)
@@ -239,7 +301,6 @@ def solve_bsb_1d(
     """
     _require_stability(params, grid, "bsb", v)
     kept = _kept_indices(grid.n_t, store_slices, max_kept_slices)
-    xc = grid.x_nodes[1:-1][:, None]
     if v is None:
         e2v = np.exp(2.0 * grid.v_nodes)[None, :]
         width = grid.n_v
@@ -248,16 +309,22 @@ def solve_bsb_1d(
             raise ValueError(f"v must be finite, got {v}")
         e2v = np.array([[math.exp(2.0 * v)]])
         width = 1
+    shape = (grid.n_x, width)
+    xc = np.broadcast_to(grid.x_nodes[1:-1][:, None], shape).copy()
     a_coef = 0.5 * xc**2 * e2v
     dx, r = grid.dx, params.r
-    lo2, hi2 = params.sigma_min**2, params.sigma_max**2
+    a_lo = a_coef * params.sigma_min**2
+    a_hi = a_coef * params.sigma_max**2
+    d2, work = np.empty(shape), np.empty(shape)
+    convex = np.empty(shape, dtype=bool)
 
-    def rhs(P, k):
-        pxx = _pxx(P, dx)
-        ham = a_coef * np.where(pxx >= 0.0, hi2, lo2) * pxx
+    def rhs(P, k, out):
+        _pxx(P, dx, out=d2)
+        np.greater_equal(d2, 0.0, out=convex)
+        np.multiply(d2, a_lo, out=out)
+        np.multiply(d2, a_hi, out=out, where=convex)
         if r != 0.0:
-            ham = ham + r * (xc * _px(P, dx) - P[1:-1])
-        return ham
+            out += _discount(P, xc, _px(P, dx, out=work), r)
 
     marcher = _Marcher(params, payoff, grid, kept)
     terminal = _terminal_slice(payoff, grid, cell_average_terminal)[:, :width]
@@ -323,13 +390,15 @@ def solve_corrector(
     def frozen_fields(surface, time_index):
         F0 = surface.slice_at(time_index)
         q0 = np.where(_pxx(F0, dx) >= 0.0, hi, lo)
-        return q0, q0 * src_coef * _pxv(_px(F0, dx), dv)
+        return diff_coef * q0**2, q0 * src_coef * _pxv(_px(F0, dx), dv)
 
     frozen_at = _SliceMemo(p0, frozen_fields)
 
-    def rhs(P, k):
-        q0, source = frozen_at(k * grid.dt)
-        return diff_coef * q0**2 * _pxx(P, dx) + source
+    def rhs(P, k, out):
+        diffusion, source = frozen_at(k * grid.dt)
+        _pxx(P, dx, out=out)
+        out *= diffusion
+        out += source
 
     marcher = _Marcher(params, payoff, grid, kept)
     # Zero boundary data: the payoff plays no role beyond the x_min row,

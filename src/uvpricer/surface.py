@@ -294,30 +294,46 @@ def default_gamma_tolerance(surface: PriceSurface) -> float:
     return max(1e-6 * payoff_scale / surface.grid.dx**2, 1e-12)
 
 
-def _q_sup(aa, bb, lo: float, hi: float):
+def _q_sup(aa, bb, lo: float, hi: float, out=None):
     """Pointwise supremum of ``f(q) = q^2 aa + q bb`` over ``q in [lo, hi]``.
 
-    Both endpoints are tried, plus the stationary point ``q_hat`` where the
-    quadratic is concave and ``q_hat`` is interior.  Returns ``(sup, f_lo,
-    f_hi, q_hat)``; ``sup`` exceeds ``max(f_lo, f_hi)`` exactly where the
-    interior point wins.
+    ``aa`` and ``bb`` share one shape.  Both endpoints are tried, plus the
+    stationary point ``q_hat = -bb / (2 aa)`` where the quadratic is concave
+    and ``q_hat`` is interior; ``f(q_hat)`` is evaluated only there.  ``out``
+    is an optional triple of C-contiguous arrays of that shape receiving
+    ``(sup, f_lo, f_hi)``.  Returns ``(sup, f_lo, f_hi, inside, q_inside)``:
+    ``inside`` holds the flat indices where ``q_hat`` is interior and
+    ``q_inside`` the ``q_hat`` there; ``sup`` exceeds ``max(f_lo, f_hi)``
+    exactly where ``f(q_hat)`` wins.
     """
-    f_lo = lo * lo * aa + lo * bb
-    f_hi = hi * hi * aa + hi * bb
-    sup = np.maximum(f_lo, f_hi)
+    if out is None:
+        out = tuple(np.empty(np.shape(aa)) for _ in range(3))
+    sup, f_lo, f_hi = out
+    np.multiply(aa, lo * lo, out=f_lo)
+    f_lo += np.multiply(bb, lo, out=sup)
+    np.multiply(aa, hi * hi, out=f_hi)
+    f_hi += np.multiply(bb, hi, out=sup)
+    np.maximum(f_lo, f_hi, out=sup)
     concave = aa < 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q_hat = np.where(concave, -bb / (2.0 * aa), hi)
-        f_hat = np.where(concave, -(bb * bb) / (4.0 * aa), -np.inf)
-    inside = concave & (q_hat > lo) & (q_hat < hi)
-    return np.where(inside, np.maximum(sup, f_hat), sup), f_lo, f_hi, q_hat
+    if not concave.any():
+        return sup, f_lo, f_hi, np.empty(0, dtype=np.intp), np.empty(0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        q_hat = -bb / (2.0 * aa)
+        inside = np.flatnonzero(concave & (q_hat > lo) & (q_hat < hi))
+        a, b = np.take(aa, inside), np.take(bb, inside)
+        f_hat = -(b * b) / (4.0 * a)
+    flat = sup.reshape(-1)
+    flat[inside] = np.maximum(flat.take(inside), f_hat)
+    return sup, f_lo, f_hi, inside, q_hat.take(inside)
 
 
 def _q_argsup(aa, bb, lo: float, hi: float) -> np.ndarray:
     """A maximizer of :func:`_q_sup`'s quadratic; ties go to ``hi``."""
-    sup, f_lo, f_hi, q_hat = _q_sup(aa, bb, lo, hi)
+    sup, f_lo, f_hi, inside, q_inside = _q_sup(aa, bb, lo, hi)
     q = np.where(f_hi >= f_lo, hi, lo)
-    return np.where(sup > np.maximum(f_lo, f_hi), q_hat, q)
+    wins = sup.take(inside) > np.maximum(f_lo.take(inside), f_hi.take(inside))
+    q.reshape(-1)[inside[wins]] = q_inside[wins]
+    return q
 
 
 def optimal_control_field(

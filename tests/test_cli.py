@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import pathlib
+import subprocess
 import sys
 
 import numpy as np
@@ -417,3 +420,19 @@ class TestCheck2bsdeCommand:
         path = write_doc(tmp_path, doc)
         assert main(["check2bsde", "--config", path]) == 2
         assert "left the grid" in capsys.readouterr().err
+
+
+class TestModuleEntryPoint:
+    def test_python_dash_m_runs_a_subcommand(self, tmp_path):
+        """``python -m uvpricer`` runs the CLI from a source checkout."""
+        root = pathlib.Path(__file__).resolve().parents[1]
+        path = [str(root / "src"), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        result = subprocess.run(
+            [sys.executable, "-m", "uvpricer", "price", "--config",
+             str(root / "configs" / "quickstart.json"), "--out",
+             str(tmp_path / "out")],
+            cwd=root, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        assert (tmp_path / "out" / "summary.json").is_file()

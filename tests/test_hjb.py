@@ -4,11 +4,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from uvpricer.errors import StabilityError
+import solver_reference as ref
+from uvpricer.errors import NonFiniteError, StabilityError
 from uvpricer.analytic import bs_call, fixed_vol_price
 from uvpricer.hjb import min_time_steps, solve_bsb_1d, solve_corrector, solve_hjb_2d
 from uvpricer.model import GridSpec, ModelParams, PiecewiseLinearPayoff
+from uvpricer.surface import PriceSurface
 
 BUTTERFLY = PiecewiseLinearPayoff.butterfly(90.0, 100.0, 110.0)
 
@@ -313,3 +317,150 @@ class TestCorrector:
         grid, p0 = self._limit_family(p, n_x=59)
         with pytest.raises(ValueError, match="r = 0"):
             solve_corrector(p, BUTTERFLY, grid, p0)
+
+
+def floats(lo, hi):
+    return st.floats(min_value=lo, max_value=hi)
+
+
+@st.composite
+def solver_cases(draw):
+    """Random model, payoff, small grid and extra steps beyond its
+    stability bound, with retention and terminal options and a single
+    factor level."""
+    sigma_min = draw(floats(0.05, 0.3))
+    params = ModelParams(
+        r=draw(st.sampled_from([0.0, 0.03])), a=draw(floats(-1.0, 1.0)),
+        b=draw(floats(0.1, 1.0)), alpha=draw(floats(0.5, 2.0)),
+        sigma=draw(floats(0.1, 1.0)), rho=draw(floats(-0.9, 0.9)),
+        sigma_min=sigma_min, sigma_max=sigma_min + draw(floats(0.0, 0.3)),
+        delta=draw(floats(0.0, 1.0)),
+    )
+    v_min = draw(floats(-2.0, 0.0))
+    grid = GridSpec(
+        x_min=draw(st.sampled_from([0.0, 40.0])), x_max=200.0,
+        n_x=draw(st.integers(3, 24)), v_min=v_min,
+        v_max=v_min + draw(floats(0.2, 1.5)), n_v=draw(st.integers(3, 7)),
+        T=draw(floats(0.01, 0.1)), n_t=1,
+    )
+    legs = draw(st.lists(st.tuples(floats(60.0, 140.0), floats(-2.0, 2.0)),
+                         min_size=1, max_size=3, unique_by=lambda leg: leg[0]))
+    options = dict(store_slices=draw(st.booleans()),
+                   max_kept_slices=draw(st.integers(2, 12)),
+                   cell_average_terminal=draw(st.booleans()))
+    v = draw(floats(grid.v_min - 0.5, grid.v_max))
+    extra = draw(st.integers(0, 3))
+    return params, PiecewiseLinearPayoff.from_calls(legs), grid, extra, options, v
+
+
+def sized(params, grid, kind, extra):
+    """``grid`` with ``extra`` steps beyond the stability bound of ``kind``."""
+    return dataclasses.replace(
+        grid, n_t=min_time_steps(params, grid, kind) + extra
+    )
+
+
+def assert_same_march(surface, reference):
+    values, kept = reference
+    assert surface.kept_times == kept
+    assert np.array_equal(surface.values, values)
+
+
+class TestBufferedMarch:
+    """The buffered march gives the allocating march's bits."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=solver_cases())
+    def test_equals_the_allocating_march(self, case):
+        """Full, limit (per v-node and single-v) and corrector solves equal
+        the reference solves bit for bit, kept slices included."""
+        p, h, grid, extra, options, v = case
+        full = sized(p, grid, "full", extra)
+        assert_same_march(solve_hjb_2d(p, h, full, **options),
+                          ref.solve_hjb_2d(p, h, full, **options))
+        limit = sized(p, grid, "bsb", extra)
+        for level in (None, v):
+            assert_same_march(solve_bsb_1d(p, h, limit, v=level, **options),
+                              ref.solve_bsb_1d(p, h, limit, v=level, **options))
+        p = dataclasses.replace(p, r=0.0)
+        grid = sized(p, grid, "corrector", extra)
+        p0 = solve_bsb_1d(p, h, grid, store_slices=True,
+                          max_kept_slices=options["max_kept_slices"] + 1,
+                          cell_average_terminal=options["cell_average_terminal"])
+        kept = dict(store_slices=options["store_slices"],
+                    max_kept_slices=options["max_kept_slices"])
+        assert_same_march(solve_corrector(p, h, grid, p0, **kept),
+                          ref.solve_corrector(p, h, grid, p0, **kept))
+
+
+HUGE_BUTTERFLY = PiecewiseLinearPayoff.from_calls(
+    [(90.0, 1e300), (100.0, -2e300), (110.0, 1e300)]
+)
+TOO_HUGE_BUTTERFLY = PiecewiseLinearPayoff.from_calls(
+    [(90.0, 1e307), (100.0, -2e307), (110.0, 1e307)]
+)
+
+
+def nonfinite_report(solve, *args, **kwargs):
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteError) as err:
+        solve(*args, **kwargs)
+    return err.value.time_index, err.value.node
+
+
+class TestNonFinite:
+    """An overflow mid-march is reported at the step and node where it
+    first appears, as the allocating march reports it."""
+
+    def test_full_solver(self):
+        p = mk_params(delta=0.25)
+        grid = mk_grid(p, "full", x_max=200.0, n_x=39)
+        got = nonfinite_report(solve_hjb_2d, p, HUGE_BUTTERFLY, grid)
+        assert got == (15, (28, 1))
+        assert got == nonfinite_report(ref.solve_hjb_2d, p, HUGE_BUTTERFLY, grid)
+
+    def test_full_solver_discounted_from_x_min(self):
+        p = mk_params(delta=0.25, r=0.05)
+        grid = dataclasses.replace(mk_grid(p, "full", x_max=200.0, n_x=39),
+                                   x_min=10.0)
+        grid = dataclasses.replace(grid, n_t=min_time_steps(p, grid, "full"))
+        got = nonfinite_report(solve_hjb_2d, p, HUGE_BUTTERFLY, grid)
+        assert got == nonfinite_report(ref.solve_hjb_2d, p, HUGE_BUTTERFLY, grid)
+
+    @pytest.mark.parametrize("v, expected", [(None, (22, (18, 3))),
+                                             (-0.5, (22, (20, 0)))])
+    def test_limit_solver(self, v, expected):
+        p = mk_params(delta=0.25)
+        grid = mk_grid(p, "bsb", x_max=200.0, n_x=39)
+        got = nonfinite_report(solve_bsb_1d, p, TOO_HUGE_BUTTERFLY, grid, v=v)
+        assert got == expected
+        assert got == nonfinite_report(ref.solve_bsb_1d, p, TOO_HUGE_BUTTERFLY,
+                                       grid, v=v)
+
+    def test_corrector(self):
+        """A limit slice whose x-differences overflow drives the correction
+        non-finite from the first step that reads it."""
+        p = mk_params(delta=0.25)
+        grid = mk_grid(p, "bsb", x_max=200.0, n_x=39)
+        values = np.zeros((3, grid.n_x + 2, grid.n_v))
+        values[1, 20, 2], values[1, 22, 2] = 1e308, -1e308
+        p0 = PriceSurface(values=values, grid=grid, params=p, kind="limit_p0",
+                          kept_times=(0, grid.n_t // 2, grid.n_t))
+        got = nonfinite_report(solve_corrector, p, BUTTERFLY, grid, p0)
+        assert got == (16, (21, 1))
+        assert got == nonfinite_report(ref.solve_corrector, p, BUTTERFLY, grid, p0)
+
+    @pytest.mark.parametrize("solve, kind, v", [(solve_hjb_2d, "full", None),
+                                                (solve_bsb_1d, "bsb", None),
+                                                (solve_bsb_1d, "bsb", -0.5)])
+    def test_finite_values_whose_sum_overflows(self, solve, kind, v):
+        """Every node finite, the slice sum infinite: no error, and the
+        affine payoff is carried to rounding."""
+        p = mk_params(delta=0.25)
+        grid = mk_grid(p, kind, x_max=200.0, n_x=39)
+        payoff = PiecewiseLinearPayoff.from_calls([(0.0, 1e305)])
+        kwargs = {} if v is None else {"v": v}
+        surface = solve(p, payoff, grid, **kwargs)
+        with np.errstate(over="ignore"):
+            assert np.isinf(surface.values[0].sum())
+        expected = np.repeat(payoff(grid.x_nodes)[:, None], grid.n_v, axis=1)
+        assert np.allclose(surface.values[0], expected, rtol=1e-12, atol=0.0)

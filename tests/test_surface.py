@@ -1,5 +1,7 @@
 """Tests for price-surface storage, Greeks, control fields, and masks."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -377,6 +379,24 @@ class TestQSup:
         assert sup >= f(lo) and sup >= f(hi)
         assert sup >= f(lo + u * width) - scale
         assert abs(sup - f(q_star)) <= scale
+
+    @given(scale=st.floats(min_value=1e-3, max_value=1e3),
+           bb=st.floats(min_value=-1e3, max_value=1e3),
+           lo=st.floats(min_value=0.01, max_value=1.0),
+           width=st.floats(min_value=1e-3, max_value=1.0))
+    def test_tiny_concave_curvature_is_silent(self, scale, bb, lo, width):
+        """With aa near -1e-300 the stationary point overflows to infinity
+        without a warning and never wins."""
+        aa, hi = np.array([-scale * 1e-300]), lo + width
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sup = _q_sup(aa, np.array([bb]), lo, hi)[0][0]
+            q_star = _q_argsup(aa, np.array([bb]), lo, hi)[0]
+        endpoints = (lo * lo * aa[0] + lo * bb, hi * hi * aa[0] + hi * bb)
+        assert lo <= q_star <= hi
+        if abs(bb) > 1e-290:
+            assert sup == max(endpoints)
+            assert q_star in (lo, hi)
 
     @given(lo=st.floats(min_value=0.01, max_value=1.0),
            width=st.floats(min_value=1e-3, max_value=1.0))
