@@ -20,8 +20,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FitError
-from .hjb import min_time_steps, solve_bsb_1d, solve_corrector, solve_hjb_2d
+from .errors import FitError, NonFiniteError, StabilityError
+from .hjb import (
+    _full_values,
+    _kept_indices,
+    _limit_value_at,
+    _require_stability,
+    min_time_steps,
+    solve_bsb_1d,
+    solve_corrector,
+    solve_hjb_2d,
+)
 from .model import GridSpec, ModelParams, PiecewiseLinearPayoff
 from .sde import simulate_paths
 from .surface import (
@@ -195,28 +204,45 @@ def _remainder(p_delta: float, p0: float, p1: float | None, delta: float) -> flo
 def _limit_values(params_base, payoff, grid, x0, v0, p1_delta,
                   cell_average_terminal, corrector):
     """``(P0, P1, P1 surface)`` at ``(0, x0, v0)``; the last two are None
-    unless ``corrector``, and only then does the ``P0`` solve keep slices."""
-    p0 = solve_bsb_1d(params_base, payoff, grid, store_slices=corrector,
-                      cell_average_terminal=cell_average_terminal)
+    unless ``corrector``.  Without it only the two v-columns that bracket
+    ``v0`` are solved; with it the whole family is, with slices kept, as
+    the corrector's source reads every column."""
     if not corrector:
-        return p0.value_at(0, x0, v0), None, None
+        p0_val = _limit_value_at(params_base, payoff, grid, x0, v0,
+                                 cell_average_terminal)
+        return p0_val, None, None
+    p0 = solve_bsb_1d(params_base, payoff, grid, store_slices=True,
+                      cell_average_terminal=cell_average_terminal)
     p1 = solve_corrector(params_base.with_delta(p1_delta), payoff, grid, p0)
     return p0.value_at(0, x0, v0), p1.value_at(0, x0, v0), p1
 
 
 def _solve_deltas(params_base, payoff, grid, x0, v0, ds, cell_average_terminal):
-    """``P_delta(0, x0, v0)`` per delta; a failing solve names its delta."""
-    p_vals = {}
+    """``P_delta(0, x0, v0)`` per delta, from one march of all of them;
+    a failing solve names its delta.
+
+    Stability is checked for every delta first, in the order given, so
+    the first delta that fails it is the one named.
+    """
     for d in ds:
         try:
-            p_vals[d] = solve_hjb_2d(
-                params_base.with_delta(d), payoff, grid,
-                cell_average_terminal=cell_average_terminal,
-            ).value_at(0, x0, v0)
-        except Exception as exc:
+            _require_stability(params_base.with_delta(d), grid, "full")
+        except StabilityError as exc:
             _attach_delta(exc, d)
             raise
-    return p_vals
+    kept = _kept_indices(grid.n_t, False, 2)
+    try:
+        values = _full_values(params_base, ds, payoff, grid, kept,
+                              cell_average_terminal)
+    except NonFiniteError as exc:
+        _attach_delta(exc, ds[exc.stack_index])
+        raise
+    return {
+        d: PriceSurface(values=values[:, :, j], grid=grid,
+                        params=params_base.with_delta(d), kind="full_delta",
+                        kept_times=kept).value_at(0, x0, v0)
+        for j, d in enumerate(ds)
+    }
 
 
 def _sweep(params_base, payoff, grid, point, deltas, cell_average_terminal,
@@ -224,10 +250,10 @@ def _sweep(params_base, payoff, grid, point, deltas, cell_average_terminal,
     """Shared core of both sweeps.
 
     Solves the limit (and, with ``corrector``, the corrector) once and the
-    moving-factor equation per delta, then measures the noise floor unless
-    given: the change of the smallest delta's remainder when the grid is
-    refined (half the x-spacing, step count re-matched to the stability
-    bound).  Returns ``(point, rows, noise_floor, p1)`` with rows
+    moving-factor equation for all deltas in one march, then measures the
+    noise floor unless given: the change of the smallest delta's remainder
+    when the grid is refined (half the x-spacing, step count re-matched to
+    the stability bound).  Returns ``(point, rows, noise_floor, p1)`` with rows
     ``(delta, p_delta, p0, p1, remainder, excluded)`` by descending delta;
     a row is excluded when its remainder is below ten times the floor.
     """
@@ -380,7 +406,8 @@ def corrector_sweep(
     """Tabulate the remainder after the square-root correction per delta.
 
     The limit and corrector surfaces are solved once (neither depends on
-    delta); each delta adds one moving-factor solve.  The remainder is
+    delta); the moving-factor equation is solved for all deltas in one
+    march.  The remainder is
     ``p_delta - p0 - sqrt(delta) p1`` at ``(0, point)``.  The noise floor
     is measured like :func:`run_delta_sweep`, on the remainder itself.
     """

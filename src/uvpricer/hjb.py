@@ -11,6 +11,10 @@ steps):
 * :func:`solve_corrector` — the linear first-order correction PDE driven by
   the mixed derivative of a stored limit solve.
 
+A delta sweep marches its same-grid full solves as one stack, and reads
+its limit price at a point from the two v-columns that bracket it; both
+give the lone solves' numbers bit for bit.
+
 Boundary treatment: at ``x_min = 0`` the equation degenerates and is solved
 exactly; at ``x_max`` curvature is set to zero (linear extrapolation); the
 v-edges use a vanishing second derivative with one-sided first derivatives.
@@ -27,7 +31,7 @@ import numpy as np
 
 from .errors import NonFiniteError, StabilityError
 from .model import GridSpec, ModelParams, PiecewiseLinearPayoff
-from .surface import PriceSurface, _q_sup, _SliceMemo
+from .surface import PriceSurface, _bilinear_weights, _q_sup, _SliceMemo
 
 
 def min_time_steps(
@@ -98,15 +102,32 @@ def _terminal_slice(
     return np.repeat(col[:, None], grid.n_v, axis=1)
 
 
-def _check_finite(P: np.ndarray, time_index: int) -> None:
-    if not np.all(np.isfinite(P)):
-        bad = np.argwhere(~np.isfinite(P))[0]
-        raise NonFiniteError(
-            f"non-finite value at time index {time_index}, node "
-            f"({bad[0]}, {bad[1] if bad.size > 1 else 0})",
-            time_index=time_index,
-            node=(int(bad[0]), int(bad[1]) if bad.size > 1 else 0),
-        )
+def _check_finite(P: np.ndarray, time_index: int, v_offset: int = 0) -> None:
+    """Raise :class:`NonFiniteError` at the first non-finite node of ``P``.
+
+    ``P`` is a slice ``(n_x + 2, n_v)`` or a stack of slices on its middle
+    axis.  A stack reports the first slice, in stack order, that has such
+    a node, as that slice's own march would; ``stack_index`` on the error
+    is its place in the stack (0 for a lone slice).  ``v_offset`` is the
+    full-grid index of ``P``'s first v-column, for a march over a band of
+    columns.
+    """
+    bad = ~np.isfinite(P)
+    if not bad.any():
+        return
+    stack_index = 0
+    if bad.ndim == 3:
+        stack_index = int(np.flatnonzero(bad.any(axis=(0, 2)))[0])
+        bad = bad[:, stack_index]
+    i, j = (int(n) for n in np.argwhere(bad)[0])
+    node = (i, j + v_offset)
+    err = NonFiniteError(
+        f"non-finite value at time index {time_index}, node ({node[0]}, {node[1]})",
+        time_index=time_index,
+        node=node,
+    )
+    err.stack_index = stack_index
+    raise err
 
 
 # The stencils write into ``out`` when given (else a new array).  Each
@@ -114,7 +135,9 @@ def _check_finite(P: np.ndarray, time_index: int) -> None:
 # form, so buffered and allocating calls agree bit for bit.  The
 # v-stencils read offset-by-one slices of the flattened C-contiguous rows
 # and then overwrite the two edge columns, where those slices straddle
-# two rows.
+# two rows.  The v-axis is the last one, so a stack of slices on a middle
+# axis runs through them unchanged: each of its row junctions also falls
+# on an edge column.
 
 
 def _pxx(P: np.ndarray, dx: float, out=None) -> np.ndarray:
@@ -141,10 +164,10 @@ def _pxv(d_x: np.ndarray, dv: float, out=None) -> np.ndarray:
     flat, mid = d_x.reshape(-1), out.reshape(-1)[1:-1]
     np.subtract(flat[2:], flat[:-2], out=mid)
     mid /= 2.0 * dv
-    left, right = out[:, 0], out[:, -1]
-    np.subtract(d_x[:, 1], d_x[:, 0], out=left)
+    left, right = out[..., 0], out[..., -1]
+    np.subtract(d_x[..., 1], d_x[..., 0], out=left)
     left /= dv
-    np.subtract(d_x[:, -1], d_x[:, -2], out=right)
+    np.subtract(d_x[..., -1], d_x[..., -2], out=right)
     right /= dv
     return out
 
@@ -156,8 +179,8 @@ def _pvv(inner: np.ndarray, dv: float, out: np.ndarray) -> np.ndarray:
     np.subtract(flat[2:], mid, out=mid)
     mid += flat[:-2]
     mid /= dv**2
-    out[:, 0] = 0.0
-    out[:, -1] = 0.0
+    out[..., 0] = 0.0
+    out[..., -1] = 0.0
     return out
 
 
@@ -179,6 +202,7 @@ class _Marcher:
         self.pos = {k: p for p, k in enumerate(kept)}
         self.h0 = float(payoff(grid.x_min))
         self.exact_x_min = grid.x_min == 0.0
+        self.v_offset = 0
 
     def run(self, terminal: np.ndarray, rhs) -> np.ndarray:
         """March ``terminal`` down to t=0; ``rhs(P, k, out)`` writes into
@@ -212,11 +236,78 @@ class _Marcher:
                 np.multiply(Q[-2], 2.0, out=Q[-1])
                 Q[-1] -= Q[-3]
                 if not math.isfinite(Q.sum()):
-                    _check_finite(Q, k - 1)
+                    _check_finite(Q, k - 1, self.v_offset)
                 P, Q = Q, P
                 if (k - 1) in self.pos:
                     values[self.pos[k - 1]] = P
         return values
+
+
+def _full_values(params, deltas, payoff, grid, kept, cell_average_terminal):
+    """Kept slices of the full equation for each of ``deltas`` at once.
+
+    The solves are stacked on the middle axis of one ``(n_x + 2, n_delta,
+    n_v)`` slice and marched together; every delta keeps its own
+    ``sqrt(delta)`` cross, v-diffusion and drift coefficients and its own
+    upwind pick, each built by the expression a lone solve uses, so each
+    delta's slices are bit for bit those of its own march.  Returns
+    ``(n_kept, n_x + 2, n_delta, n_v)`` values; the stability check is the
+    caller's.  A non-finite node raises for the first delta, in the order
+    given, that has one (``stack_index`` on the error).
+    """
+    n_x, n_d, n_v = grid.n_x, len(deltas), grid.n_v
+    # A lone delta marches plain (n_x + 2, n_v) slices: a singleton middle
+    # axis would only slow the strided edge-column operations.
+    shape = (n_x, n_d, n_v) if n_d > 1 else (n_x, n_v)
+
+    def full(a):
+        return np.broadcast_to(a, (n_x, n_d, n_v)).reshape(shape).copy()
+
+    x_in = grid.x_nodes[1:-1][:, None, None]
+    ev = np.exp(grid.v_nodes)
+    xc = full(x_in)
+    a_coef = 0.5 * xc**2 * ev**2
+    b_coef = full(np.stack(
+        [math.sqrt(d) * params.rho * params.sigma * x_in[:, 0] * ev for d in deltas],
+        axis=1,
+    ))
+    c_vv = np.array([0.5 * d * params.sigma**2 for d in deltas])
+    c_vv = c_vv[0] if n_d == 1 else full(c_vv[:, None])
+    level = params.a - params.b * np.exp(params.alpha * grid.v_nodes)
+    drift_v = np.stack([d * level for d in deltas])
+    drift = full(drift_v)
+    # Upwind read: forward difference where the drift is nonnegative,
+    # backward where negative, clamped to one-sided at the v-edges; as
+    # flat indices into the forward differences of the flattened rows.
+    j_upwind = np.where(drift_v >= 0.0, np.arange(n_v), np.arange(n_v) - 1)
+    j_upwind = np.clip(j_upwind, 0, n_v - 2)
+    rows = np.arange(n_x * n_d).reshape(n_x, n_d, 1)
+    upwind = (rows * n_v + j_upwind).ravel()
+    dx, dv, r = grid.dx, grid.dv, params.r
+    lo, hi = params.sigma_min, params.sigma_max
+    d_x, aa, bb, f_lo, f_hi, work = (np.empty(shape) for _ in range(6))
+    fwd = np.empty(n_x * n_d * n_v - 1)
+
+    def rhs(P, k, out):
+        inner = P[1:-1]
+        _px(P, dx, out=d_x)
+        np.multiply(_pxx(P, dx, out=aa), a_coef, out=aa)
+        np.multiply(_pxv(d_x, dv, out=bb), b_coef, out=bb)
+        _q_sup(aa, bb, lo, hi, out=(out, f_lo, f_hi))
+        # The zero edge columns are added too: -0.0 + 0.0 is +0.0.
+        out += np.multiply(_pvv(inner, dv, out=work), c_vv, out=work)
+        flat = inner.reshape(-1)
+        np.divide(np.subtract(flat[1:], flat[:-1], out=fwd), dv, out=fwd)
+        np.take(fwd, upwind, out=work.reshape(-1), mode="clip")
+        out += np.multiply(work, drift, out=work)
+        if r != 0.0:
+            out += _discount(P, xc, d_x, r)
+
+    marcher = _Marcher(params, payoff, grid, kept)
+    terminal = _terminal_slice(payoff, grid, cell_average_terminal)
+    terminal = np.repeat(terminal[:, None], n_d, axis=1)
+    values = marcher.run(terminal.reshape(n_x + 2, *shape[1:]), rhs)
+    return values.reshape(len(kept), n_x + 2, n_d, n_v)
 
 
 def solve_hjb_2d(
@@ -237,48 +328,47 @@ def solve_hjb_2d(
     """
     _require_stability(params, grid, "full")
     kept = _kept_indices(grid.n_t, store_slices, max_kept_slices)
-    n_x, n_v = grid.n_x, grid.n_v
-    shape = (n_x, n_v)
-    xc = np.broadcast_to(grid.x_nodes[1:-1][:, None], shape).copy()
-    ev = np.exp(grid.v_nodes)[None, :]
-    a_coef = 0.5 * xc**2 * ev**2
-    b_coef = math.sqrt(params.delta) * params.rho * params.sigma * xc * ev
-    c_vv = 0.5 * params.delta * params.sigma**2
-    drift_v = params.delta * (params.a - params.b * np.exp(params.alpha * grid.v_nodes))
-    drift = np.broadcast_to(drift_v, shape).copy()
-    # Upwind read: forward difference where the drift is nonnegative,
-    # backward where negative, clamped to one-sided at the v-edges; as
-    # flat indices into the forward differences of the flattened rows.
-    j_upwind = np.where(drift_v >= 0.0, np.arange(n_v), np.arange(n_v) - 1)
-    j_upwind = np.clip(j_upwind, 0, n_v - 2)
-    upwind = (np.arange(n_x)[:, None] * n_v + j_upwind).ravel()
-    dx, dv, r = grid.dx, grid.dv, params.r
-    lo, hi = params.sigma_min, params.sigma_max
-    d_x, aa, bb, f_lo, f_hi, work = (np.empty(shape) for _ in range(6))
-    fwd = np.empty(n_x * n_v - 1)
-
-    def rhs(P, k, out):
-        inner = P[1:-1]
-        _px(P, dx, out=d_x)
-        np.multiply(_pxx(P, dx, out=aa), a_coef, out=aa)
-        np.multiply(_pxv(d_x, dv, out=bb), b_coef, out=bb)
-        _q_sup(aa, bb, lo, hi, out=(out, f_lo, f_hi))
-        # The zero edge columns are added too: -0.0 + 0.0 is +0.0.
-        out += np.multiply(_pvv(inner, dv, out=work), c_vv, out=work)
-        flat = inner.reshape(-1)
-        np.divide(np.subtract(flat[1:], flat[:-1], out=fwd), dv, out=fwd)
-        np.take(fwd, upwind, out=work.reshape(-1), mode="clip")
-        out += np.multiply(work, drift, out=work)
-        if r != 0.0:
-            out += _discount(P, xc, d_x, r)
-
-    marcher = _Marcher(params, payoff, grid, kept)
-    terminal = _terminal_slice(payoff, grid, cell_average_terminal)
-    values = marcher.run(terminal, rhs)
+    values = _full_values(params, (params.delta,), payoff, grid, kept,
+                          cell_average_terminal)
+    values = values.reshape(len(kept), grid.n_x + 2, grid.n_v)
     values.flags.writeable = False
     return PriceSurface(
         values=values, grid=grid, params=params, kind="full_delta", kept_times=kept
     )
+
+
+def _bsb_values(params, payoff, grid, kept, cell_average_terminal, e2v,
+                v_offset=0):
+    """Kept slices of the limit equation at the factor levels ``e2v``.
+
+    ``e2v`` is a ``(1, width)`` row of ``e^{2v}``; each of its columns is
+    an independent 1-D problem.  ``v_offset`` is the full-grid index of the
+    first column, which a non-finite node is reported at.  Returns
+    ``(n_kept, n_x + 2, width)`` values; the stability check is the
+    caller's.
+    """
+    width = e2v.shape[1]
+    shape = (grid.n_x, width)
+    xc = np.broadcast_to(grid.x_nodes[1:-1][:, None], shape).copy()
+    a_coef = 0.5 * xc**2 * e2v
+    dx, r = grid.dx, params.r
+    a_lo = a_coef * params.sigma_min**2
+    a_hi = a_coef * params.sigma_max**2
+    d2, work = np.empty(shape), np.empty(shape)
+    convex = np.empty(shape, dtype=bool)
+
+    def rhs(P, k, out):
+        _pxx(P, dx, out=d2)
+        np.greater_equal(d2, 0.0, out=convex)
+        np.multiply(d2, a_lo, out=out)
+        np.multiply(d2, a_hi, out=out, where=convex)
+        if r != 0.0:
+            out += _discount(P, xc, _px(P, dx, out=work), r)
+
+    marcher = _Marcher(params, payoff, grid, kept)
+    marcher.v_offset = v_offset
+    terminal = _terminal_slice(payoff, grid, cell_average_terminal)[:, :width]
+    return marcher.run(terminal, rhs)
 
 
 def solve_bsb_1d(
@@ -303,32 +393,11 @@ def solve_bsb_1d(
     kept = _kept_indices(grid.n_t, store_slices, max_kept_slices)
     if v is None:
         e2v = np.exp(2.0 * grid.v_nodes)[None, :]
-        width = grid.n_v
     else:
         if not np.isfinite(v):
             raise ValueError(f"v must be finite, got {v}")
         e2v = np.array([[math.exp(2.0 * v)]])
-        width = 1
-    shape = (grid.n_x, width)
-    xc = np.broadcast_to(grid.x_nodes[1:-1][:, None], shape).copy()
-    a_coef = 0.5 * xc**2 * e2v
-    dx, r = grid.dx, params.r
-    a_lo = a_coef * params.sigma_min**2
-    a_hi = a_coef * params.sigma_max**2
-    d2, work = np.empty(shape), np.empty(shape)
-    convex = np.empty(shape, dtype=bool)
-
-    def rhs(P, k, out):
-        _pxx(P, dx, out=d2)
-        np.greater_equal(d2, 0.0, out=convex)
-        np.multiply(d2, a_lo, out=out)
-        np.multiply(d2, a_hi, out=out, where=convex)
-        if r != 0.0:
-            out += _discount(P, xc, _px(P, dx, out=work), r)
-
-    marcher = _Marcher(params, payoff, grid, kept)
-    terminal = _terminal_slice(payoff, grid, cell_average_terminal)[:, :width]
-    values = marcher.run(terminal, rhs)
+    values = _bsb_values(params, payoff, grid, kept, cell_average_terminal, e2v)
     if v is not None:
         values = np.repeat(values, grid.n_v, axis=2)
     values.flags.writeable = False
@@ -340,6 +409,29 @@ def solve_bsb_1d(
         kept_times=kept,
         v_constant=None if v is None else float(v),
     )
+
+
+def _limit_value_at(params, payoff, grid, x0, v0, cell_average_terminal):
+    """``solve_bsb_1d(params, payoff, grid).value_at(0, x0, v0)``, bit for
+    bit, from the two v-columns that bracket ``v0``.
+
+    The limit equation has no v-coupling, so the columns the bilinear read
+    uses are solved alone, with the family's coefficients and stability
+    check, and read with the full grid's weights; the other columns of the
+    surface read are left at zero.
+    """
+    _require_stability(params, grid, "bsb")
+    kept = _kept_indices(grid.n_t, False, 2)
+    iv = int(_bilinear_weights(grid, x0, v0)[0]) % grid.n_v
+    band = slice(iv, iv + 2)
+    values = np.zeros((len(kept), grid.n_x + 2, grid.n_v))
+    values[..., band] = _bsb_values(
+        params, payoff, grid, kept, cell_average_terminal,
+        np.exp(2.0 * grid.v_nodes)[None, band], v_offset=iv,
+    )
+    surface = PriceSurface(values=values, grid=grid, params=params,
+                           kind="limit_p0", kept_times=kept)
+    return surface.value_at(0, x0, v0)
 
 
 def solve_corrector(
@@ -386,11 +478,25 @@ def solve_corrector(
     src_coef = params.rho * params.sigma * xc * ev
     dx, dv = grid.dx, grid.dv
     lo, hi = params.sigma_min, params.sigma_max
+    # The frozen multiplier q0 is lo or hi, so ``diff_coef * q0**2`` and
+    # ``q0 * src_coef`` are one of two precomputed products at each node.
+    diff_lo, diff_hi = diff_coef * (lo * lo), diff_coef * (hi * hi)
+    src_lo, src_hi = lo * src_coef, hi * src_coef
+    shape = (grid.n_x, grid.n_v)
+    d2, d_x, diffusion, source = (np.empty(shape) for _ in range(4))
+    convex = np.empty(shape, dtype=bool)
 
     def frozen_fields(surface, time_index):
+        # Written over the last slice's fields: the memo keeps one, and
+        # ``rhs`` reads it before the next is derived.
         F0 = surface.slice_at(time_index)
-        q0 = np.where(_pxx(F0, dx) >= 0.0, hi, lo)
-        return diff_coef * q0**2, q0 * src_coef * _pxv(_px(F0, dx), dv)
+        np.greater_equal(_pxx(F0, dx, out=d2), 0.0, out=convex)
+        np.copyto(diffusion, diff_lo)
+        np.copyto(diffusion, diff_hi, where=convex)
+        np.copyto(source, src_lo)
+        np.copyto(source, src_hi, where=convex)
+        np.multiply(source, _pxv(_px(F0, dx, out=d_x), dv, out=d2), out=source)
+        return diffusion, source
 
     frozen_at = _SliceMemo(p0, frozen_fields)
 

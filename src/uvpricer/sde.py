@@ -15,7 +15,6 @@ the schedule.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 import queue
@@ -28,7 +27,7 @@ import numpy as np
 from .errors import PoleError
 from .model import ModelParams, PiecewiseLinearPayoff
 from .rng import _CHUNK_CELLS, chunk_ranges, normal_increments
-from .surface import _write_header
+from .surface import _write_csv
 
 # Fixed-q chunks run on one thread per CPU in the process's affinity mask.
 _WORKERS = len(os.sched_getaffinity(0))
@@ -66,18 +65,11 @@ class PathBatch:
     def to_csv(self, path, max_paths: int | None = None, header_lines=()) -> None:
         """Write paths in long format (``path,step,t,x,v``), optionally truncated."""
         keep = self.n_paths if max_paths is None else min(max_paths, self.n_paths)
-        t = self.t_nodes
-        with open(path, "w", newline="") as fh:
-            _write_header(fh, header_lines)
-            writer = csv.writer(fh)
-            writer.writerow(["path", "step", "t", "x", "v"])
-            for i in range(keep):
-                for k in range(self.n_steps + 1):
-                    writer.writerow(
-                        [i, k, repr(float(t[k])),
-                         repr(float(self.x_paths[i, k])),
-                         repr(float(self.v_paths[i, k]))]
-                    )
+        n = self.n_steps + 1
+        _write_csv(path, header_lines, ("path", "step", "t", "x", "v"),
+                   np.repeat(np.arange(keep), n), np.tile(np.arange(n), keep),
+                   np.tile(self.t_nodes, keep), self.x_paths[:keep].ravel(),
+                   self.v_paths[:keep].ravel())
 
 
 @dataclass(frozen=True)

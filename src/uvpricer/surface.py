@@ -17,7 +17,6 @@ check and the artifact writers.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 
@@ -30,6 +29,30 @@ def _write_header(fh, header_lines) -> None:
     """Write each artifact header line as a ``# `` comment."""
     for line in header_lines:
         fh.write(f"# {line}\n")
+
+
+# Rows formatted per block: the Python scalars of one block are alive at
+# a time, so a large artifact does not raise the peak memory.
+_CSV_BLOCK_ROWS = 1024
+
+
+def _write_csv(path, header_lines, names, *columns) -> None:
+    """Write a CSV artifact: the header lines as ``# `` comments, the column
+    names, then one row per entry of the equal-length 1-D ``columns``, each
+    value as the ``repr`` of its Python scalar.  The names and rows end in
+    CRLF, as :mod:`csv`'s excel dialect ends them; no value needs quoting."""
+    columns = [np.asarray(column) for column in columns]
+    n_rows = len(columns[0])
+    if any(len(column) != n_rows for column in columns):
+        raise ValueError("CSV columns differ in length")
+    with open(path, "w", newline="") as fh:
+        _write_header(fh, header_lines)
+        fh.write(",".join(names) + "\r\n")
+        for start in range(0, n_rows, _CSV_BLOCK_ROWS):
+            block = [column[start:start + _CSV_BLOCK_ROWS].tolist()
+                     for column in columns]
+            fh.writelines(",".join(map(repr, row)) + "\r\n"
+                          for row in zip(*block))
 
 
 def _write_json(path, doc: dict) -> None:
@@ -90,14 +113,11 @@ class ControlField:
 
     def to_csv(self, path, x_nodes, v_nodes, header_lines=()) -> None:
         """Write the field as ``x,v,q_star`` rows."""
-        with open(path, "w", newline="") as fh:
-            _write_header(fh, header_lines)
-            writer = csv.writer(fh)
-            writer.writerow(["x", "v", "q_star"])
-            for i, x in enumerate(x_nodes):
-                for j, v in enumerate(v_nodes):
-                    writer.writerow([repr(float(x)), repr(float(v)),
-                                     repr(float(self.q_star[i, j]))])
+        x = np.asarray(x_nodes, dtype=float)
+        v = np.asarray(v_nodes, dtype=float)
+        _write_csv(path, header_lines, ("x", "v", "q_star"),
+                   np.repeat(x, v.size), np.tile(v, x.size),
+                   np.ravel(self.q_star))
 
 
 @dataclass(frozen=True)
@@ -154,6 +174,10 @@ class PriceSurface:
             )
         if not np.all(np.isfinite(self.values)):
             raise ValueError("surface contains non-finite values")
+        # Slice lookups run once per step of the marches and path loops
+        # that read a surface, so the index and time arrays are made once.
+        object.__setattr__(self, "_kept", np.asarray(kept))
+        object.__setattr__(self, "_times", self._kept * self.grid.dt)
 
     @property
     def n_kept(self) -> int:
@@ -161,7 +185,7 @@ class PriceSurface:
 
     def pos_of(self, time_index: int) -> int:
         """Storage row of an exact time index; KeyError when not retained."""
-        kept = np.asarray(self.kept_times)
+        kept = self._kept
         pos = int(np.searchsorted(kept, time_index))
         if pos >= len(kept) or kept[pos] != time_index:
             raise KeyError(
@@ -172,8 +196,7 @@ class PriceSurface:
 
     def nearest_pos(self, t: float) -> int:
         """Storage row whose time value is closest to ``t``."""
-        times = np.asarray(self.kept_times) * self.grid.dt
-        return int(np.argmin(np.abs(times - t)))
+        return int(np.argmin(np.abs(self._times - t)))
 
     def slice_at(self, time_index: int) -> np.ndarray:
         """The (n_x+2, n_v) slice at an exact time index."""
@@ -195,22 +218,14 @@ class PriceSurface:
         (default: the initial and terminal slices)."""
         if time_indices is None:
             time_indices = (0, self.grid.n_t)
-        x_nodes = self.grid.x_nodes
-        v_nodes = self.grid.v_nodes
-        dt = self.grid.dt
-        with open(path, "w", newline="") as fh:
-            _write_header(fh, header_lines)
-            writer = csv.writer(fh)
-            writer.writerow(["t", "x", "v", "value"])
-            for k in time_indices:
-                F = self.slice_at(int(k))
-                t = k * dt
-                for i, x in enumerate(x_nodes):
-                    for j, v in enumerate(v_nodes):
-                        writer.writerow(
-                            [repr(float(t)), repr(float(x)), repr(float(v)),
-                             repr(float(F[i, j]))]
-                        )
+        grid = self.grid
+        ks = list(time_indices)
+        times = np.array([k * grid.dt for k in ks], dtype=float)
+        _write_csv(path, header_lines, ("t", "x", "v", "value"),
+                   np.repeat(times, (grid.n_x + 2) * grid.n_v),
+                   np.tile(np.repeat(grid.x_nodes, grid.n_v), len(ks)),
+                   np.tile(grid.v_nodes, (grid.n_x + 2) * len(ks)),
+                   self.values[[self.pos_of(int(k)) for k in ks]].ravel())
 
 
 def _bilinear_weights(grid: GridSpec, x, v, extrapolate: bool = True):
@@ -297,14 +312,16 @@ def default_gamma_tolerance(surface: PriceSurface) -> float:
 def _q_sup(aa, bb, lo: float, hi: float, out=None):
     """Pointwise supremum of ``f(q) = q^2 aa + q bb`` over ``q in [lo, hi]``.
 
-    ``aa`` and ``bb`` share one shape.  Both endpoints are tried, plus the
-    stationary point ``q_hat = -bb / (2 aa)`` where the quadratic is concave
-    and ``q_hat`` is interior; ``f(q_hat)`` is evaluated only there.  ``out``
-    is an optional triple of C-contiguous arrays of that shape receiving
-    ``(sup, f_lo, f_hi)``.  Returns ``(sup, f_lo, f_hi, inside, q_inside)``:
-    ``inside`` holds the flat indices where ``q_hat`` is interior and
-    ``q_inside`` the ``q_hat`` there; ``sup`` exceeds ``max(f_lo, f_hi)``
-    exactly where ``f(q_hat)`` wins.
+    ``aa`` and ``bb`` share one shape and ``0 < lo <= hi``.  Both endpoints
+    are tried, plus the stationary point ``q_hat = -bb / (2 aa)`` where the
+    quadratic is concave and ``q_hat`` is interior.  As ``q_hat > lo > 0``
+    needs ``aa < 0 < bb``, ``q_hat`` is computed only at those nodes and
+    ``f(q_hat)`` only where it is interior.  ``out`` is an optional triple
+    of C-contiguous arrays of that shape receiving ``(sup, f_lo, f_hi)``.
+    Returns ``(sup, f_lo, f_hi, inside, q_inside)``: ``inside`` holds the
+    flat indices where ``q_hat`` is interior and ``q_inside`` the ``q_hat``
+    there; ``sup`` exceeds ``max(f_lo, f_hi)`` exactly where ``f(q_hat)``
+    wins.
     """
     if out is None:
         out = tuple(np.empty(np.shape(aa)) for _ in range(3))
@@ -314,17 +331,17 @@ def _q_sup(aa, bb, lo: float, hi: float, out=None):
     np.multiply(aa, hi * hi, out=f_hi)
     f_hi += np.multiply(bb, hi, out=sup)
     np.maximum(f_lo, f_hi, out=sup)
-    concave = aa < 0.0
-    if not concave.any():
-        return sup, f_lo, f_hi, np.empty(0, dtype=np.intp), np.empty(0)
+    candidates = np.flatnonzero((aa < 0.0) & (bb > 0.0))
+    a, b = np.take(aa, candidates), np.take(bb, candidates)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        q_hat = -bb / (2.0 * aa)
-        inside = np.flatnonzero(concave & (q_hat > lo) & (q_hat < hi))
-        a, b = np.take(aa, inside), np.take(bb, inside)
+        q_hat = -b / (2.0 * a)
+        interior = (q_hat > lo) & (q_hat < hi)
+        a, b = a[interior], b[interior]
         f_hat = -(b * b) / (4.0 * a)
+    inside = candidates[interior]
     flat = sup.reshape(-1)
     flat[inside] = np.maximum(flat.take(inside), f_hat)
-    return sup, f_lo, f_hi, inside, q_hat.take(inside)
+    return sup, f_lo, f_hi, inside, q_hat[interior]
 
 
 def _q_argsup(aa, bb, lo: float, hi: float) -> np.ndarray:

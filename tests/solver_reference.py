@@ -4,7 +4,8 @@
 write into preallocated work arrays, with the v-stencils on the flattened
 grid; these functions allocate every temporary, take the v-differences on
 column slices, and must give the same bits.  Each returns
-``(values, kept_times)``.
+``(values, kept_times)``.  ``q_sup_parts`` is the q-sup kernel that
+computes the stationary point at every concave node.
 """
 
 import dataclasses
@@ -31,6 +32,25 @@ def q_sup(aa, bb, lo, hi):
         f_hat = np.where(concave, -(bb * bb) / (4.0 * aa), -np.inf)
     inside = concave & (q_hat > lo) & (q_hat < hi)
     return np.where(inside, np.maximum(sup, f_hat), sup)
+
+
+def q_sup_parts(aa, bb, lo, hi):
+    """``surface._q_sup``'s five returns, with ``q_hat`` computed at every
+    concave node: ``(sup, f_lo, f_hi, inside, q_inside)``."""
+    f_lo = aa * (lo * lo) + bb * lo
+    f_hi = aa * (hi * hi) + bb * hi
+    sup = np.maximum(f_lo, f_hi)
+    concave = aa < 0.0
+    if not concave.any():
+        return sup, f_lo, f_hi, np.empty(0, dtype=np.intp), np.empty(0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        q_hat = -bb / (2.0 * aa)
+        inside = np.flatnonzero(concave & (q_hat > lo) & (q_hat < hi))
+        a, b = np.take(aa, inside), np.take(bb, inside)
+        f_hat = -(b * b) / (4.0 * a)
+    flat = sup.reshape(-1)
+    flat[inside] = np.maximum(flat.take(inside), f_hat)
+    return sup, f_lo, f_hi, inside, q_hat.take(inside)
 
 
 def pxx(P, dx):

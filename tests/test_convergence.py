@@ -11,6 +11,7 @@ from uvpricer.convergence import (
     ConvergenceReport,
     FeynmanKacReport,
     SweepRow,
+    _refined_for_floor,
     corrector_sweep,
     feynman_kac_terms,
     fit_loglog,
@@ -103,6 +104,28 @@ class TestRunDeltaSweep:
                                  [0.3, 0.6])
         assert report.noise_floor > 0.0
         assert all(not row.excluded for row in report.rows)
+
+    @pytest.mark.parametrize("cell_average", [False, True])
+    def test_rows_equal_the_lone_solves(self, cell_average):
+        """The stacked delta march and the two-column limit read what the
+        lone solves read, bit for bit, the noise floor included."""
+        params = mk_params()
+        grid = mk_grid(params, n_x=149)
+        point = (97.0, -1.1)
+        report = run_delta_sweep(params, BUTTERFLY, grid, point, [0.6, 0.3],
+                                 cell_average_terminal=cell_average)
+        opts = dict(cell_average_terminal=cell_average)
+
+        def lone(g, d):
+            p_d = solve_hjb_2d(params.with_delta(d), BUTTERFLY, g, **opts)
+            p_0 = solve_bsb_1d(params, BUTTERFLY, g, **opts)
+            return p_d.value_at(0, *point), p_0.value_at(0, *point)
+
+        for row in report.rows:
+            assert (row.p_delta, row.p0) == lone(grid, row.delta)
+        fine = _refined_for_floor(params.with_delta(0.3), grid)
+        fine_d, fine_0 = lone(fine, 0.3)
+        assert report.noise_floor == abs(fine_d - fine_0 - report.rows[-1].error)
 
     def test_all_rows_below_floor_raises_with_partial_report(self):
         """A huge floor excludes everything and surfaces the partial rows."""

@@ -10,7 +10,16 @@ from hypothesis import strategies as st
 import solver_reference as ref
 from uvpricer.errors import NonFiniteError, StabilityError
 from uvpricer.analytic import bs_call, fixed_vol_price
-from uvpricer.hjb import min_time_steps, solve_bsb_1d, solve_corrector, solve_hjb_2d
+from uvpricer.convergence import _solve_deltas
+from uvpricer.hjb import (
+    _full_values,
+    _kept_indices,
+    _limit_value_at,
+    min_time_steps,
+    solve_bsb_1d,
+    solve_corrector,
+    solve_hjb_2d,
+)
 from uvpricer.model import GridSpec, ModelParams, PiecewiseLinearPayoff
 from uvpricer.surface import PriceSurface
 
@@ -393,6 +402,54 @@ class TestBufferedMarch:
                           ref.solve_corrector(p, h, grid, p0, **kept))
 
 
+@st.composite
+def stacked_cases(draw):
+    """Random model, payoff, 1-4 distinct deltas and a small grid sized for
+    the largest of them, with retention and terminal options."""
+    p, h, grid, extra, options, _ = draw(solver_cases())
+    deltas = draw(st.lists(floats(0.0, 1.0), min_size=1, max_size=4,
+                           unique=True))
+    steps = max(min_time_steps(p.with_delta(d), grid, "full") for d in deltas)
+    return p, h, dataclasses.replace(grid, n_t=steps + extra), deltas, options
+
+
+class TestStackedMarch:
+    """The same-grid delta solves march as one stack, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=stacked_cases())
+    def test_equals_each_lone_solve(self, case):
+        """Every delta's kept slices equal its own ``solve_hjb_2d``."""
+        p, h, grid, deltas, options = case
+        kept = _kept_indices(grid.n_t, options["store_slices"],
+                             options["max_kept_slices"])
+        values = _full_values(p, deltas, h, grid, kept,
+                              options["cell_average_terminal"])
+        assert values.shape == (len(kept), grid.n_x + 2, len(deltas), grid.n_v)
+        for j, d in enumerate(deltas):
+            alone = solve_hjb_2d(p.with_delta(d), h, grid, **options)
+            assert alone.kept_times == kept
+            assert np.array_equal(values[:, :, j], alone.values)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=solver_cases(), where=st.sampled_from(["min", "node", "max", "any"]),
+           u=floats(0.0, 1.0))
+    def test_column_limit_equals_the_family_read(self, case, where, u):
+        """The limit read from the two bracketing v-columns equals the
+        family solve's ``value_at``, on nodes and at both v-edges."""
+        p, h, grid, extra, options, _ = case
+        grid = sized(p, grid, "bsb", extra)
+        v0 = {"min": grid.v_min, "max": grid.v_max,
+              "node": float(grid.v_nodes[int(u * (grid.n_v - 1))]),
+              "any": grid.v_min + u * (grid.v_max - grid.v_min)}[where]
+        x0 = grid.x_min + u * (grid.x_max - grid.x_min)
+        cell = options["cell_average_terminal"]
+        family = solve_bsb_1d(p, h, grid, cell_average_terminal=cell)
+        got = _limit_value_at(p, h, grid, x0, v0, cell)
+        assert type(got) is float
+        assert np.array_equal(got, family.value_at(0, x0, v0))
+
+
 HUGE_BUTTERFLY = PiecewiseLinearPayoff.from_calls(
     [(90.0, 1e300), (100.0, -2e300), (110.0, 1e300)]
 )
@@ -435,6 +492,34 @@ class TestNonFinite:
         assert got == expected
         assert got == nonfinite_report(ref.solve_bsb_1d, p, TOO_HUGE_BUTTERFLY,
                                        grid, v=v)
+
+    def test_stacked_deltas(self):
+        """The stacked solve names a delta that went non-finite first, at
+        the step and node that delta's own solve reports: here 0.2 and
+        0.05 both fail first, at step 21, and 0.2 comes first."""
+        p = mk_params()
+        ds = [0.4, 0.2, 0.1, 0.05]
+        grid = mk_grid(p.with_delta(1.0), "full", x_max=200.0, n_x=39)
+        alone = [nonfinite_report(solve_hjb_2d, p.with_delta(d), HUGE_BUTTERFLY,
+                                  grid) for d in ds]
+        first = max(t for t, _ in alone)
+        named = next(j for j, (t, _) in enumerate(alone) if t == first)
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteError) as err:
+            _solve_deltas(p, HUGE_BUTTERFLY, grid, 100.0, -0.5, ds, False)
+        assert named == 1
+        assert f"delta={ds[named]!r}" in str(err.value)
+        assert (err.value.time_index, err.value.node) == alone[named]
+
+    @pytest.mark.parametrize("v0", [-0.4, -0.1])
+    def test_column_limit(self, v0):
+        """The column solve reports a bracketing column's failure at its
+        full-grid column, as the family solve does."""
+        p = mk_params(delta=0.25)
+        grid = mk_grid(p, "bsb", x_max=200.0, n_x=39)
+        got = nonfinite_report(_limit_value_at, p, TOO_HUGE_BUTTERFLY, grid,
+                               100.0, v0, False)
+        assert got == (22, (18, 3))
+        assert got == nonfinite_report(solve_bsb_1d, p, TOO_HUGE_BUTTERFLY, grid)
 
     def test_corrector(self):
         """A limit slice whose x-differences overflow drives the correction

@@ -22,7 +22,10 @@ from uvpricer.surface import (
     optimal_control_field,
 )
 
+import csv_reference
+import solver_reference
 from bilinear_reference import gather_read, gather_weights
+from uvpricer.sde import PathBatch
 
 PARAMS = ModelParams(
     r=0.0, a=0.6, b=0.5, alpha=2.0, sigma=0.5, rho=0.5,
@@ -346,6 +349,9 @@ class TestFlatBilinearKernel:
 
 
 COEF = st.floats(min_value=-1e3, max_value=1e3)
+# Signed zeros, subnormal, huge and non-finite coefficients.
+SPECIAL = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, -1e-300, 1e300,
+                           -1e300, np.inf, -np.inf, np.nan])
 
 
 @st.composite
@@ -397,6 +403,21 @@ class TestQSup:
         if abs(bb) > 1e-290:
             assert sup == max(endpoints)
             assert q_star in (lo, hi)
+
+    @given(coefs=st.lists(st.one_of(quadratics(), st.tuples(SPECIAL, SPECIAL),
+                                    st.tuples(SPECIAL, COEF)),
+                          min_size=1, max_size=40),
+           lo=st.floats(min_value=0.01, max_value=1.0),
+           width=st.floats(min_value=0.0, max_value=1.0))
+    def test_candidate_prefilter_changes_no_bit(self, coefs, lo, width):
+        """All five returns equal those of the kernel that computes the
+        stationary point at every concave node."""
+        aa, bb = (np.array(c) for c in zip(*coefs))
+        with np.errstate(all="ignore"):
+            got = _q_sup(aa, bb, lo, lo + width)
+            want = solver_reference.q_sup_parts(aa, bb, lo, lo + width)
+        for g, w in zip(got, want, strict=True):
+            assert same_bits(g, w)
 
     @given(lo=st.floats(min_value=0.01, max_value=1.0),
            width=st.floats(min_value=1e-3, max_value=1.0))
@@ -470,3 +491,73 @@ class TestDefaultGammaTolerance:
         """The dead band tracks max|h|/dx^2."""
         s = make_surface(lambda X, V, t: X)  # terminal max value 10, dx = 1
         assert default_gamma_tolerance(s) == pytest.approx(1e-5)
+
+
+def csv_values(seed, shape):
+    """Random values of ``shape`` with -0.0, 5e-324 and 1e300 among them."""
+    values = np.random.default_rng(seed).standard_normal(shape) * 1e3
+    flat = values.reshape(-1)
+    flat[:3] = (-0.0, 5e-324, 1e300)
+    np.random.default_rng(seed + 1).shuffle(flat)
+    return values
+
+
+class TestCsvRows:
+    """The artifact writers give the bytes of the ``csv.writer`` form."""
+
+    HEADERS = ("config_hash=abc", "sigma_vol_of_vol_assumed=False")
+
+    def assert_same_file(self, tmp_path, write, write_reference):
+        write(tmp_path / "got.csv")
+        write_reference(tmp_path / "want.csv")
+        got = (tmp_path / "got.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+        return got
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("ks", [None, (4, 1, 0), ()])
+    def test_surface(self, tmp_path, seed, ks):
+        grid = GridSpec(x_min=0.0, x_max=10.0, n_x=9, v_min=-1.0, v_max=1.0,
+                        n_v=5, T=1.0, n_t=4)
+        s = PriceSurface(values=csv_values(seed, (5, 11, 5)), grid=grid,
+                         params=PARAMS, kind="limit_p0",
+                         kept_times=(0, 1, 2, 3, 4))
+        got = self.assert_same_file(
+            tmp_path,
+            lambda path: s.to_csv(path, time_indices=ks,
+                                  header_lines=self.HEADERS),
+            lambda path: csv_reference.surface_csv(
+                path, s, (0, 4) if ks is None else ks, self.HEADERS),
+        )
+        assert got.count(b"\r\n") == 1 + (2 if ks is None else len(ks)) * 55
+
+    @pytest.mark.parametrize("max_paths", [None, 3, 150])
+    def test_paths(self, tmp_path, max_paths):
+        """Long enough to span several row blocks of the writer."""
+        batch = PathBatch(x_paths=csv_values(3, (300, 11)),
+                          v_paths=csv_values(4, (300, 11)), dt=0.1 / 10,
+                          seed=3, control_tag="fixed q=0.15")
+        got = self.assert_same_file(
+            tmp_path,
+            lambda path: batch.to_csv(path, max_paths=max_paths,
+                                      header_lines=self.HEADERS),
+            lambda path: csv_reference.paths_csv(path, batch, max_paths,
+                                                 self.HEADERS),
+        )
+        if max_paths is None:
+            for special in (b"-0.0", b"5e-324", b"1e+300"):
+                assert special in got
+
+    def test_control_field(self, tmp_path):
+        field = ControlField(q_star=csv_values(5, (11, 5)),
+                             source_kind="limit_p0", gamma_tolerance=1e-6)
+        x, v = csv_values(6, 11), csv_values(7, 5)
+        got = self.assert_same_file(
+            tmp_path,
+            lambda path: field.to_csv(path, x, v, header_lines=self.HEADERS),
+            lambda path: csv_reference.field_csv(path, field, x, v, self.HEADERS),
+        )
+        for special in (b"-0.0", b"5e-324", b"1e+300"):
+            assert special in got
+        with pytest.raises(ValueError, match="length"):
+            field.to_csv(tmp_path / "short.csv", x[:-1], v)
