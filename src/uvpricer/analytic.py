@@ -9,7 +9,6 @@ that benchmark in closed form for any piecewise-linear payoff.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtr
 
 from .model import PiecewiseLinearPayoff
 
@@ -35,6 +34,9 @@ def bs_call(x, strike: float, vol: float, tau: float, rate: float = 0.0):
         fwd = x_arr * np.exp(rate * tau)
         out = disc * np.maximum(fwd - strike, 0.0)
     else:
+        # Imported on first use, as in :mod:`uvpricer.rng`.
+        from scipy.special import ndtr
+
         srt = vol * np.sqrt(tau)
         with np.errstate(divide="ignore"):
             d1 = (np.log(x_arr / strike) + (rate + 0.5 * vol**2) * tau) / srt

@@ -16,6 +16,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +36,7 @@ from .hjb import (
     solve_hjb_2d,
 )
 from .model import GridSpec, ModelParams, PiecewiseLinearPayoff
-from .sde import simulate_paths
+from .sde import _WORKERS, simulate_paths
 from .surface import (
     PriceSurface,
     WorstCaseControl,
@@ -245,6 +249,80 @@ def _solve_deltas(params_base, payoff, grid, x0, v0, ds, cell_average_terminal):
     }
 
 
+def _fork_ok() -> bool:
+    """Whether a :class:`_Job` may run in a forked child: ``os.fork``
+    exists, the affinity mask holds two CPUs or more, and no other thread
+    is alive, as forking a threaded process can deadlock the child."""
+    return (hasattr(os, "fork") and _WORKERS >= 2
+            and threading.active_count() == 1)
+
+
+class _Job:
+    """``fn(*args)``, started in a forked child when :func:`_fork_ok`.
+
+    The child writes the pickle of the return value into a pipe and
+    always leaves by ``os._exit``: it never returns into the caller's
+    stack nor flushes the stdio it inherited.  :meth:`result` reads the
+    pipe to its end and reaps the child.  When there is no child, or the
+    child raised, died or sent unreadable data, :meth:`result` makes the
+    call in-process, so a failure reaches the caller as its own error.
+    Processes, not threads: the marches' many small numpy calls hand the
+    GIL back and forth, and two solves on two threads ran slower than one
+    after the other.
+    """
+
+    def __init__(self, fn, *args):
+        self._call = fn, args
+        self._pid = None
+        if not _fork_ok():
+            return
+        read, write = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read)
+            os.close(write)
+            return
+        if pid == 0:
+            status = 1
+            try:
+                os.close(read)
+                data = memoryview(pickle.dumps(fn(*args)))
+                while data:
+                    data = data[os.write(write, data):]
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write)
+        self._pid, self._read = pid, read
+
+    def _reap(self, kill: bool) -> int:
+        if kill:
+            os.kill(self._pid, signal.SIGKILL)
+        status = os.waitpid(self._pid, 0)[1]
+        self._pid = None
+        os.close(self._read)
+        return status
+
+    def result(self):
+        if self._pid is not None:
+            chunks = []
+            while chunk := os.read(self._read, 1 << 16):
+                chunks.append(chunk)
+            if self._reap(kill=False) == 0:
+                try:
+                    return pickle.loads(b"".join(chunks))
+                except Exception:
+                    pass
+        fn, args = self._call
+        return fn(*args)
+
+    def cancel(self) -> None:
+        """Kill and reap the child, if it is still outstanding."""
+        if self._pid is not None:
+            self._reap(kill=True)
+
+
 def _sweep(params_base, payoff, grid, point, deltas, cell_average_terminal,
            noise_floor, corrector):
     """Shared core of both sweeps.
@@ -256,29 +334,44 @@ def _sweep(params_base, payoff, grid, point, deltas, cell_average_terminal,
     the stability bound).  Returns ``(point, rows, noise_floor, p1)`` with rows
     ``(delta, p_delta, p0, p1, remainder, excluded)`` by descending delta;
     a row is excluded when its remainder is below ten times the floor.
+
+    The two delta marches run as :class:`_Job` s while this process solves
+    the limits.  Errors keep the order of one solve after the other: the
+    limit, the deltas, the refined deltas, the refined limit.
     """
     ds = _check_sweep_inputs(grid, point, deltas)
     x0, v0 = float(point[0]), float(point[1])
-    p0_val, p1_val, p1 = _limit_values(params_base, payoff, grid, x0, v0,
-                                       ds[0], cell_average_terminal, corrector)
-    p_vals = _solve_deltas(params_base, payoff, grid, x0, v0, ds,
-                           cell_average_terminal)
-
-    if noise_floor is None:
-        d_min = ds[-1]
-        fine = _refined_for_floor(params_base.with_delta(d_min), grid)
-        pd_fine = _solve_deltas(params_base, payoff, fine, x0, v0, [d_min],
-                                cell_average_terminal)[d_min]
-        try:
-            p0_fine, p1_fine, _ = _limit_values(
-                params_base, payoff, fine, x0, v0, d_min,
-                cell_average_terminal, corrector,
-            )
-        except Exception as exc:
-            _attach_delta(exc, d_min)
-            raise
-        noise_floor = abs(_remainder(pd_fine, p0_fine, p1_fine, d_min)
-                          - _remainder(p_vals[d_min], p0_val, p1_val, d_min))
+    d_min = ds[-1]
+    jobs = []
+    try:
+        jobs.append(_Job(_solve_deltas, params_base, payoff, grid, x0, v0, ds,
+                         cell_average_terminal))
+        if noise_floor is None:
+            fine = _refined_for_floor(params_base.with_delta(d_min), grid)
+            jobs.append(_Job(_solve_deltas, params_base, payoff, fine, x0, v0,
+                             [d_min], cell_average_terminal))
+        p0_val, p1_val, p1 = _limit_values(params_base, payoff, grid, x0, v0,
+                                           ds[0], cell_average_terminal,
+                                           corrector)
+        if noise_floor is None:
+            try:
+                fine_limit = _limit_values(params_base, payoff, fine, x0, v0,
+                                           d_min, cell_average_terminal,
+                                           corrector)
+            except Exception as exc:
+                _attach_delta(exc, d_min)
+                fine_limit = exc
+        p_vals = jobs[0].result()
+        if noise_floor is None:
+            pd_fine = jobs[1].result()[d_min]
+            if isinstance(fine_limit, Exception):
+                raise fine_limit
+            p0_fine, p1_fine, _ = fine_limit
+            noise_floor = abs(_remainder(pd_fine, p0_fine, p1_fine, d_min)
+                              - _remainder(p_vals[d_min], p0_val, p1_val, d_min))
+    finally:
+        for job in jobs:
+            job.cancel()
 
     rows = []
     for d in ds:

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import NonFiniteError, StabilityError
 from .model import GridSpec, ModelParams, PiecewiseLinearPayoff
-from .surface import PriceSurface, _bilinear_weights, _q_sup, _SliceMemo
+from .surface import PriceSurface, _bilinear_weights, _q_sup_bare, _SliceMemo
 
 
 def min_time_steps(
@@ -211,8 +211,8 @@ class _Marcher:
         Two slices are swapped step by step: the step is written into the
         one not read.  A slice is scanned for its first non-finite node
         only when its sum is not finite (any non-finite node makes it so);
-        overflow is not warned about, as it either leaves such a node or
-        only overflows that sum.
+        overflow and invalid operations are not warned about, as they
+        either leave such a node or only overflow that sum.
         """
         grid = self.grid
         dt = grid.dt
@@ -222,7 +222,7 @@ class _Marcher:
         step = np.empty_like(P[1:-1])
         if grid.n_t in self.pos:
             values[self.pos[grid.n_t]] = P
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             for k in range(grid.n_t, 0, -1):
                 rhs(P, k, step)
                 step *= dt
@@ -293,7 +293,7 @@ def _full_values(params, deltas, payoff, grid, kept, cell_average_terminal):
         _px(P, dx, out=d_x)
         np.multiply(_pxx(P, dx, out=aa), a_coef, out=aa)
         np.multiply(_pxv(d_x, dv, out=bb), b_coef, out=bb)
-        _q_sup(aa, bb, lo, hi, out=(out, f_lo, f_hi))
+        _q_sup_bare(aa, bb, lo, hi, out=(out, f_lo, f_hi))
         # The zero edge columns are added too: -0.0 + 0.0 is +0.0.
         out += np.multiply(_pvv(inner, dv, out=work), c_vv, out=work)
         flat = inner.reshape(-1)

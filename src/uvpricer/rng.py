@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import numpy as np
 from numpy.random import Philox
-from scipy.special import ndtri
 
 _WORDS_PER_BLOCK = 4
 _INV_2_53 = 2.0**-53
@@ -42,6 +41,10 @@ def normal_increments(
     reproduces rows ``k:`` of a larger call with ``first_path=0`` and the
     same ``(seed, n_steps)``.
     """
+    # Imported here, not at module level: scipy.special is most of the
+    # package's import time, and only draws need it.
+    from scipy.special import ndtri
+
     if n_paths < 1 or n_steps < 1:
         raise ValueError(
             f"need n_paths >= 1 and n_steps >= 1, got {n_paths}, {n_steps}"

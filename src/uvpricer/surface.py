@@ -31,9 +31,22 @@ def _write_header(fh, header_lines) -> None:
         fh.write(f"# {line}\n")
 
 
-# Rows formatted per block: the Python scalars of one block are alive at
-# a time, so a large artifact does not raise the peak memory.
+# Rows formatted per block: the texts of one block are alive at a time,
+# so a large artifact does not raise the peak memory.
 _CSV_BLOCK_ROWS = 1024
+
+
+def _block_texts(column: np.ndarray) -> list[str]:
+    """``repr`` of each entry's Python scalar, made once per distinct value.
+
+    Floats are told apart by their bit pattern, so ``-0.0`` and ``0.0``
+    keep their own text.
+    """
+    key = column.view(f"u{column.itemsize}") if column.dtype.kind == "f" else column
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    texts = np.array([repr(value) for value in column[first].tolist()],
+                     dtype=object)
+    return texts[inverse].tolist()
 
 
 def _write_csv(path, header_lines, names, *columns) -> None:
@@ -49,10 +62,9 @@ def _write_csv(path, header_lines, names, *columns) -> None:
         _write_header(fh, header_lines)
         fh.write(",".join(names) + "\r\n")
         for start in range(0, n_rows, _CSV_BLOCK_ROWS):
-            block = [column[start:start + _CSV_BLOCK_ROWS].tolist()
+            block = [_block_texts(column[start:start + _CSV_BLOCK_ROWS])
                      for column in columns]
-            fh.writelines(",".join(map(repr, row)) + "\r\n"
-                          for row in zip(*block))
+            fh.writelines(",".join(row) + "\r\n" for row in zip(*block))
 
 
 def _write_json(path, doc: dict) -> None:
@@ -64,18 +76,18 @@ def _write_json(path, doc: dict) -> None:
 
 def _axis_first_deriv(F: np.ndarray, h: float, axis: int) -> np.ndarray:
     """Central first derivative, second-order one-sided at the two edges."""
-    F = np.moveaxis(F, axis, 0)
+    F = F.swapaxes(0, axis)
     out = np.empty_like(F)
     out[1:-1] = (F[2:] - F[:-2]) / (2.0 * h)
     out[0] = (-3.0 * F[0] + 4.0 * F[1] - F[2]) / (2.0 * h)
     out[-1] = (3.0 * F[-1] - 4.0 * F[-2] + F[-3]) / (2.0 * h)
-    return np.moveaxis(out, 0, axis)
+    return out.swapaxes(0, axis)
 
 
 def _axis_second_deriv(F: np.ndarray, h: float, axis: int) -> np.ndarray:
     """Central second derivative; one-sided (second order when the axis has
     at least four nodes, else copied from the nearest interior) at edges."""
-    F = np.moveaxis(F, axis, 0)
+    F = F.swapaxes(0, axis)
     out = np.empty_like(F)
     h2 = h * h
     out[1:-1] = (F[2:] - 2.0 * F[1:-1] + F[:-2]) / h2
@@ -85,7 +97,7 @@ def _axis_second_deriv(F: np.ndarray, h: float, axis: int) -> np.ndarray:
     else:
         out[0] = out[1]
         out[-1] = out[-2]
-    return np.moveaxis(out, 0, axis)
+    return out.swapaxes(0, axis)
 
 
 @dataclass(frozen=True)
@@ -137,10 +149,6 @@ class MismatchMasks:
     @property
     def a_delta_fraction(self) -> float:
         return float(self.a_delta.mean())
-
-    @property
-    def s0_fraction(self) -> float:
-        return float(self.s0.mean())
 
 
 @dataclass(frozen=True)
@@ -206,11 +214,6 @@ class PriceSurface:
         """Bilinear read of the slice at ``time_index``; linear extrapolation
         outside the rectangle unless ``extrapolate`` is False (then clamped)."""
         F = self.slice_at(time_index)
-        return _bilinear(self.grid, F, x, v, extrapolate)
-
-    def value_near_time(self, t: float, x, v, extrapolate: bool = True):
-        """Like :meth:`value_at` but snapping ``t`` to the nearest kept slice."""
-        F = self.values[self.nearest_pos(t)]
         return _bilinear(self.grid, F, x, v, extrapolate)
 
     def to_csv(self, path, time_indices=None, header_lines=()) -> None:
@@ -321,8 +324,16 @@ def _q_sup(aa, bb, lo: float, hi: float, out=None):
     Returns ``(sup, f_lo, f_hi, inside, q_inside)``: ``inside`` holds the
     flat indices where ``q_hat`` is interior and ``q_inside`` the ``q_hat``
     there; ``sup`` exceeds ``max(f_lo, f_hi)`` exactly where ``f(q_hat)``
-    wins.
+    wins.  Overflow and invalid operations (an infinite ``bb`` over an
+    infinite ``aa``) are not warned about.
     """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return _q_sup_bare(aa, bb, lo, hi, out)
+
+
+def _q_sup_bare(aa, bb, lo: float, hi: float, out=None):
+    """:func:`_q_sup` in the caller's floating-point error state: the march
+    calls it once per step, and sets that state once for all of them."""
     if out is None:
         out = tuple(np.empty(np.shape(aa)) for _ in range(3))
     sup, f_lo, f_hi = out
@@ -333,11 +344,10 @@ def _q_sup(aa, bb, lo: float, hi: float, out=None):
     np.maximum(f_lo, f_hi, out=sup)
     candidates = np.flatnonzero((aa < 0.0) & (bb > 0.0))
     a, b = np.take(aa, candidates), np.take(bb, candidates)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        q_hat = -b / (2.0 * a)
-        interior = (q_hat > lo) & (q_hat < hi)
-        a, b = a[interior], b[interior]
-        f_hat = -(b * b) / (4.0 * a)
+    q_hat = -b / (2.0 * a)
+    interior = (q_hat > lo) & (q_hat < hi)
+    a, b = a[interior], b[interior]
+    f_hat = -(b * b) / (4.0 * a)
     inside = candidates[interior]
     flat = sup.reshape(-1)
     flat[inside] = np.maximum(flat.take(inside), f_hat)

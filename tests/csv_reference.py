@@ -1,8 +1,8 @@
 """The ``csv.writer`` form of the artifact writers, kept as a test reference.
 
-``surface._write_csv`` formats rows from ``tolist()`` values itself; these
-functions write the same files element by element through ``csv.writer``
-and must give the same bytes.
+``surface._write_csv`` formats rows itself, from one ``repr`` per distinct
+value of a row block; these functions write the same files element by
+element through ``csv.writer`` and must give the same bytes.
 """
 
 import csv

@@ -5,7 +5,8 @@ write into preallocated work arrays, with the v-stencils on the flattened
 grid; these functions allocate every temporary, take the v-differences on
 column slices, and must give the same bits.  Each returns
 ``(values, kept_times)``.  ``q_sup_parts`` is the q-sup kernel that
-computes the stationary point at every concave node.
+computes the stationary point at every concave node, and ``greeks`` the
+``np.moveaxis`` form of ``surface.greeks``.
 """
 
 import dataclasses
@@ -178,3 +179,33 @@ def solve_corrector(params, payoff, grid, p0, store_slices=False,
 
     terminal = np.zeros((grid.n_x + 2, grid.n_v))
     return march(params, payoff, grid, kept, terminal, rhs, h0=0.0), kept
+
+
+def axis_first_deriv(F, h, axis):
+    F = np.moveaxis(F, axis, 0)
+    out = np.empty_like(F)
+    out[1:-1] = (F[2:] - F[:-2]) / (2.0 * h)
+    out[0] = (-3.0 * F[0] + 4.0 * F[1] - F[2]) / (2.0 * h)
+    out[-1] = (3.0 * F[-1] - 4.0 * F[-2] + F[-3]) / (2.0 * h)
+    return np.moveaxis(out, 0, axis)
+
+
+def axis_second_deriv(F, h, axis):
+    F = np.moveaxis(F, axis, 0)
+    out = np.empty_like(F)
+    h2 = h * h
+    out[1:-1] = (F[2:] - 2.0 * F[1:-1] + F[:-2]) / h2
+    if F.shape[0] >= 4:
+        out[0] = (2.0 * F[0] - 5.0 * F[1] + 4.0 * F[2] - F[3]) / h2
+        out[-1] = (2.0 * F[-1] - 5.0 * F[-2] + 4.0 * F[-3] - F[-4]) / h2
+    else:
+        out[0] = out[1]
+        out[-1] = out[-2]
+    return np.moveaxis(out, 0, axis)
+
+
+def greeks(F, dx, dv):
+    """``(delta, gamma, vega, vanna, vomma)`` of the slice ``F``."""
+    delta = axis_first_deriv(F, dx, 0)
+    return (delta, axis_second_deriv(F, dx, 0), axis_first_deriv(F, dv, 1),
+            axis_first_deriv(delta, dv, 1), axis_second_deriv(F, dv, 1))

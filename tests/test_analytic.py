@@ -5,6 +5,7 @@ Expected prices were frozen from an independent log-normal quadrature of
 ``scipy.integrate.quad`` (absolute error below 1e-7 in every case).
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -12,7 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from numpy.random import Philox
+from scipy.special import ndtr, ndtri
 from scipy.stats import norm
 
 import uvpricer
@@ -134,14 +136,41 @@ class TestNormalKernels:
         assert np.array_equal(ndtr(d), norm.cdf(d))
         assert np.array_equal(_norm_pdf(d), norm.pdf(d))
 
-    def test_import_leaves_scipy_stats_unloaded(self):
-        """Importing the package does not pay for ``scipy.stats``."""
+    @staticmethod
+    def fresh_process(code: str) -> list[str]:
+        """Output lines of ``code`` run by a new interpreter on this package."""
         src = str(Path(uvpricer.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (src, env.get("PYTHONPATH")) if p
         )
-        code = "import sys, uvpricer; print('scipy.stats' in sys.modules)"
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        return out.stdout.splitlines()
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        """Importing the package does not pay for ``scipy.stats``."""
+        code = "import sys, uvpricer; print('scipy.stats' in sys.modules)"
+        assert self.fresh_process(code) == ["False"]
+
+    def test_scipy_special_loads_on_first_use(self):
+        """Importing the package leaves ``scipy.special`` out; the first
+        draw and closed-form price load it and give the numbers of direct
+        ``ndtri`` and ``ndtr`` calls."""
+        lines = self.fresh_process(
+            "import sys, uvpricer\n"
+            "from uvpricer.rng import normal_increments\n"
+            "print('scipy.special' in sys.modules)\n"
+            "print(normal_increments(5, 3, 4).ravel().tolist())\n"
+            "print(uvpricer.bs_call([80.0, 100.0, 120.0], 100.0, 0.2, 0.5)"
+            ".tolist())\n"
+        )
+        assert lines[0] == "False"
+        raw = Philox(key=5, counter=0).random_raw(3 * 4 * 4)
+        words = raw.reshape(3, 4, 4)[:, :, :2] >> np.uint64(11)
+        z = ndtri((words.astype(np.float64) + 0.5) * 2.0**-53)
+        assert np.array_equal(np.array(ast.literal_eval(lines[1])), z.ravel())
+        x, srt = np.array([80.0, 100.0, 120.0]), 0.2 * np.sqrt(0.5)
+        d1 = (np.log(x / 100.0) + (0.0 + 0.5 * 0.2**2) * 0.5) / srt
+        call = x * ndtr(d1) - 100.0 * np.exp(-0.0) * ndtr(d1 - srt)
+        assert np.array_equal(np.array(ast.literal_eval(lines[2])), call)

@@ -3,10 +3,14 @@
 import dataclasses
 import json
 import math
+import os
+import pickle
+import signal
 
 import numpy as np
 import pytest
 
+from uvpricer import convergence, hjb
 from uvpricer.convergence import (
     ConvergenceReport,
     FeynmanKacReport,
@@ -17,7 +21,7 @@ from uvpricer.convergence import (
     fit_loglog,
     run_delta_sweep,
 )
-from uvpricer.errors import FitError, StabilityError
+from uvpricer.errors import FitError, NonFiniteError, StabilityError
 from uvpricer.hjb import min_time_steps, solve_bsb_1d, solve_corrector, solve_hjb_2d
 from uvpricer.model import GridSpec, ModelParams, PiecewiseLinearPayoff
 from uvpricer.sde import simulate_paths
@@ -277,6 +281,184 @@ class TestCorrectorSweep:
         assert doc["ratio"] == report.ratio
         assert doc["rows"][0]["delta"] == 0.36
 
+
+HUGE_BUTTERFLY = PiecewiseLinearPayoff.from_calls(
+    [(90.0, 1e300), (100.0, -2e300), (110.0, 1e300)]
+)
+TOO_HUGE_BUTTERFLY = PiecewiseLinearPayoff.from_calls(
+    [(90.0, 1e307), (100.0, -2e307), (110.0, 1e307)]
+)
+SWEEPS = {"sweep": run_delta_sweep, "corrector": corrector_sweep}
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Sweeps fork their delta marches; the list records each fork."""
+    monkeypatch.setattr(convergence, "_fork_ok", lambda: True)
+    started = []
+    real_fork = os.fork
+
+    def fork():
+        started.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return started
+
+
+def in_process(monkeypatch, sweep, *args, **kwargs):
+    with monkeypatch.context() as m:
+        m.setattr(convergence, "_fork_ok", lambda: False)
+        return sweep(*args, **kwargs)
+
+
+def assert_no_children():
+    """Every child of this process has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def sweep_error(sweep, *args, **kwargs):
+    with np.errstate(all="ignore"), pytest.raises(Exception) as err:
+        sweep(*args, **kwargs)
+    assert_no_children()
+    return err.value
+
+
+class TestForkedSweeps:
+    """The delta marches of a sweep run in forked children and give the
+    in-process reports and errors; no child outlives the sweep."""
+
+    @pytest.mark.parametrize("cell_average", [False, True])
+    @pytest.mark.parametrize("floor", [None, 1e-9])
+    @pytest.mark.parametrize("kind", sorted(SWEEPS))
+    def test_reports_equal_in_process(self, forks, monkeypatch, kind,
+                                      floor, cell_average):
+        params = mk_params()
+        grid = mk_grid(params, n_x=149)
+        args = (params, BUTTERFLY, grid, (100.0, -1.0), [0.6, 0.3])
+        kwargs = dict(cell_average_terminal=cell_average, noise_floor=floor)
+        got = SWEEPS[kind](*args, **kwargs)
+        assert len(forks) == (2 if floor is None else 1)
+        assert_no_children()
+        assert got == in_process(monkeypatch, SWEEPS[kind], *args, **kwargs)
+
+    def test_stability_error(self, forks, monkeypatch):
+        """The child's StabilityError reaches the caller, typed and with
+        its minimum step count, as ``test_solver_failure_names_the_delta``
+        has it in-process."""
+        params = mk_params()
+        trial = GridSpec(x_min=0.0, x_max=200.0, n_x=99, v_min=-1.5,
+                         v_max=-0.5, n_v=21, T=0.15, n_t=1)
+        n_full = min_time_steps(params.with_delta(0.5), trial, "full")
+        grid = dataclasses.replace(trial, n_t=n_full - 1)
+        args = (params, BUTTERFLY, grid, (100.0, -1.0), [0.2, 0.5])
+        err = sweep_error(run_delta_sweep, *args)
+        assert len(forks) == 2
+        assert isinstance(err, StabilityError)
+        assert "delta=0.5" in str(err)
+        assert err.min_time_steps == n_full
+        want = sweep_error(in_process, monkeypatch, run_delta_sweep, *args)
+        assert (str(err), err.min_time_steps) == (str(want), want.min_time_steps)
+
+    def test_non_finite_error(self, forks, monkeypatch):
+        """A delta march that overflows raises the in-process error: the
+        delta, the stack index, the step and the node."""
+        params = mk_params()
+        args = (params, HUGE_BUTTERFLY, mk_grid(params, n_x=39),
+                (100.0, -1.0), [0.5, 0.2])
+        err = sweep_error(run_delta_sweep, *args)
+        want = sweep_error(in_process, monkeypatch, run_delta_sweep, *args)
+        assert isinstance(err, NonFiniteError)
+        assert "delta=0.5" in str(err)
+        assert (str(err), err.stack_index, err.time_index, err.node) == (
+            str(want), want.stack_index, want.time_index, want.node)
+
+    @pytest.mark.parametrize("kind", sorted(SWEEPS))
+    def test_failing_limit_wins(self, forks, monkeypatch, kind):
+        """The limit and the delta marches all overflow: the limit's
+        error is raised, and the children are killed and reaped."""
+        params = mk_params()
+        args = (params, TOO_HUGE_BUTTERFLY, mk_grid(params, n_x=39),
+                (100.0, -1.0), [0.5, 0.2])
+        err = sweep_error(SWEEPS[kind], *args)
+        want = sweep_error(in_process, monkeypatch, SWEEPS[kind], *args)
+        assert len(forks) == 2
+        assert isinstance(err, NonFiniteError)
+        assert "delta=" not in str(err)
+        assert (str(err), err.time_index, err.node) == (
+            str(want), want.time_index, want.node)
+
+    def test_limit_stability_error_wins(self, forks):
+        """Too few steps for the limit and for every delta: the limit's
+        StabilityError, without a delta, is raised."""
+        params = mk_params()
+        trial = GridSpec(x_min=0.0, x_max=200.0, n_x=99, v_min=-1.5,
+                         v_max=-0.5, n_v=5, T=0.15, n_t=1)
+        n_bsb = min_time_steps(params, trial, "bsb")
+        grid = dataclasses.replace(trial, n_t=n_bsb - 1)
+        err = sweep_error(run_delta_sweep, params, BUTTERFLY, grid,
+                          (100.0, -1.0), [0.5, 0.2])
+        assert isinstance(err, StabilityError)
+        assert "delta=" not in str(err)
+        assert err.min_time_steps == n_bsb
+
+    @pytest.mark.parametrize("fork", [True, False])
+    def test_refined_delta_error_before_refined_limit(self, monkeypatch,
+                                                      fork):
+        """Both refined solves fail: the refined delta march's error is
+        raised, as one solve after the other raised it, although the
+        refined limit failed first."""
+        monkeypatch.setattr(convergence, "_fork_ok", lambda: fork)
+        params = mk_params()
+        grid = mk_grid(params, n_x=49)
+
+        def failing_off_grid(solve, message):
+            def call(params_base, payoff, g, *args):
+                if g != grid:
+                    raise ValueError(message)
+                return solve(params_base, payoff, g, *args)
+            return call
+
+        for name in ("_solve_deltas", "_limit_values"):
+            monkeypatch.setattr(convergence, name, failing_off_grid(
+                getattr(convergence, name), f"refined {name}"))
+        with pytest.raises(ValueError, match="refined _solve_deltas"):
+            run_delta_sweep(params, BUTTERFLY, grid, (100.0, -1.0),
+                            [0.36, 0.09])
+        assert_no_children()
+
+    @pytest.mark.parametrize("failure", ["killed", "garbage"])
+    def test_failed_child_is_redone_in_process(self, forks, monkeypatch,
+                                               failure):
+        """A child killed mid-march, or one that sends unreadable data,
+        still gives the in-process report."""
+        params = mk_params()
+        args = (params, BUTTERFLY, mk_grid(params, n_x=149), (100.0, -1.0),
+                [0.6, 0.3])
+        want = in_process(monkeypatch, run_delta_sweep, *args)
+        parent = os.getpid()
+        steps = []
+        if failure == "killed":
+            q_sup = hjb._q_sup_bare
+
+            def dying(*a, **kw):
+                steps.append(1)
+                if os.getpid() != parent and len(steps) == 10:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return q_sup(*a, **kw)
+
+            monkeypatch.setattr(hjb, "_q_sup_bare", dying)
+        else:
+            dumps = pickle.dumps
+            monkeypatch.setattr(pickle, "dumps", lambda obj: (
+                b"garbage" if os.getpid() != parent else dumps(obj)))
+        got = run_delta_sweep(*args)
+        assert len(forks) == 2
+        assert_no_children()
+        assert got == want
+        if failure == "killed":
+            assert steps  # the parent marched both deltas itself
 
 
 class GatherPolicy:

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from uvpricer.model import GridSpec, ModelParams, PiecewiseLinearPayoff
@@ -266,6 +266,26 @@ def grids_and_slices(draw):
 
 # Positions in units of the grid's width: inside, on the edges and outside.
 UNIT = st.floats(min_value=-0.5, max_value=1.5)
+
+
+class TestGreeksAxes:
+    @given(case=grids_and_slices())
+    @example(case=(GridSpec(x_min=0.0, x_max=4.0, n_x=3, v_min=0.0, v_max=1.0,
+                            n_v=3, T=1.0, n_t=1),
+                   np.random.default_rng(0).standard_normal((5, 3))))
+    def test_equal_the_moveaxis_form(self, case):
+        """The five fields equal those of the ``np.moveaxis`` form, bits
+        and memory layout, also on a v-axis of three nodes, where the
+        second difference copies the interior at the edges."""
+        grid, F = case
+        s = PriceSurface(values=np.stack([F, F]), grid=grid, params=PARAMS,
+                         kind="limit_p0", kept_times=(0, 1))
+        got = greeks(s, 1)
+        want = solver_reference.greeks(F, grid.dx, grid.dv)
+        for name, w in zip(("delta", "gamma", "vega", "vanna", "vomma"), want,
+                           strict=True):
+            g = getattr(got, name)
+            assert same_bits(g, w) and g.strides == w.strides, name
 
 
 class TestFlatBilinearKernel:
@@ -547,6 +567,24 @@ class TestCsvRows:
         if max_paths is None:
             for special in (b"-0.0", b"5e-324", b"1e+300"):
                 assert special in got
+
+    def test_repeated_values(self, tmp_path):
+        """Columns that repeat values, signed zeros and the smallest
+        subnormal among them, across several row blocks: each value keeps
+        its own text."""
+        pool = np.array([0.0, -0.0, 5e-324, -5e-324, 1.5, 1e300])
+        rng = np.random.default_rng(8)
+        batch = PathBatch(x_paths=rng.choice(pool, (150, 11)),
+                          v_paths=rng.choice(pool[:3], (150, 11)), dt=0.01,
+                          seed=3, control_tag="fixed q=0.15")
+        got = self.assert_same_file(
+            tmp_path,
+            lambda path: batch.to_csv(path, header_lines=self.HEADERS),
+            lambda path: csv_reference.paths_csv(path, batch, None,
+                                                 self.HEADERS),
+        )
+        for text in (b",0.0,", b",-0.0,", b",5e-324,", b",-5e-324,"):
+            assert text in got
 
     def test_control_field(self, tmp_path):
         field = ControlField(q_star=csv_values(5, (11, 5)),
