@@ -26,9 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng
 from .model import ModelParams, PiecewiseLinearPayoff
-from .sde import simulate_paths
+from .sde import _march_chunks, simulate_paths
 from .surface import (
     PriceSurface,
     _bilinear_read,
@@ -163,7 +162,6 @@ def simulate_2bsde_residual(
     seed: int,
     payoff: PiecewiseLinearPayoff | None = None,
     driver: DriverSpec | None = None,
-    chunk_size: int | None = None,
 ) -> BsdeResidualReport:
     """Forward-simulate the backward representation and report the residual.
 
@@ -191,17 +189,14 @@ def simulate_2bsde_residual(
     if driver is None:
         driver = _driver_for_surface(surface, params)
     dt = grid.T / n_steps
-    sqdt = math.sqrt(dt)
     y0_fd = surface.value_at(0, x0, v0)
     terminal = surface.slice_at(grid.n_t)
     fields_at = _SliceMemo(surface, greeks)
-    if chunk_size is None:
-        chunk_size = max(1, rng._CHUNK_CELLS // (2 * n_steps))
-    sum_resid = 0.0
-    sum_sq = 0.0
+    sum_resid = sum_sq = 0.0
     n_used = 0
-    for start, m in rng.chunk_ranges(n_paths, chunk_size):
-        z = rng.normal_increments(seed, m, n_steps, first_path=start)
+
+    def march(first, m, dw1, dw2):
+        nonlocal sum_resid, sum_sq, n_used
         x = np.full(m, x0)
         v = np.full(m, v0)
         y = np.full(m, y0_fd)
@@ -219,12 +214,10 @@ def simulate_2bsde_residual(
             s12 = _bilinear_read(g.vanna, *cell)
             s22 = _bilinear_read(g.vomma, *cell)
             f = driver(x, v, z2, s11, s12, s22)
-            dw1 = sqdt * z[:, k, 0]
-            dw2 = sqdt * z[:, k, 1]
-            dy = (f + 0.5 * (s11 + s22)) * dt + z1 * dw1 + z2 * dw2
+            dy = (f + 0.5 * (s11 + s22)) * dt + z1 * dw1[k] + z2 * dw2[k]
             np.add(y, dy, out=y, where=alive)
-            np.add(x, dw1, out=x, where=alive)
-            np.add(v, dw2, out=v, where=alive)
+            np.add(x, dw1[k], out=x, where=alive)
+            np.add(v, dw2[k], out=v, where=alive)
             alive &= (
                 (x >= grid.x_min) & (x <= grid.x_max)
                 & (v >= grid.v_min) & (v <= grid.v_max)
@@ -241,6 +234,10 @@ def simulate_2bsde_residual(
             sum_resid += float(resid.sum())
             sum_sq += float((resid**2).sum())
             n_used += idx.size
+
+    # Independent increments (rho = 0), in half-budget chunks in path order
+    # on this thread: the residual sums are grouped by these chunks.
+    _march_chunks(0.0, n_paths, n_steps, dt, seed, False, march, split=2)
     if n_used == 0:
         raise RuntimeError(
             "every path left the grid before maturity; enlarge the domain"
@@ -263,7 +260,6 @@ def martingale_check(
     n_paths: int,
     n_steps: int,
     seed: int,
-    chunk_size: int | None = None,
 ) -> MartingaleReport:
     """Drift of the surface value along model paths under a control.
 
@@ -276,20 +272,18 @@ def martingale_check(
     if params.r != 0.0:
         raise ValueError("martingale check is defined for r = 0")
     batch = simulate_paths(
-        params, x0, v0, q_policy, n_paths, n_steps, surface.grid.T, seed,
-        chunk_size=chunk_size,
+        params, x0, v0, q_policy, n_paths, n_steps, surface.grid.T, seed
     )
     m0 = surface.value_at(0, x0, v0)
     m_term = surface.value_at(
         surface.grid.n_t, batch.x_paths[:, -1], batch.v_paths[:, -1]
     )
     diff = m_term - m0
-    tag = getattr(q_policy, "tag", None) or f"fixed q={float(q_policy):g}"
     return MartingaleReport(
         drift_estimate=float(diff.mean()),
         std_error=float(diff.std(ddof=1) / math.sqrt(n_paths)),
         n_paths=int(n_paths),
-        policy_tag=tag,
+        policy_tag=batch.control_tag,
     )
 
 

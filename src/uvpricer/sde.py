@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import os
 import queue
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -31,8 +30,6 @@ from .surface import _write_csv
 
 # Fixed-q chunks run on one thread per CPU in the process's affinity mask.
 _WORKERS = len(os.sched_getaffinity(0))
-_POOL = None
-_POOL_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -104,12 +101,6 @@ class CoupledGap:
         yield self.std_error
 
 
-def _policy_tag(q_policy) -> str:
-    if isinstance(q_policy, (int, float)):
-        return f"fixed q={float(q_policy)}"
-    return str(getattr(q_policy, "tag", q_policy.__class__.__name__))
-
-
 def _check_run(n_paths: int, n_steps: int, T: float, x0: float, v0: float) -> None:
     if n_paths < 1 or n_steps < 1:
         raise ValueError(f"need n_paths >= 1 and n_steps >= 1, got {n_paths}, {n_steps}")
@@ -133,35 +124,24 @@ def _check_fixed_q(params: ModelParams, q: float) -> float:
     return q
 
 
-def _chunks(n_paths: int, n_steps: int, chunk_size: int | None,
-            parallel: bool) -> list[tuple[int, int]]:
+def _chunks(n_paths: int, n_steps: int, parallel: bool,
+            split: int = 1) -> list[tuple[int, int]]:
     """``(first, count)`` path ranges of one batch.
 
-    Without ``chunk_size``, a parallel batch splits into a multiple of
-    ``_WORKERS`` balanced chunks near ``_CHUNK_CELLS // 4`` cells each; a
-    sequential one into chunks of at most ``_CHUNK_CELLS`` cells.
+    A parallel batch splits into a multiple of ``_WORKERS`` balanced
+    chunks near ``_CHUNK_CELLS // 4`` cells each; a sequential one into
+    chunks of at most ``_CHUNK_CELLS // split`` cells.
     """
-    if chunk_size is None and parallel:
+    if parallel:
         target = max(1, _CHUNK_CELLS // 4 // n_steps)
         n_chunks = min(n_paths, _WORKERS * -(-n_paths // (target * _WORKERS)))
         ends = [n_paths * i // n_chunks for i in range(n_chunks + 1)]
         return [(lo, hi - lo) for lo, hi in zip(ends, ends[1:])]
-    if chunk_size is None:
-        chunk_size = max(1, _CHUNK_CELLS // n_steps)
-    return list(chunk_ranges(n_paths, chunk_size))
+    return list(chunk_ranges(n_paths, max(1, _CHUNK_CELLS // (split * n_steps))))
 
 
-def _pool() -> ThreadPoolExecutor:
-    """The shared chunk pool, created on first use."""
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None:
-            _POOL = ThreadPoolExecutor(max_workers=_WORKERS)
-        return _POOL
-
-
-def _march_chunks(params: ModelParams, n_paths: int, n_steps: int, dt: float,
-                  seed: int, chunk_size: int | None, parallel: bool, march) -> None:
+def _march_chunks(rho: float, n_paths: int, n_steps: int, dt: float,
+                  seed: int, parallel: bool, march, split: int = 1) -> None:
     """Call ``march(first, count, dw1, dw2)`` once per path chunk.
 
     ``dw1`` and ``dw2`` are the asset and factor Brownian increments,
@@ -169,13 +149,14 @@ def _march_chunks(params: ModelParams, n_paths: int, n_steps: int, dt: float,
     ``dw1[k]`` is one contiguous row; both are views of a reused
     workspace, valid only during the call.  With ``parallel`` the chunks
     run on a pool of one thread per CPU the process may use (Philox,
-    ``ndtri`` and numpy ufuncs release the GIL); ``march`` must then write
-    only its own path slice.
+    ``ndtri`` and numpy ufuncs release the GIL), which lives for this
+    call only; ``march`` must then write only its own path slice.
+    Sequential chunks run in path order on the calling thread; ``split``
+    divides their cell budget (see :func:`_chunks`).
     """
     sq_dt = math.sqrt(dt)
-    rho = params.rho
     rho_perp_dt = math.sqrt(max(0.0, 1.0 - rho * rho)) * sq_dt
-    chunks = _chunks(n_paths, n_steps, chunk_size, parallel)
+    chunks = _chunks(n_paths, n_steps, parallel, split)
     pooled = parallel and _WORKERS > 1 and len(chunks) > 1
     # One step-major workspace per worker, allocated on this thread and
     # handed out through a queue, so pool threads allocate only row-sized
@@ -201,8 +182,8 @@ def _march_chunks(params: ModelParams, n_paths: int, n_steps: int, dt: float,
             spaces.put(space)
 
     if pooled:
-        for _ in _pool().map(run, chunks):
-            pass
+        with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
+            list(pool.map(run, chunks))
     else:
         for chunk in chunks:
             run(chunk)
@@ -231,7 +212,6 @@ def simulate_paths(
     n_steps: int,
     T: float,
     seed: int,
-    chunk_size: int | None = None,
 ) -> PathBatch:
     """Euler-Maruyama batch of ``(X, V)`` paths up to horizon ``T``.
 
@@ -243,11 +223,14 @@ def simulate_paths(
     fixed_q = None
     if isinstance(q_policy, (int, float)):
         fixed_q = _check_fixed_q(params, q_policy)
+        tag = f"fixed q={fixed_q}"
     elif not hasattr(q_policy, "values"):
         raise TypeError(
             "q_policy must be a number or expose values(t, x, v); got "
             f"{type(q_policy).__name__}"
         )
+    else:
+        tag = str(getattr(q_policy, "tag", q_policy.__class__.__name__))
 
     dt = T / n_steps
     # Step-major storage keeps every step's write one contiguous row.
@@ -272,8 +255,8 @@ def simulate_paths(
 
     # A policy (e.g. a WorstCaseControl with its last-slice memo) is only
     # ever called from this thread.
-    _march_chunks(params, n_paths, n_steps, dt, seed, chunk_size,
-                  fixed_q is not None, march)
+    _march_chunks(params.rho, n_paths, n_steps, dt, seed, fixed_q is not None,
+                  march)
     # Drop each step-major buffer once copied, so at most three are alive.
     x_out = np.ascontiguousarray(x_steps.T)
     del x_steps
@@ -281,7 +264,7 @@ def simulate_paths(
     x_out.flags.writeable = False
     v_out.flags.writeable = False
     return PathBatch(
-        x_paths=x_out, v_paths=v_out, dt=dt, seed=seed, control_tag=_policy_tag(q_policy)
+        x_paths=x_out, v_paths=v_out, dt=dt, seed=seed, control_tag=tag
     )
 
 
@@ -332,7 +315,6 @@ def coupled_payoff_gap(
     n_steps: int,
     T: float,
     seed: int,
-    chunk_size: int | None = None,
 ) -> CoupledGap:
     """Mean-square terminal gap between the moving-factor asset and its
     frozen-factor twin driven by the same Brownian increments.
@@ -362,7 +344,7 @@ def coupled_payoff_gap(
         gap_samples[first : first + count] = (x_mov - x_frz) ** 2
         pay_samples[first : first + count] = (payoff(x_mov) - payoff(x_frz)) ** 2
 
-    _march_chunks(params, n_paths, n_steps, dt, seed, chunk_size, True, march)
+    _march_chunks(params.rho, n_paths, n_steps, dt, seed, True, march)
     gap, gap_se = _mean_and_se(gap_samples)
     pay, pay_se = _mean_and_se(pay_samples)
     return CoupledGap(

@@ -346,12 +346,16 @@ def _q_sup_bare(aa, bb, lo: float, hi: float, out=None):
     a, b = np.take(aa, candidates), np.take(bb, candidates)
     q_hat = -b / (2.0 * a)
     interior = (q_hat > lo) & (q_hat < hi)
-    a, b = a[interior], b[interior]
+    a, b, q_hat = a[interior], b[interior], q_hat[interior]
     f_hat = -(b * b) / (4.0 * a)
+    # b * b leaves the normal range unless 2**-511 <= b < 2**512; there
+    # f(q_hat) is taken as the equal b q_hat / 2.
+    lost = (b < 2.0**-511) | (b >= 2.0**512)
+    f_hat[lost] = 0.5 * b[lost] * q_hat[lost]
     inside = candidates[interior]
     flat = sup.reshape(-1)
     flat[inside] = np.maximum(flat.take(inside), f_hat)
-    return sup, f_lo, f_hi, inside, q_hat[interior]
+    return sup, f_lo, f_hi, inside, q_hat
 
 
 def _q_argsup(aa, bb, lo: float, hi: float) -> np.ndarray:

@@ -31,6 +31,8 @@ def q_sup(aa, bb, lo, hi):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         q_hat = np.where(concave, -bb / (2.0 * aa), hi)
         f_hat = np.where(concave, -(bb * bb) / (4.0 * aa), -np.inf)
+        lost = concave & ((np.abs(bb) < 2.0**-511) | (np.abs(bb) >= 2.0**512))
+        f_hat = np.where(lost, 0.5 * bb * q_hat, f_hat)
     inside = concave & (q_hat > lo) & (q_hat < hi)
     return np.where(inside, np.maximum(sup, f_hat), sup)
 
@@ -49,6 +51,8 @@ def q_sup_parts(aa, bb, lo, hi):
         inside = np.flatnonzero(concave & (q_hat > lo) & (q_hat < hi))
         a, b = np.take(aa, inside), np.take(bb, inside)
         f_hat = -(b * b) / (4.0 * a)
+        lost = (np.abs(b) < 2.0**-511) | (np.abs(b) >= 2.0**512)
+        f_hat[lost] = 0.5 * b[lost] * q_hat.take(inside)[lost]
     flat = sup.reshape(-1)
     flat[inside] = np.maximum(flat.take(inside), f_hat)
     return sup, f_lo, f_hi, inside, q_hat.take(inside)

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from uvpricer import rng
+from uvpricer import rng, sde
 from uvpricer.analytic import bs_call
 from uvpricer.bsde import (
     BsdeResidualReport,
@@ -138,16 +138,16 @@ class TestResidualSimulation:
         )
         assert b.n_paths_used == a.n_paths_used
 
-    def test_chunking_and_determinism(self):
+    def test_chunking_and_determinism(self, monkeypatch):
         """Chunk size never changes the outcome; reruns are identical."""
         p = mk_params(sigma_min=0.15, sigma_max=0.15)
         h = PiecewiseLinearPayoff.call(100.0)
         surface = limit_family(p, h, n_x=49, n_v=9)
-        reps = [
-            simulate_2bsde_residual(surface, p, (100.0, -0.5), 3000, 16,
-                                    seed=4, payoff=h, chunk_size=cs)
-            for cs in (None, 3000, 700)
-        ]
+        reps = []
+        for cells in (sde._CHUNK_CELLS, 2 * 3000 * 16, 2 * 700 * 16):
+            monkeypatch.setattr(sde, "_CHUNK_CELLS", cells)  # 3000, 700 paths
+            reps.append(simulate_2bsde_residual(surface, p, (100.0, -0.5),
+                                                3000, 16, seed=4, payoff=h))
         for rep in reps[1:]:
             assert rep.terminal_residual_rms == pytest.approx(
                 reps[0].terminal_residual_rms, rel=1e-12
@@ -291,13 +291,16 @@ class TestMaskedMarch:
     @pytest.mark.parametrize("kind", ["full_delta", "limit_p0"])
     @pytest.mark.parametrize("chunk_size", [None, 700])
     @pytest.mark.parametrize("with_payoff", [True, False])
-    def test_equals_the_gather_scatter_loop(self, kind, chunk_size, with_payoff):
+    def test_equals_the_gather_scatter_loop(self, monkeypatch, kind, chunk_size,
+                                            with_payoff):
         """Marching every path under its alive mask reports exactly what the
         gather/scatter loop over the alive paths reports, with paths lost."""
         p, h, surface = narrow_surface(kind)
         args = (surface, p, (100.0, -0.5), 3000, 16, 13)
         payoff = h if with_payoff else None
-        got = simulate_2bsde_residual(*args, payoff=payoff, chunk_size=chunk_size)
+        if chunk_size is not None:
+            monkeypatch.setattr(sde, "_CHUNK_CELLS", 2 * chunk_size * 16)
+        got = simulate_2bsde_residual(*args, payoff=payoff)
         want = gather_residual(*args, payoff=payoff, chunk_size=chunk_size)
         assert got == want
         assert 0.2 < got.discard_fraction < 0.9
@@ -349,6 +352,22 @@ class TestMartingaleCheck:
             assert rep.drift_estimate <= ref.drift_estimate + 3.0 * (
                 rep.std_error + ref.std_error
             )
+
+
+    def test_untagged_policy(self):
+        """A policy object without a tag is reported by its class name."""
+        p = mk_params()
+        surface = limit_family(p, PiecewiseLinearPayoff.call(100.0),
+                               n_x=39, n_v=7)
+
+        class Untagged:
+            def values(self, t, x, v):
+                return np.full_like(x, 0.15)
+
+        rep = martingale_check(surface, p, Untagged(), 100.0, -0.5, 200, 8, seed=1)
+        fixed = martingale_check(surface, p, 0.15, 100.0, -0.5, 200, 8, seed=1)
+        assert rep.policy_tag == "Untagged"
+        assert (rep.drift_estimate, rep.std_error) == tuple(fixed)
 
 
 class TestDriverConsistency:

@@ -6,11 +6,12 @@ import math
 import os
 import pickle
 import signal
+import threading
 
 import numpy as np
 import pytest
 
-from uvpricer import convergence, hjb
+from uvpricer import convergence, hjb, sde
 from uvpricer.convergence import (
     ConvergenceReport,
     FeynmanKacReport,
@@ -24,7 +25,7 @@ from uvpricer.convergence import (
 from uvpricer.errors import FitError, NonFiniteError, StabilityError
 from uvpricer.hjb import min_time_steps, solve_bsb_1d, solve_corrector, solve_hjb_2d
 from uvpricer.model import GridSpec, ModelParams, PiecewiseLinearPayoff
-from uvpricer.sde import simulate_paths
+from uvpricer.sde import coupled_payoff_gap, simulate_paths
 from uvpricer.surface import _SliceMemo, greeks, optimal_control_field
 
 from bilinear_reference import gather_read, gather_weights
@@ -282,8 +283,10 @@ class TestCorrectorSweep:
         assert doc["rows"][0]["delta"] == 0.36
 
 
+# Large enough that the 2-D march overflows at its first step, while the
+# limit march stays finite.
 HUGE_BUTTERFLY = PiecewiseLinearPayoff.from_calls(
-    [(90.0, 1e300), (100.0, -2e300), (110.0, 1e300)]
+    [(90.0, 1e306), (100.0, -2e306), (110.0, 1e306)]
 )
 TOO_HUGE_BUTTERFLY = PiecewiseLinearPayoff.from_calls(
     [(90.0, 1e307), (100.0, -2e307), (110.0, 1e307)]
@@ -295,6 +298,11 @@ SWEEPS = {"sweep": run_delta_sweep, "corrector": corrector_sweep}
 def forks(monkeypatch):
     """Sweeps fork their delta marches; the list records each fork."""
     monkeypatch.setattr(convergence, "_fork_ok", lambda: True)
+    return count_forks(monkeypatch)
+
+
+def count_forks(monkeypatch):
+    """The list that records each ``os.fork`` call from now on."""
     started = []
     real_fork = os.fork
 
@@ -459,6 +467,23 @@ class TestForkedSweeps:
         assert got == want
         if failure == "killed":
             assert steps  # the parent marched both deltas itself
+
+    def test_sweep_forks_after_a_fixed_q_simulation(self, monkeypatch):
+        """A fixed-q simulation and a coupled gap leave no pool thread
+        behind, so a later sweep still forks its delta marches."""
+        for module in (sde, convergence):
+            monkeypatch.setattr(module, "_WORKERS", max(2, sde._WORKERS))
+        threads = threading.active_count()
+        params = mk_params()
+        simulate_paths(params, 100.0, -1.0, 0.15, 2000, 16, 0.15, seed=3)
+        coupled_payoff_gap(params, BUTTERFLY, 100.0, -1.0, 0.15, 2000, 16,
+                           0.15, seed=3)
+        assert threading.active_count() == threads == 1
+        started = count_forks(monkeypatch)
+        run_delta_sweep(params, BUTTERFLY, mk_grid(params, n_x=149),
+                        (100.0, -1.0), [0.6, 0.3])
+        assert len(started) == 2
+        assert_no_children()
 
 
 class GatherPolicy:

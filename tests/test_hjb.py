@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import solver_reference as ref
+from uvpricer import hjb
 from uvpricer.errors import NonFiniteError, StabilityError
 from uvpricer.analytic import bs_call, fixed_vol_price
 from uvpricer.convergence import _solve_deltas
@@ -450,8 +451,9 @@ class TestStackedMarch:
         assert np.array_equal(got, family.value_at(0, x0, v0))
 
 
+# Large enough that the 2-D march overflows at its first step.
 HUGE_BUTTERFLY = PiecewiseLinearPayoff.from_calls(
-    [(90.0, 1e300), (100.0, -2e300), (110.0, 1e300)]
+    [(90.0, 1e306), (100.0, -2e306), (110.0, 1e306)]
 )
 TOO_HUGE_BUTTERFLY = PiecewiseLinearPayoff.from_calls(
     [(90.0, 1e307), (100.0, -2e307), (110.0, 1e307)]
@@ -472,7 +474,7 @@ class TestNonFinite:
         p = mk_params(delta=0.25)
         grid = mk_grid(p, "full", x_max=200.0, n_x=39)
         got = nonfinite_report(solve_hjb_2d, p, HUGE_BUTTERFLY, grid)
-        assert got == (15, (28, 1))
+        assert got == (24, (18, 1))
         assert got == nonfinite_report(ref.solve_hjb_2d, p, HUGE_BUTTERFLY, grid)
 
     def test_full_solver_discounted_from_x_min(self):
@@ -493,19 +495,32 @@ class TestNonFinite:
         assert got == nonfinite_report(ref.solve_bsb_1d, p, TOO_HUGE_BUTTERFLY,
                                        grid, v=v)
 
-    def test_stacked_deltas(self):
+    def test_stacked_deltas(self, monkeypatch):
         """The stacked solve names a delta that went non-finite first, at
-        the step and node that delta's own solve reports: here 0.2 and
-        0.05 both fail first, at step 21, and 0.2 comes first."""
+        the step and node that delta's own solve reports.  The q-sup is
+        made infinite where an interior maximizer has ``b >= 2**512``, a
+        source that depends on delta: on a 1e300 butterfly 0.2 and 0.05
+        both fail first, at step 21, and 0.2 comes first."""
+        q_sup = hjb._q_sup_bare
+
+        def overflowing(aa, bb, lo, hi, out):
+            sup, f_lo, f_hi, inside, q_inside = q_sup(aa, bb, lo, hi, out)
+            sup.reshape(-1)[inside[np.take(bb, inside) >= 2.0**512]] = np.inf
+            return sup, f_lo, f_hi, inside, q_inside
+
+        monkeypatch.setattr(hjb, "_q_sup_bare", overflowing)
+        payoff = PiecewiseLinearPayoff.from_calls(
+            [(90.0, 1e300), (100.0, -2e300), (110.0, 1e300)]
+        )
         p = mk_params()
         ds = [0.4, 0.2, 0.1, 0.05]
         grid = mk_grid(p.with_delta(1.0), "full", x_max=200.0, n_x=39)
-        alone = [nonfinite_report(solve_hjb_2d, p.with_delta(d), HUGE_BUTTERFLY,
-                                  grid) for d in ds]
+        alone = [nonfinite_report(solve_hjb_2d, p.with_delta(d), payoff, grid)
+                 for d in ds]
         first = max(t for t, _ in alone)
         named = next(j for j, (t, _) in enumerate(alone) if t == first)
         with np.errstate(all="ignore"), pytest.raises(NonFiniteError) as err:
-            _solve_deltas(p, HUGE_BUTTERFLY, grid, 100.0, -0.5, ds, False)
+            _solve_deltas(p, payoff, grid, 100.0, -0.5, ds, False)
         assert named == 1
         assert f"delta={ds[named]!r}" in str(err.value)
         assert (err.value.time_index, err.value.node) == alone[named]

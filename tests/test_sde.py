@@ -4,6 +4,7 @@ import math
 import os
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -55,12 +56,13 @@ class TestSimulatePaths:
         )
         assert np.all(batch.x_paths > 0.0)
 
-    def test_deterministic_and_chunk_independent(self):
+    def test_deterministic_and_chunk_independent(self, monkeypatch):
         """Seed fixes the batch bit-for-bit regardless of chunk schedule."""
         kwargs = dict(x0=100.0, v0=-1.0, q_policy=0.15, n_paths=37,
                       n_steps=11, T=0.15, seed=11)
         a = simulate_paths(make_params(), **kwargs)
-        b = simulate_paths(make_params(), **kwargs, chunk_size=5)
+        monkeypatch.setattr(sde, "_CHUNK_CELLS", 4 * 5 * 11)  # 5-path chunks
+        b = simulate_paths(make_params(), **kwargs)
         assert np.array_equal(a.x_paths, b.x_paths)
         assert np.array_equal(a.v_paths, b.v_paths)
 
@@ -153,11 +155,11 @@ class TestPathEngine:
     PAYOFF = PiecewiseLinearPayoff.butterfly(90.0, 100.0, 110.0)
 
     @staticmethod
-    def run_both(params, n_paths, n_steps, seed, **kwargs):
+    def run_both(params, n_paths, n_steps, seed):
         batch = simulate_paths(params, 100.0, -1.0, 0.15, n_paths, n_steps,
-                               0.15, seed, **kwargs)
+                               0.15, seed)
         gap = coupled_payoff_gap(params, TestPathEngine.PAYOFF, 100.0, -1.0,
-                                 0.15, n_paths, n_steps, 0.15, seed, **kwargs)
+                                 0.15, n_paths, n_steps, 0.15, seed)
         return batch, gap
 
     @settings(max_examples=25, deadline=None)
@@ -176,14 +178,16 @@ class TestPathEngine:
         chunk budget and a one-worker pool."""
         params = make_params(delta=delta)
         ref_batch, ref_gap = self.run_both(params, n_paths, n_steps, seed)
-        runs = [self.run_both(params, n_paths, n_steps, seed, chunk_size=c)
-                for c in (chunk, n_paths)]
+        runs = []
+        # A budget of 4 * c * n_steps cells makes chunks of about c paths.
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sde, "_CHUNK_CELLS", budget)
-            runs.append(self.run_both(params, n_paths, n_steps, seed))
+            for cells in (4 * chunk * n_steps, budget):
+                mp.setattr(sde, "_CHUNK_CELLS", cells)
+                runs.append(self.run_both(params, n_paths, n_steps, seed))
             mp.setattr(sde, "_WORKERS", 1)
-            runs.append(self.run_both(params, n_paths, n_steps, seed))
-            runs.append(self.run_both(params, n_paths, n_steps, seed, chunk_size=chunk))
+            for cells in (budget, 4 * chunk * n_steps, 4 * n_paths * n_steps):
+                mp.setattr(sde, "_CHUNK_CELLS", cells)
+                runs.append(self.run_both(params, n_paths, n_steps, seed))
         for batch, gap in runs:
             assert np.array_equal(batch.x_paths, ref_batch.x_paths)
             assert np.array_equal(batch.v_paths, ref_batch.v_paths)
@@ -200,34 +204,42 @@ class TestPathEngine:
         """Rows ``:n`` of a larger batch are the smaller batch."""
         params = make_params()
         small = simulate_paths(params, 100.0, -1.0, 0.15, n_small, n_steps, 0.15, seed)
-        large = simulate_paths(params, 100.0, -1.0, 0.15, n_small + extra, n_steps,
-                               0.15, seed, chunk_size=7)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sde, "_CHUNK_CELLS", 4 * 7 * n_steps)  # 7-path chunks
+            large = simulate_paths(params, 100.0, -1.0, 0.15, n_small + extra,
+                                   n_steps, 0.15, seed)
         assert np.array_equal(large.x_paths[:n_small], small.x_paths)
         assert np.array_equal(large.v_paths[:n_small], small.v_paths)
 
     def test_balanced_chunks_are_a_multiple_of_the_workers(self, monkeypatch):
-        """Default fixed-q chunks come in multiples of the worker count, no
-        larger than a quarter of the chunk budget and at most one path apart."""
+        """Fixed-q chunks come in multiples of the worker count, no larger
+        than a quarter of the chunk budget and at most one path apart;
+        sequential chunks hold the budget divided by ``split``, the last
+        one the rest."""
         n_paths, n_steps = 40_000, 150
         for workers in (1, 2, 3, 8):
             monkeypatch.setattr(sde, "_WORKERS", workers)
-            chunks = sde._chunks(n_paths, n_steps, None, parallel=True)
+            chunks = sde._chunks(n_paths, n_steps, parallel=True)
             counts = [count for _, count in chunks]
             assert len(chunks) % workers == 0
             assert sum(counts) == n_paths
             assert max(counts) * n_steps <= sde._CHUNK_CELLS // 4
             assert max(counts) - min(counts) <= 1
-        assert sde._chunks(n_paths, n_steps, None, parallel=False) == [
-            (0, sde._CHUNK_CELLS // n_steps),
-            (sde._CHUNK_CELLS // n_steps, n_paths - sde._CHUNK_CELLS // n_steps),
+        size = sde._CHUNK_CELLS // n_steps
+        assert sde._chunks(n_paths, n_steps, parallel=False) == [
+            (0, size), (size, n_paths - size),
+        ]
+        half = sde._CHUNK_CELLS // (2 * n_steps)
+        assert sde._chunks(n_paths, n_steps, parallel=False, split=2) == [
+            (0, half), (half, half), (2 * half, n_paths - 2 * half),
         ]
 
     @pytest.mark.parametrize("policy", ["fixed", "object"])
-    def test_path_arrays_are_c_contiguous_and_read_only(self, policy):
+    def test_path_arrays_are_c_contiguous_and_read_only(self, monkeypatch, policy):
         """Both path arrays are C-ordered and refuse writes."""
         q = 0.15 if policy == "fixed" else _Extremes()
-        batch = simulate_paths(make_params(), 100.0, -1.0, q, 60, 9, 0.1, seed=3,
-                               chunk_size=25)
+        monkeypatch.setattr(sde, "_CHUNK_CELLS", 25 * 9)  # several chunks
+        batch = simulate_paths(make_params(), 100.0, -1.0, q, 60, 9, 0.1, seed=3)
         for arr in (batch.x_paths, batch.v_paths):
             assert arr.flags.c_contiguous
             assert not arr.flags.writeable
@@ -236,13 +248,24 @@ class TestPathEngine:
 
     def test_oversubscribed_pool_matches_sequential_run(self, monkeypatch):
         """More workers than cores and a tiny switch interval leave every
-        path and gap sample where a one-worker run puts it."""
+        path and gap sample where a one-worker run puts it; each run's
+        pool has that many threads and is gone when the run returns."""
         params = make_params()
-        kwargs = dict(n_paths=400, n_steps=9, seed=77, chunk_size=13)
+        kwargs = dict(n_paths=400, n_steps=9, seed=77)
+        monkeypatch.setattr(sde, "_CHUNK_CELLS", 4 * 13 * 9)  # 13-path chunks
         monkeypatch.setattr(sde, "_WORKERS", 1)
         ref_batch, ref_gap = self.run_both(params, **kwargs)
-        monkeypatch.setattr(sde, "_WORKERS", 2 * len(os.sched_getaffinity(0)) + 1)
-        monkeypatch.setattr(sde, "_POOL", None)
+        workers = 2 * len(os.sched_getaffinity(0)) + 1
+        monkeypatch.setattr(sde, "_WORKERS", workers)
+        pools = []
+
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                super().__init__(max_workers)
+                pools.append(max_workers)
+
+        monkeypatch.setattr(sde, "ThreadPoolExecutor", RecordingPool)
+        threads = threading.active_count()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -251,19 +274,18 @@ class TestPathEngine:
                 assert np.array_equal(batch.x_paths, ref_batch.x_paths)
                 assert np.array_equal(batch.v_paths, ref_batch.v_paths)
                 assert gap == ref_gap
-            assert sde._POOL is not None
         finally:
             sys.setswitchinterval(interval)
-            if sde._POOL is not None:
-                sde._POOL.shutdown(wait=True)
+        assert pools == [workers] * 6
+        assert threading.active_count() == threads
 
-    @pytest.mark.parametrize("parallel, chunk_size", [(True, None), (True, 13),
-                                                      (False, 13), (False, None)])
-    def test_increments_and_workspaces(self, monkeypatch, parallel, chunk_size):
+    @pytest.mark.parametrize("parallel, chunk_paths", [(True, None), (True, 13),
+                                                       (False, 13), (False, None)])
+    def test_increments_and_workspaces(self, monkeypatch, parallel, chunk_paths):
         """Every chunk's increments equal the two-expression form
-        ``sq_dt z0`` and ``rho dw1 + rho_perp sq_dt z1`` bit for bit, and are
-        drawn into at most one reused workspace per worker."""
-        params = make_params(rho=-0.3)
+        ``sq_dt z0`` and ``rho dw1 + rho_perp sq_dt z1`` bit for bit (at
+        ``rho = 0``, ``dw2`` is ``sq_dt z1``), and are drawn into at most one
+        reused workspace per worker."""
         n_paths, n_steps, dt, seed = 203, 7, 0.02, 8
         bases = []
 
@@ -273,31 +295,37 @@ class TestPathEngine:
             return normal_increments(*args, out=out, **kwargs)
 
         monkeypatch.setattr(sde, "normal_increments", recording)
-        monkeypatch.setattr(sde, "_CHUNK_CELLS", 60 * n_steps)
-        seen = {}
-
-        def march(first, count, dw1, dw2):
-            seen[first] = (count, dw1.copy(), dw2.copy())
-
-        sde._march_chunks(params, n_paths, n_steps, dt, seed, chunk_size,
-                          parallel, march)
-        assert sum(count for count, _, _ in seen.values()) == n_paths
-        assert len(seen) > 1
-        assert len({id(b) for b in bases}) <= (sde._WORKERS if parallel else 1)
+        cells = 60 if chunk_paths is None else (4 if parallel else 1) * chunk_paths
+        monkeypatch.setattr(sde, "_CHUNK_CELLS", cells * n_steps)
         sq_dt = math.sqrt(dt)
-        rho_perp = math.sqrt(1.0 - params.rho**2)
-        for first, (count, dw1, dw2) in seen.items():
-            z = normal_increments(seed, count, n_steps, first_path=first)
-            want1 = sq_dt * z[:, :, 0].T
-            want2 = params.rho * want1 + rho_perp * sq_dt * z[:, :, 1].T
-            assert np.array_equal(dw1, want1)
-            assert np.array_equal(dw2, want2)
+        for rho in (-0.3, 0.0):
+            bases.clear()
+            seen = {}
 
-    def test_policy_is_queried_on_the_calling_thread(self):
+            def march(first, count, dw1, dw2):
+                seen[first] = (count, dw1.copy(), dw2.copy())
+
+            sde._march_chunks(rho, n_paths, n_steps, dt, seed, parallel, march)
+            assert sum(count for count, _, _ in seen.values()) == n_paths
+            assert len(seen) > 1
+            if chunk_paths is not None:
+                assert max(count for count, _, _ in seen.values()) <= chunk_paths
+            assert len({id(b) for b in bases}) <= (sde._WORKERS if parallel else 1)
+            rho_perp = math.sqrt(1.0 - rho**2)
+            for first, (count, dw1, dw2) in seen.items():
+                z = normal_increments(seed, count, n_steps, first_path=first)
+                want1 = sq_dt * z[:, :, 0].T
+                want2 = rho * want1 + rho_perp * sq_dt * z[:, :, 1].T
+                assert np.array_equal(dw1, want1)
+                assert np.array_equal(dw2, want2)
+                if rho == 0.0:
+                    assert np.array_equal(dw2, sq_dt * z[:, :, 1].T)
+
+    def test_policy_is_queried_on_the_calling_thread(self, monkeypatch):
         """A policy object never runs on the pool, even over many chunks."""
         policy = _Extremes()
-        simulate_paths(make_params(), 100.0, -1.0, policy, 50, 4, 0.1, seed=2,
-                       chunk_size=5)
+        monkeypatch.setattr(sde, "_CHUNK_CELLS", 5 * 4)  # 5-path chunks
+        simulate_paths(make_params(), 100.0, -1.0, policy, 50, 4, 0.1, seed=2)
         assert policy.threads == {threading.get_ident()}
 
 
@@ -393,11 +421,12 @@ class TestCoupledPayoffGap:
         tol = 3.0 * max(coarse.std_error, fine.std_error)
         assert abs(coarse.gap_sq - fine.gap_sq) <= tol
 
-    def test_chunk_invariance(self):
+    def test_chunk_invariance(self, monkeypatch):
         """Chunking the paths leaves the report bit for bit unchanged."""
         args = (make_params(), self.PAYOFF, 100.0, -1.0, 0.15, 3000, 20, 0.15, 9)
-        whole = coupled_payoff_gap(*args, chunk_size=None)
-        chunked = coupled_payoff_gap(*args, chunk_size=700)
+        whole = coupled_payoff_gap(*args)
+        monkeypatch.setattr(sde, "_CHUNK_CELLS", 4 * 700 * 20)  # 700-path chunks
+        chunked = coupled_payoff_gap(*args)
         assert chunked == whole
 
     def test_payoff_gap_controlled_by_lipschitz_constant(self):

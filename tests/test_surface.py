@@ -389,6 +389,11 @@ class TestQSup:
            lo=st.floats(min_value=0.01, max_value=1.0),
            width=st.floats(min_value=1e-3, max_value=1.0),
            u=st.floats(min_value=0.0, max_value=1.0))
+    # b * b underflows (the sup read 2.27e-254 against f(1.5) = 2.55e-254)
+    # and overflows (the sup read inf against 2.25e160).
+    @example(coef=(-1.1330797918820889e-254, 3.399239375646267e-254), lo=1.0,
+             width=1.0, u=0.5)
+    @example(coef=(-1e160, 3e160), lo=1.0, width=1.0, u=0.5)
     def test_sup_is_attained_in_the_interval(self, coef, lo, width, u):
         """The sup dominates every q in the interval, the endpoints
         exactly, and equals f at the returned maximizer."""
