@@ -26,8 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import sde
 from .model import ModelParams, PiecewiseLinearPayoff
-from .sde import _march_chunks, simulate_paths
+from .rng import chunk_ranges
+from .sde import _in_halves, _march_chunks, _mean_and_se, _shared, simulate_paths
 from .surface import (
     PriceSurface,
     _bilinear_read,
@@ -192,11 +194,10 @@ def simulate_2bsde_residual(
     y0_fd = surface.value_at(0, x0, v0)
     terminal = surface.slice_at(grid.n_t)
     fields_at = _SliceMemo(surface, greeks)
-    sum_resid = sum_sq = 0.0
-    n_used = 0
+    resid = _shared((n_paths,))
+    alive_out = _shared((n_paths,), bool)
 
     def march(first, m, dw1, dw2):
-        nonlocal sum_resid, sum_sq, n_used
         x = np.full(m, x0)
         v = np.full(m, v0)
         y = np.full(m, y0_fd)
@@ -222,6 +223,7 @@ def simulate_2bsde_residual(
                 (x >= grid.x_min) & (x <= grid.x_max)
                 & (v >= grid.v_min) & (v <= grid.v_max)
             )
+        alive_out[first:first + m] = alive
         idx = np.flatnonzero(alive)
         if idx.size:
             if payoff is not None:
@@ -230,18 +232,25 @@ def simulate_2bsde_residual(
                 h_term = _bilinear_read(
                     terminal, *_bilinear_weights(grid, x[idx], v[idx])
                 )
-            resid = h_term - y[idx]
-            sum_resid += float(resid.sum())
-            sum_sq += float((resid**2).sum())
-            n_used += idx.size
+            resid[first + idx] = h_term - y[idx]
 
-    # Independent increments (rho = 0), in half-budget chunks in path order
-    # on this thread: the residual sums are grouped by these chunks.
-    _march_chunks(0.0, n_paths, n_steps, dt, seed, False, march, split=2)
+    # Independent increments (rho = 0).  A half of up to _CHUNK_CELLS cells
+    # marches as one chunk, so each process derives every slice's Greeks once.
+    _in_halves(n_paths, lambda first, count: _march_chunks(
+        0.0, count, n_steps, dt, seed, False, march, first))
+    n_used = int(np.count_nonzero(alive_out))
     if n_used == 0:
         raise RuntimeError(
             "every path left the grid before maturity; enlarge the domain"
         )
+    # Summed in path order over blocks of half a chunk budget of paths, the
+    # grouping y0_mean and the RMS have always had, so they keep their bits.
+    sum_resid = sum_sq = 0.0
+    block = max(1, sde._CHUNK_CELLS // (2 * n_steps))
+    for first, count in chunk_ranges(n_paths, block):
+        r = resid[first:first + count][alive_out[first:first + count]]
+        sum_resid += float(r.sum())
+        sum_sq += float((r**2).sum())
     return BsdeResidualReport(
         y0_fd=float(y0_fd),
         y0_mean=float(y0_fd + sum_resid / n_used),
@@ -278,10 +287,10 @@ def martingale_check(
     m_term = surface.value_at(
         surface.grid.n_t, batch.x_paths[:, -1], batch.v_paths[:, -1]
     )
-    diff = m_term - m0
+    drift, std_error = _mean_and_se(m_term - m0)
     return MartingaleReport(
-        drift_estimate=float(diff.mean()),
-        std_error=float(diff.std(ddof=1) / math.sqrt(n_paths)),
+        drift_estimate=drift,
+        std_error=std_error,
         n_paths=int(n_paths),
         policy_tag=batch.control_tag,
     )

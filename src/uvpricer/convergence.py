@@ -16,10 +16,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
-import pickle
-import signal
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,7 +32,7 @@ from .hjb import (
     solve_hjb_2d,
 )
 from .model import GridSpec, ModelParams, PiecewiseLinearPayoff
-from .sde import _WORKERS, simulate_paths
+from .sde import _in_halves, _Job, _mean_and_se, _shared, simulate_paths
 from .surface import (
     PriceSurface,
     WorstCaseControl,
@@ -247,80 +243,6 @@ def _solve_deltas(params_base, payoff, grid, x0, v0, ds, cell_average_terminal):
                         kept_times=kept).value_at(0, x0, v0)
         for j, d in enumerate(ds)
     }
-
-
-def _fork_ok() -> bool:
-    """Whether a :class:`_Job` may run in a forked child: ``os.fork``
-    exists, the affinity mask holds two CPUs or more, and no other thread
-    is alive, as forking a threaded process can deadlock the child."""
-    return (hasattr(os, "fork") and _WORKERS >= 2
-            and threading.active_count() == 1)
-
-
-class _Job:
-    """``fn(*args)``, started in a forked child when :func:`_fork_ok`.
-
-    The child writes the pickle of the return value into a pipe and
-    always leaves by ``os._exit``: it never returns into the caller's
-    stack nor flushes the stdio it inherited.  :meth:`result` reads the
-    pipe to its end and reaps the child.  When there is no child, or the
-    child raised, died or sent unreadable data, :meth:`result` makes the
-    call in-process, so a failure reaches the caller as its own error.
-    Processes, not threads: the marches' many small numpy calls hand the
-    GIL back and forth, and two solves on two threads ran slower than one
-    after the other.
-    """
-
-    def __init__(self, fn, *args):
-        self._call = fn, args
-        self._pid = None
-        if not _fork_ok():
-            return
-        read, write = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(read)
-            os.close(write)
-            return
-        if pid == 0:
-            status = 1
-            try:
-                os.close(read)
-                data = memoryview(pickle.dumps(fn(*args)))
-                while data:
-                    data = data[os.write(write, data):]
-                status = 0
-            finally:
-                os._exit(status)
-        os.close(write)
-        self._pid, self._read = pid, read
-
-    def _reap(self, kill: bool) -> int:
-        if kill:
-            os.kill(self._pid, signal.SIGKILL)
-        status = os.waitpid(self._pid, 0)[1]
-        self._pid = None
-        os.close(self._read)
-        return status
-
-    def result(self):
-        if self._pid is not None:
-            chunks = []
-            while chunk := os.read(self._read, 1 << 16):
-                chunks.append(chunk)
-            if self._reap(kill=False) == 0:
-                try:
-                    return pickle.loads(b"".join(chunks))
-                except Exception:
-                    pass
-        fn, args = self._call
-        return fn(*args)
-
-    def cancel(self) -> None:
-        """Kill and reap the child, if it is still outstanding."""
-        if self._pid is not None:
-            self._reap(kill=True)
 
 
 def _sweep(params_base, payoff, grid, point, deltas, cell_average_terminal,
@@ -602,53 +524,54 @@ def feynman_kac_terms(
     greeks_d, greeks_0, greeks_1 = (
         _SliceMemo(surface, greeks) for surface in (p_delta, p0, p1)
     )
-    i0_acc = np.zeros(n_paths)
-    i1_acc = np.zeros(n_paths)
-    i2_acc = np.zeros(n_paths) if include_higher else None
-    i3_acc = np.zeros(n_paths) if include_higher else None
-    for k in range(n_steps + 1):
-        t = k * dt
-        w = dt * (0.5 if k in (0, n_steps) else 1.0)
-        x = batch.x_paths[:, k]
-        v = batch.v_paths[:, k]
-        cell = _bilinear_weights(grid, x, v)
-        g_d = greeks_d(t)
-        g_0 = greeks_0(t)
-        gamma_d = _bilinear_read(g_d.gamma, *cell)
-        gamma_0 = _bilinear_read(g_0.gamma, *cell)
-        ind = (
-            (gamma_d >= 0.0).astype(float) - (gamma_0 >= 0.0).astype(float)
-        )
-        ev = np.exp(v)
-        g_1 = greeks_1(t)
-        base = 0.5 * d_sq * ind * ev * ev * x * x
-        i0_acc += w * base * gamma_0
-        i1_acc += w * (
-            d_lin * ind * rho_sigma * ev * x * _bilinear_read(g_0.vanna, *cell)
-            + base * _bilinear_read(g_1.gamma, *cell)
-        )
-        if include_higher:
-            q_star = np.where(gamma_d >= 0.0, hi, lo)
-            drift_v = params.a - params.b * np.exp(params.alpha * v)
-            i2_acc += w * (
-                q_star * rho_sigma * ev * x * _bilinear_read(g_1.vanna, *cell)
-                + 0.5 * params.sigma**2 * _bilinear_read(g_0.vomma, *cell)
-                + drift_v * _bilinear_read(g_0.vega, *cell)
-            )
-            i3_acc += w * (
-                0.5 * params.sigma**2 * _bilinear_read(g_1.vomma, *cell)
-                + drift_v * _bilinear_read(g_1.vega, *cell)
-            )
+    # One accumulator row per term, one column per path.
+    acc = _shared((4 if include_higher else 2, n_paths))
 
-    def stats(acc):
-        return float(acc.mean()), float(acc.std(ddof=1) / math.sqrt(n_paths))
+    def half(first, count):
+        rows = slice(first, first + count)
+        # Zeroed here, so that a failed child's half is redone from zero.
+        acc[:, rows] = 0.0
+        i0_acc, i1_acc, *higher = acc[:, rows]
+        i2_acc, i3_acc = higher or (None, None)
+        for k in range(n_steps + 1):
+            t = k * dt
+            w = dt * (0.5 if k in (0, n_steps) else 1.0)
+            x = batch.x_paths[rows, k]
+            v = batch.v_paths[rows, k]
+            cell = _bilinear_weights(grid, x, v)
+            g_d = greeks_d(t)
+            g_0 = greeks_0(t)
+            gamma_d = _bilinear_read(g_d.gamma, *cell)
+            gamma_0 = _bilinear_read(g_0.gamma, *cell)
+            ind = (
+                (gamma_d >= 0.0).astype(float) - (gamma_0 >= 0.0).astype(float)
+            )
+            ev = np.exp(v)
+            g_1 = greeks_1(t)
+            base = 0.5 * d_sq * ind * ev * ev * x * x
+            i0_acc += w * base * gamma_0
+            i1_acc += w * (
+                d_lin * ind * rho_sigma * ev * x * _bilinear_read(g_0.vanna, *cell)
+                + base * _bilinear_read(g_1.gamma, *cell)
+            )
+            if include_higher:
+                q_star = np.where(gamma_d >= 0.0, hi, lo)
+                drift_v = params.a - params.b * np.exp(params.alpha * v)
+                i2_acc += w * (
+                    q_star * rho_sigma * ev * x * _bilinear_read(g_1.vanna, *cell)
+                    + 0.5 * params.sigma**2 * _bilinear_read(g_0.vomma, *cell)
+                    + drift_v * _bilinear_read(g_0.vega, *cell)
+                )
+                i3_acc += w * (
+                    0.5 * params.sigma**2 * _bilinear_read(g_1.vomma, *cell)
+                    + drift_v * _bilinear_read(g_1.vega, *cell)
+                )
 
-    i0, i0_se = stats(i0_acc)
-    i1, i1_se = stats(i1_acc)
+    _in_halves(n_paths, half)
+    (i0, i0_se), (i1, i1_se), *higher = map(_mean_and_se, acc)
     extra = {}
-    if include_higher:
-        extra["i2"], extra["i2_std_error"] = stats(i2_acc)
-        extra["i3"], extra["i3_std_error"] = stats(i3_acc)
+    for name, (value, std_error) in zip(("i2", "i3"), higher):
+        extra[name], extra[f"{name}_std_error"] = value, std_error
     return FeynmanKacReport(
         i0=i0, i0_std_error=i0_se, i1=i1, i1_std_error=i1_se,
         delta=float(delta), n_paths=int(n_paths),

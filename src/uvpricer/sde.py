@@ -10,14 +10,20 @@ exactly — no drift or noise is applied at all.
 Increments come from :mod:`uvpricer.rng`, so batches are reproducible and
 chunk-order independent; fixed-``q`` chunks therefore run in parallel, one
 thread per CPU the process may use, with results that do not depend on
-the schedule.
+the schedule.  Path loops that call back into Python policies or surface
+reads instead split their paths into two halves, the second in a forked
+child (:func:`_in_halves`), writing per-path results into shared memory.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import os
+import pickle
 import queue
+import signal
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -124,25 +130,132 @@ def _check_fixed_q(params: ModelParams, q: float) -> float:
     return q
 
 
-def _chunks(n_paths: int, n_steps: int, parallel: bool,
-            split: int = 1) -> list[tuple[int, int]]:
+def _fork_ok() -> bool:
+    """Whether a :class:`_Job` may run in a forked child: ``os.fork``
+    exists, the affinity mask holds two CPUs or more, and no other thread
+    is alive, as forking a threaded process can deadlock the child."""
+    return (hasattr(os, "fork") and _WORKERS >= 2
+            and threading.active_count() == 1)
+
+
+class _Job:
+    """``fn(*args)``, started in a forked child when :func:`_fork_ok`.
+
+    The child writes the pickle of the return value into a pipe and
+    always leaves by ``os._exit``: it never returns into the caller's
+    stack nor flushes the stdio it inherited.  :meth:`result` reads the
+    pipe to its end and reaps the child.  When there is no child, or the
+    child raised, died or sent unreadable data, :meth:`result` makes the
+    call in-process, so a failure reaches the caller as its own error.
+    Processes, not threads: the marches' many small numpy calls hand the
+    GIL back and forth, and two solves on two threads ran slower than one
+    after the other.
+    """
+
+    def __init__(self, fn, *args):
+        self._call = fn, args
+        self._pid = None
+        if not _fork_ok():
+            return
+        read, write = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read)
+            os.close(write)
+            return
+        if pid == 0:
+            status = 1
+            try:
+                os.close(read)
+                data = memoryview(pickle.dumps(fn(*args)))
+                while data:
+                    data = data[os.write(write, data):]
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write)
+        self._pid, self._read = pid, read
+
+    def _reap(self, kill: bool) -> int:
+        if kill:
+            os.kill(self._pid, signal.SIGKILL)
+        status = os.waitpid(self._pid, 0)[1]
+        self._pid = None
+        os.close(self._read)
+        return status
+
+    def result(self):
+        if self._pid is not None:
+            chunks = []
+            while chunk := os.read(self._read, 1 << 16):
+                chunks.append(chunk)
+            if self._reap(kill=False) == 0:
+                try:
+                    return pickle.loads(b"".join(chunks))
+                except Exception:
+                    pass
+        fn, args = self._call
+        return fn(*args)
+
+    def cancel(self) -> None:
+        """Kill and reap the child, if it is still outstanding."""
+        if self._pid is not None:
+            self._reap(kill=True)
+
+
+def _shared(shape, dtype=float) -> np.ndarray:
+    """A zero-filled array in anonymous shared memory: what a forked
+    child writes into it, the parent reads, with no pickling."""
+    dtype = np.dtype(dtype)
+    count = math.prod(shape)
+    buf = mmap.mmap(-1, max(1, count * dtype.itemsize))
+    return np.frombuffer(buf, dtype=dtype, count=count).reshape(shape)
+
+
+def _in_halves(n_paths: int, work) -> None:
+    """``work(first, count)`` over paths ``0 .. n_paths - 1``, on both CPUs.
+
+    When :func:`_fork_ok`, ``work(0, h)`` runs here and ``work(h, n_paths
+    - h)`` as a :class:`_Job`, with ``h = n_paths // 2``; otherwise
+    ``work(0, n_paths)`` runs here in one call, so each slice a path loop
+    reads is derived once.  ``work`` writes only its own rows of
+    :func:`_shared` arrays and returns nothing: its results are per path,
+    and every reduction over paths belongs to the caller, after this
+    returns.  A child that fails is redone here, so its error is raised
+    as the caller's; an error in the first half kills and reaps the child.
+    """
+    h = n_paths // 2
+    if h == 0 or not _fork_ok():
+        work(0, n_paths)
+        return
+    job = _Job(work, h, n_paths - h)
+    try:
+        work(0, h)
+        job.result()
+    finally:
+        job.cancel()
+
+
+def _chunks(n_paths: int, n_steps: int, parallel: bool) -> list[tuple[int, int]]:
     """``(first, count)`` path ranges of one batch.
 
     A parallel batch splits into a multiple of ``_WORKERS`` balanced
     chunks near ``_CHUNK_CELLS // 4`` cells each; a sequential one into
-    chunks of at most ``_CHUNK_CELLS // split`` cells.
+    chunks of at most ``_CHUNK_CELLS`` cells.
     """
     if parallel:
         target = max(1, _CHUNK_CELLS // 4 // n_steps)
         n_chunks = min(n_paths, _WORKERS * -(-n_paths // (target * _WORKERS)))
         ends = [n_paths * i // n_chunks for i in range(n_chunks + 1)]
         return [(lo, hi - lo) for lo, hi in zip(ends, ends[1:])]
-    return list(chunk_ranges(n_paths, max(1, _CHUNK_CELLS // (split * n_steps))))
+    return list(chunk_ranges(n_paths, max(1, _CHUNK_CELLS // n_steps)))
 
 
 def _march_chunks(rho: float, n_paths: int, n_steps: int, dt: float,
-                  seed: int, parallel: bool, march, split: int = 1) -> None:
-    """Call ``march(first, count, dw1, dw2)`` once per path chunk.
+                  seed: int, parallel: bool, march, first_path: int = 0) -> None:
+    """Call ``march(first, count, dw1, dw2)`` once per path chunk of paths
+    ``first_path .. first_path + n_paths - 1``.
 
     ``dw1`` and ``dw2`` are the asset and factor Brownian increments,
     correlated by ``rho``, step-major with shape ``(n_steps, count)`` so
@@ -151,12 +264,12 @@ def _march_chunks(rho: float, n_paths: int, n_steps: int, dt: float,
     run on a pool of one thread per CPU the process may use (Philox,
     ``ndtri`` and numpy ufuncs release the GIL), which lives for this
     call only; ``march`` must then write only its own path slice.
-    Sequential chunks run in path order on the calling thread; ``split``
-    divides their cell budget (see :func:`_chunks`).
+    Sequential chunks run in path order on the calling thread.
     """
     sq_dt = math.sqrt(dt)
     rho_perp_dt = math.sqrt(max(0.0, 1.0 - rho * rho)) * sq_dt
-    chunks = _chunks(n_paths, n_steps, parallel, split)
+    chunks = [(first_path + lo, count)
+              for lo, count in _chunks(n_paths, n_steps, parallel)]
     pooled = parallel and _WORKERS > 1 and len(chunks) > 1
     # One step-major workspace per worker, allocated on this thread and
     # handed out through a queue, so pool threads allocate only row-sized
@@ -217,7 +330,10 @@ def simulate_paths(
 
     ``q_policy`` is either a fixed multiplier inside the admissible
     interval, or any object with ``values(t, x, v) -> array`` (and an
-    optional ``tag``) evaluated at the start of each step.
+    optional ``tag``) evaluated at the start of each step.  A policy
+    object is called on the calling thread; on two CPUs or more the
+    second half of the paths calls a copy of it in a forked child
+    (:func:`_in_halves`), so its own state sees only the first half.
     """
     _check_run(n_paths, n_steps, T, x0, v0)
     fixed_q = None
@@ -233,34 +349,49 @@ def simulate_paths(
         tag = str(getattr(q_policy, "tag", q_policy.__class__.__name__))
 
     dt = T / n_steps
-    # Step-major storage keeps every step's write one contiguous row.
-    x_steps = np.empty((n_steps + 1, n_paths))
-    v_steps = np.empty((n_steps + 1, n_paths))
+    # A policy runs Python per step, so its paths split into two halves, one
+    # in a forked child; fixed-q chunks run on the thread pool instead.
+    alloc = np.empty if fixed_q is not None else _shared
+    x_out = alloc((n_paths, n_steps + 1))
+    v_out = alloc((n_paths, n_steps + 1))
 
-    def march(first, count, dw1, dw2):
-        rows = slice(first, first + count)
-        log_x = np.full(count, math.log(x0))
-        v = np.full(count, float(v0))
-        x_steps[0, rows] = x0
-        v_steps[0, rows] = v0
-        for k in range(n_steps):
-            if fixed_q is not None:
-                q = fixed_q
-            else:
-                q = q_policy.values(k * dt, np.exp(log_x), v)
-            log_x += _log_x_step(params, q, np.exp(v), dt, dw1[k])
-            v = _factor_step(params, v, dt, dw2[k])
-            x_steps[k + 1, rows] = np.exp(log_x)
-            v_steps[k + 1, rows] = v
+    def half(first, count):
+        # Step-major storage keeps every step's write one contiguous row.
+        x_steps = np.empty((n_steps + 1, count))
+        v_steps = np.empty((n_steps + 1, count))
 
-    # A policy (e.g. a WorstCaseControl with its last-slice memo) is only
-    # ever called from this thread.
-    _march_chunks(params.rho, n_paths, n_steps, dt, seed, fixed_q is not None,
-                  march)
-    # Drop each step-major buffer once copied, so at most three are alive.
-    x_out = np.ascontiguousarray(x_steps.T)
-    del x_steps
-    v_out = np.ascontiguousarray(v_steps.T)
+        def march(lo, m, dw1, dw2):
+            rows = slice(lo - first, lo - first + m)
+            log_x = np.full(m, math.log(x0))
+            v = np.full(m, float(v0))
+            x_steps[0, rows] = x0
+            v_steps[0, rows] = v0
+            for k in range(n_steps):
+                if fixed_q is not None:
+                    q = fixed_q
+                else:
+                    # Row k > 0 holds exp(log_x); exp(log x0) may differ
+                    # from x0 in its last bit.
+                    x = x_steps[k, rows] if k else np.exp(log_x)
+                    q = q_policy.values(k * dt, x, v)
+                log_x += _log_x_step(params, q, np.exp(v), dt, dw1[k])
+                v = _factor_step(params, v, dt, dw2[k])
+                x_steps[k + 1, rows] = np.exp(log_x)
+                v_steps[k + 1, rows] = v
+
+        # A policy (e.g. a WorstCaseControl with its last-slice memo) is
+        # only ever called from this thread.
+        _march_chunks(params.rho, count, n_steps, dt, seed,
+                      fixed_q is not None, march, first)
+        # Drop each step-major buffer once copied.
+        x_out[first:first + count] = x_steps.T
+        del x_steps
+        v_out[first:first + count] = v_steps.T
+
+    if fixed_q is not None:
+        half(0, n_paths)
+    else:
+        _in_halves(n_paths, half)
     x_out.flags.writeable = False
     v_out.flags.writeable = False
     return PathBatch(

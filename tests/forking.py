@@ -1,0 +1,29 @@
+"""Helpers for tests of the forked path halves."""
+
+import os
+
+import pytest
+
+from uvpricer import sde
+
+
+def forked(fork, call, *args, **kwargs):
+    """``call`` with :func:`sde._fork_ok` forced to ``fork``; returns the
+    result and the number of ``os.fork`` calls it made."""
+    started = []
+    real_fork = os.fork
+
+    def counting_fork():
+        started.append(1)
+        return real_fork()
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sde, "_fork_ok", lambda: fork)
+        mp.setattr(os, "fork", counting_fork)
+        return call(*args, **kwargs), len(started)
+
+
+def assert_no_children():
+    """Every child of this process has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

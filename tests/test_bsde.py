@@ -4,9 +4,12 @@ import dataclasses
 import functools
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uvpricer import rng, sde
 from uvpricer.analytic import bs_call
@@ -22,6 +25,7 @@ from uvpricer.model import GridSpec, ModelParams, PiecewiseLinearPayoff
 from uvpricer.surface import WorstCaseControl, _SliceMemo, greeks
 
 from bilinear_reference import gather_read, gather_weights
+from forking import assert_no_children, forked
 
 
 def mk_params(sigma_min=0.1, sigma_max=0.2, delta=0.0, rho=0.5, r=0.0, sigma=0.5):
@@ -306,6 +310,48 @@ class TestMaskedMarch:
         assert 0.2 < got.discard_fraction < 0.9
 
 
+def residual_or_none(call, *args, **kwargs):
+    """The report, or None when every path left the grid."""
+    try:
+        return call(*args, **kwargs)
+    except RuntimeError as exc:
+        assert "every path left the grid" in str(exc)
+    except ZeroDivisionError:  # the reference loop's form of that error
+        pass
+    return None
+
+
+class TestForkedHalves:
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(["full_delta", "limit_p0"]),
+           with_payoff=st.booleans(),
+           n_paths=st.sampled_from([1, 2, 3, 41]) | st.integers(1, 90),
+           n_steps=st.integers(1, 16), seed=st.integers(0, 2**32 - 1),
+           chunk_paths=st.sampled_from([None, 7]))
+    def test_forked_equals_in_process_and_the_gather_loop(
+        self, kind, with_payoff, n_paths, n_steps, seed, chunk_paths
+    ):
+        """The two halves, forked or in-process, report exactly what the
+        gather/scatter loop over the old chunks reports, with paths lost
+        on a narrow grid."""
+        p, h, surface = narrow_surface(kind)
+        args = (surface, p, (100.0, -0.5), n_paths, n_steps, seed)
+        payoff = h if with_payoff else None
+        with pytest.MonkeyPatch.context() as mp:
+            if chunk_paths is not None:
+                mp.setattr(sde, "_CHUNK_CELLS", 2 * chunk_paths * n_steps)
+            (got, n_forks), (alone, _) = (
+                forked(fork, residual_or_none, simulate_2bsde_residual, *args,
+                       payoff=payoff)
+                for fork in (True, False)
+            )
+        assert n_forks == int(n_paths >= 2)
+        assert_no_children()
+        want = residual_or_none(gather_residual, *args, payoff=payoff,
+                                chunk_size=chunk_paths)
+        assert got == alone == want
+
+
 class TestMartingaleCheck:
     def test_discounting_rejected(self):
         """The drift diagnostic is only defined without discounting."""
@@ -314,6 +360,20 @@ class TestMartingaleCheck:
                                n_x=39, n_v=7)
         with pytest.raises(ValueError, match="r = 0"):
             martingale_check(surface, p, 0.15, 100.0, -0.5, 100, 8, seed=1)
+
+    @pytest.mark.parametrize("q", ["fixed", "worst-case"])
+    def test_one_path_has_zero_standard_error(self, q):
+        """One path gives a zero standard error, as estimate_moment does,
+        and no RuntimeWarning."""
+        p = mk_params()
+        surface = limit_family(p, PiecewiseLinearPayoff.call(100.0),
+                               n_x=39, n_v=9)
+        policy = 0.15 if q == "fixed" else WorstCaseControl(surface, p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = martingale_check(surface, p, policy, 100.0, -0.5, 1, 8, seed=1)
+        assert rep.std_error == 0.0
+        assert math.isfinite(rep.drift_estimate)
 
     def test_optimal_control_drift_vanishes(self):
         """Under the maximizing control the surface value is a martingale."""

@@ -1,15 +1,19 @@
 """Tests for delta sweeps, corrector sweeps, and error-term estimates."""
 
 import dataclasses
+import functools
 import json
 import math
 import os
 import pickle
 import signal
 import threading
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uvpricer import convergence, hjb, sde
 from uvpricer.convergence import (
@@ -29,6 +33,7 @@ from uvpricer.sde import coupled_payoff_gap, simulate_paths
 from uvpricer.surface import _SliceMemo, greeks, optimal_control_field
 
 from bilinear_reference import gather_read, gather_weights
+from forking import assert_no_children, forked
 
 
 def mk_params(**overrides):
@@ -297,7 +302,7 @@ SWEEPS = {"sweep": run_delta_sweep, "corrector": corrector_sweep}
 @pytest.fixture
 def forks(monkeypatch):
     """Sweeps fork their delta marches; the list records each fork."""
-    monkeypatch.setattr(convergence, "_fork_ok", lambda: True)
+    monkeypatch.setattr(sde, "_fork_ok", lambda: True)
     return count_forks(monkeypatch)
 
 
@@ -316,14 +321,8 @@ def count_forks(monkeypatch):
 
 def in_process(monkeypatch, sweep, *args, **kwargs):
     with monkeypatch.context() as m:
-        m.setattr(convergence, "_fork_ok", lambda: False)
+        m.setattr(sde, "_fork_ok", lambda: False)
         return sweep(*args, **kwargs)
-
-
-def assert_no_children():
-    """Every child of this process has been reaped."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def sweep_error(sweep, *args, **kwargs):
@@ -417,7 +416,7 @@ class TestForkedSweeps:
         """Both refined solves fail: the refined delta march's error is
         raised, as one solve after the other raised it, although the
         refined limit failed first."""
-        monkeypatch.setattr(convergence, "_fork_ok", lambda: fork)
+        monkeypatch.setattr(sde, "_fork_ok", lambda: fork)
         params = mk_params()
         grid = mk_grid(params, n_x=49)
 
@@ -471,8 +470,7 @@ class TestForkedSweeps:
     def test_sweep_forks_after_a_fixed_q_simulation(self, monkeypatch):
         """A fixed-q simulation and a coupled gap leave no pool thread
         behind, so a later sweep still forks its delta marches."""
-        for module in (sde, convergence):
-            monkeypatch.setattr(module, "_WORKERS", max(2, sde._WORKERS))
+        monkeypatch.setattr(sde, "_WORKERS", max(2, sde._WORKERS))
         threads = threading.active_count()
         params = mk_params()
         simulate_paths(params, 100.0, -1.0, 0.15, 2000, 16, 0.15, seed=3)
@@ -571,6 +569,13 @@ def gather_feynman_kac(params, grid, p0, p1, p_delta, delta, n_paths, n_steps,
     )
 
 
+@functools.cache
+def full_surface(params, grid):
+    """The moving-factor surface at delta = 0.2 with every slice kept."""
+    return solve_hjb_2d(params.with_delta(0.2), BUTTERFLY, grid,
+                        store_slices=True, max_kept_slices=10**9)
+
+
 class TestFeynmanKacTerms:
     def setup_method(self):
         self.params = mk_params(delta=0.2)
@@ -653,6 +658,73 @@ class TestFeynmanKacTerms:
                                   p_delta, **kwargs)
         assert got == want
         assert got.i0 != 0.0
+
+    @settings(max_examples=20, deadline=None)
+    @given(control_source=st.sampled_from(["delta", "p0"]),
+           include_higher=st.booleans(),
+           n_paths=st.sampled_from([1, 2, 3, 41]) | st.integers(1, 90),
+           n_steps=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+           chunk_paths=st.sampled_from([None, 7]))
+    def test_forked_equals_in_process_and_the_gather_loop(
+        self, control_source, include_higher, n_paths, n_steps, seed,
+        chunk_paths
+    ):
+        """The path halves, forked or in-process, give exactly the terms
+        of the gather loop over every path, paths leaving the grid
+        included."""
+        p_delta = full_surface(self.params, self.grid)
+        kwargs = dict(delta=0.2, n_paths=n_paths, n_steps=n_steps, seed=seed,
+                      point=(150.0, -1.0), control_source=control_source,
+                      include_higher=include_higher)
+        with pytest.MonkeyPatch.context() as mp:
+            if chunk_paths is not None:
+                mp.setattr(sde, "_CHUNK_CELLS", chunk_paths * n_steps)
+            (got, n_forks), (alone, _) = (
+                forked(fork, self.run_terms, p_delta=p_delta, **kwargs)
+                for fork in (True, False)
+            )
+            # The reference's n_paths = 1 standard errors are NaN.
+            if n_paths >= 2:
+                want = gather_feynman_kac(self.params, self.grid, self.p0,
+                                          self.p1, p_delta, **kwargs)
+                assert got == want
+        assert n_forks == (2 if n_paths >= 2 else 0)  # the batch, the terms
+        assert_no_children()
+        assert got == alone
+
+    def test_killed_child_is_redone_in_process(self, monkeypatch):
+        """A child SIGKILLed halfway through its terms gives the
+        in-process report: the redone half starts from zero."""
+        p_delta = full_surface(self.params, self.grid)
+        kwargs = dict(p_delta=p_delta, n_paths=301, n_steps=12,
+                      include_higher=True)
+        want, _ = forked(False, self.run_terms, **kwargs)
+        parent = os.getpid()
+        reads = []
+        bilinear_read = convergence._bilinear_read
+
+        def dying(*args):
+            reads.append(1)
+            if os.getpid() != parent and len(reads) == 40:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return bilinear_read(*args)
+
+        monkeypatch.setattr(convergence, "_bilinear_read", dying)
+        got, n_forks = forked(True, self.run_terms, **kwargs)
+        assert n_forks == 2  # the batch, the terms
+        assert_no_children()
+        assert got == want
+
+    def test_one_path_has_zero_standard_errors(self):
+        """One path gives zero standard errors, as estimate_moment does,
+        and no RuntimeWarning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = self.run_terms(n_paths=1, n_steps=10, include_higher=True)
+        assert (report.i0_std_error, report.i1_std_error, report.i2_std_error,
+                report.i3_std_error) == (0.0, 0.0, 0.0, 0.0)
+        assert all(map(math.isfinite, (report.i0, report.i1, report.i2,
+                                       report.i3)))
 
     def test_limit_field_proxy_is_flagged(self):
         """Driving paths with the limit field is recorded in the report."""

@@ -1,9 +1,13 @@
 """Tests for path simulation, moment estimators, and the closed-form MGF."""
 
+import dataclasses
+import functools
 import math
 import os
+import signal
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -13,7 +17,8 @@ from hypothesis import strategies as st
 
 from uvpricer import sde
 from uvpricer.errors import PoleError
-from uvpricer.model import ModelParams, PiecewiseLinearPayoff
+from uvpricer.hjb import min_time_steps, solve_hjb_2d
+from uvpricer.model import GridSpec, ModelParams, PiecewiseLinearPayoff
 from uvpricer.rng import normal_increments
 from uvpricer.sde import (
     CoupledGap,
@@ -23,6 +28,9 @@ from uvpricer.sde import (
     mgf_components,
     simulate_paths,
 )
+from uvpricer.surface import WorstCaseControl
+
+from forking import assert_no_children, forked
 
 
 def make_params(**overrides):
@@ -214,8 +222,7 @@ class TestPathEngine:
     def test_balanced_chunks_are_a_multiple_of_the_workers(self, monkeypatch):
         """Fixed-q chunks come in multiples of the worker count, no larger
         than a quarter of the chunk budget and at most one path apart;
-        sequential chunks hold the budget divided by ``split``, the last
-        one the rest."""
+        sequential chunks hold the budget, the last one the rest."""
         n_paths, n_steps = 40_000, 150
         for workers in (1, 2, 3, 8):
             monkeypatch.setattr(sde, "_WORKERS", workers)
@@ -228,10 +235,6 @@ class TestPathEngine:
         size = sde._CHUNK_CELLS // n_steps
         assert sde._chunks(n_paths, n_steps, parallel=False) == [
             (0, size), (size, n_paths - size),
-        ]
-        half = sde._CHUNK_CELLS // (2 * n_steps)
-        assert sde._chunks(n_paths, n_steps, parallel=False, split=2) == [
-            (0, half), (half, half), (2 * half, n_paths - 2 * half),
         ]
 
     @pytest.mark.parametrize("policy", ["fixed", "object"])
@@ -340,6 +343,161 @@ class _Extremes:
     def values(self, t, x, v):
         self.threads.add(threading.get_ident())
         return np.where(v < -1.0, 0.2, 0.1)
+
+
+def old_policy_loop(params, x0, v0, policy, n_paths, n_steps, T, seed):
+    """Paths under a policy object as one step-major loop over every path,
+    the policy reading ``np.exp(log_x)`` at every step."""
+    dt = T / n_steps
+    sq_dt = math.sqrt(dt)
+    z = normal_increments(seed, n_paths, n_steps)
+    dw1 = sq_dt * z[:, :, 0].T
+    dw2 = (math.sqrt(1.0 - params.rho**2) * sq_dt * z[:, :, 1].T
+           + params.rho * dw1)
+    log_x = np.full(n_paths, math.log(x0))
+    v = np.full(n_paths, float(v0))
+    xs, vs = [np.full(n_paths, x0)], [v]
+    for k in range(n_steps):
+        q = policy.values(k * dt, np.exp(log_x), v)
+        log_x = log_x + sde._log_x_step(params, q, np.exp(v), dt, dw1[k])
+        v = sde._factor_step(params, v, dt, dw2[k])
+        xs.append(np.exp(log_x))
+        vs.append(v)
+    return np.stack(xs, axis=1), np.stack(vs, axis=1)
+
+
+@functools.cache
+def worst_case_surface():
+    """A small moving-factor surface with every slice kept."""
+    params = make_params()
+    payoff = PiecewiseLinearPayoff.butterfly(90.0, 100.0, 110.0)
+    trial = GridSpec(x_min=60.0, x_max=140.0, n_x=39, v_min=-1.6, v_max=-0.4,
+                     n_v=7, T=0.1, n_t=1)
+    grid = dataclasses.replace(trial, n_t=min_time_steps(params, trial, "full"))
+    return params, solve_hjb_2d(params, payoff, grid, store_slices=True,
+                                max_kept_slices=10**9)
+
+
+# Path counts of 1, 2, odd, and more than one old chunk of paths.
+PATH_COUNTS = st.sampled_from([1, 2, 3, 41]) | st.integers(1, 90)
+
+
+class TestPathHalves:
+    """Policy runs split their paths into two halves, the second in a
+    forked child, and give the in-process batch bit for bit."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(n_paths=PATH_COUNTS, n_steps=st.integers(1, 8),
+           seed=st.integers(0, 2**32 - 1), chunk_paths=st.sampled_from([None, 7]))
+    def test_forked_equals_in_process_and_the_old_loop(self, n_paths, n_steps,
+                                                       seed, chunk_paths):
+        params, surface = worst_case_surface()
+        args = (params, 100.0, -1.0)
+        tail = (n_paths, n_steps, surface.grid.T, seed)
+        with pytest.MonkeyPatch.context() as mp:
+            if chunk_paths is not None:
+                mp.setattr(sde, "_CHUNK_CELLS", chunk_paths * n_steps)
+            got, n_forks = forked(True, simulate_paths, *args,
+                                  WorstCaseControl(surface, params), *tail)
+            alone, no_forks = forked(False, simulate_paths, *args,
+                                     WorstCaseControl(surface, params), *tail)
+        assert (n_forks, no_forks) == (int(n_paths >= 2), 0)
+        assert_no_children()
+        want_x, want_v = old_policy_loop(*args, WorstCaseControl(surface, params),
+                                         *tail)
+        for batch in (got, alone):
+            assert np.array_equal(batch.x_paths, want_x)
+            assert np.array_equal(batch.v_paths, want_v)
+            assert batch.x_paths.flags.c_contiguous
+            assert not batch.x_paths.flags.writeable
+
+    def test_policy_sees_the_stored_asset_values(self):
+        """The policy reads exactly what the old loop passed it: the
+        stored ``exp(log_x)`` row, and ``exp(log x0)`` (not ``x0``) at the
+        first step."""
+        params, surface = worst_case_surface()
+        assert math.exp(math.log(100.0)) != 100.0
+
+        class Recording(WorstCaseControl):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.seen = []
+
+            def values(self, t, x, v):
+                self.seen.append(np.array(x))
+                return super().values(t, x, v)
+
+        got, want = Recording(surface, params), Recording(surface, params)
+        tail = (9, 5, 0.1, 4)
+        forked(False, simulate_paths, params, 100.0, -1.0, got, *tail)
+        old_policy_loop(params, 100.0, -1.0, want, *tail)
+        assert len(got.seen) == len(want.seen) == 5
+        for a, b in zip(got.seen, want.seen):
+            assert np.array_equal(a, b)
+
+    def test_killed_child_is_redone_in_process(self):
+        """A child SIGKILLed mid-march gives the in-process batch; the
+        parent then marches the child's half itself."""
+        params, surface = worst_case_surface()
+        parent = os.getpid()
+        calls = []
+
+        class Dying(WorstCaseControl):
+            def values(self, t, x, v):
+                calls.append(x.size)
+                if os.getpid() != parent and len(calls) == 3:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return super().values(t, x, v)
+
+        args = (params, 100.0, -1.0, Dying(surface, params), 301, 6, 0.1, 5)
+        got, n_forks = forked(True, simulate_paths, *args)
+        assert n_forks == 1
+        assert_no_children()
+        assert calls == [150] * 6 + [151] * 6
+        want, _ = forked(False, simulate_paths, *args)
+        assert np.array_equal(got.x_paths, want.x_paths)
+        assert np.array_equal(got.v_paths, want.v_paths)
+
+    def test_child_error_reaches_the_caller(self):
+        """An error in the child's half is raised by the in-process redo,
+        with its type and message, and no child is left."""
+        class FailingHalf(_Extremes):
+            def values(self, t, x, v):
+                if x.size == 21:  # paths 20 .. 40
+                    raise ArithmeticError("second half failed")
+                return super().values(t, x, v)
+
+        with pytest.raises(ArithmeticError, match="second half failed"):
+            forked(True, simulate_paths, make_params(), 100.0, -1.0,
+                   FailingHalf(), 41, 4, 0.1, 2)
+        assert_no_children()
+
+    def test_error_in_the_parents_half_kills_the_child(self):
+        """The parent's half raises while the child's half is still
+        running: the error is raised at once and the child is killed and
+        reaped."""
+        parent = os.getpid()
+
+        class Slow(_Extremes):
+            def values(self, t, x, v):
+                if os.getpid() != parent:
+                    time.sleep(60.0)
+                elif t > 0.0:
+                    raise ArithmeticError("first half failed")
+                return super().values(t, x, v)
+
+        start = time.perf_counter()
+        with pytest.raises(ArithmeticError, match="first half failed"):
+            forked(True, simulate_paths, make_params(), 100.0, -1.0, Slow(),
+                   40, 4, 0.1, 2)
+        assert time.perf_counter() - start < 30.0
+        assert_no_children()
+
+    def test_fixed_q_runs_do_not_fork(self):
+        """A fixed multiplier keeps its chunks on the thread pool."""
+        _, n_forks = forked(True, simulate_paths, make_params(), 100.0, -1.0,
+                            0.15, 400, 4, 0.1, 2)
+        assert n_forks == 0
 
 
 class TestEstimateMoment:
