@@ -29,7 +29,8 @@ import numpy as np
 from . import sde
 from .model import ModelParams, PiecewiseLinearPayoff
 from .rng import chunk_ranges
-from .sde import _in_halves, _march_chunks, _mean_and_se, _shared, simulate_paths
+from .sde import (_control, _in_halves, _march_chunks, _march_paths,
+                  _mean_and_se, _shared)
 from .surface import (
     PriceSurface,
     _bilinear_read,
@@ -280,19 +281,24 @@ def martingale_check(
     """
     if params.r != 0.0:
         raise ValueError("martingale check is defined for r = 0")
-    batch = simulate_paths(
-        params, x0, v0, q_policy, n_paths, n_steps, surface.grid.T, seed
-    )
+    q, tag = _control(params, q_policy, x0, v0, n_paths, n_steps, surface.grid.T)
+    x_t, v_t = _shared((2, n_paths))  # only the terminal state is kept
+
+    def consumer(rows, _):
+        def visit(k, x, v):
+            if k == n_steps:
+                x_t[rows], v_t[rows] = x, v
+        return visit
+
+    _march_paths(params, x0, v0, q, n_paths, n_steps, surface.grid.T, seed, consumer)
     m0 = surface.value_at(0, x0, v0)
-    m_term = surface.value_at(
-        surface.grid.n_t, batch.x_paths[:, -1], batch.v_paths[:, -1]
-    )
+    m_term = surface.value_at(surface.grid.n_t, x_t, v_t)
     drift, std_error = _mean_and_se(m_term - m0)
     return MartingaleReport(
         drift_estimate=drift,
         std_error=std_error,
         n_paths=int(n_paths),
-        policy_tag=batch.control_tag,
+        policy_tag=tag,
     )
 
 

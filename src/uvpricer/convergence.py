@@ -32,7 +32,7 @@ from .hjb import (
     solve_hjb_2d,
 )
 from .model import GridSpec, ModelParams, PiecewiseLinearPayoff
-from .sde import _in_halves, _Job, _mean_and_se, _shared, simulate_paths
+from .sde import _check_run, _Job, _march_paths, _mean_and_se, _shared
 from .surface import (
     PriceSurface,
     WorstCaseControl,
@@ -512,9 +512,7 @@ def feynman_kac_terms(
     x0, v0 = float(point[0]), float(point[1])
     policy_surface = p_delta if control_source == "delta" else p0
     policy = WorstCaseControl(policy_surface, params_d)
-    batch = simulate_paths(
-        params_d, x0, v0, policy, n_paths, n_steps, grid.T, seed
-    )
+    _check_run(n_paths, n_steps, grid.T, x0, v0)
     dt = grid.T / n_steps
     lo, hi = params.sigma_min, params.sigma_max
     d_lin = hi - lo
@@ -527,17 +525,14 @@ def feynman_kac_terms(
     # One accumulator row per term, one column per path.
     acc = _shared((4 if include_higher else 2, n_paths))
 
-    def half(first, count):
-        rows = slice(first, first + count)
-        # Zeroed here, so that a failed child's half is redone from zero.
-        acc[:, rows] = 0.0
-        i0_acc, i1_acc, *higher = acc[:, rows]
-        i2_acc, i3_acc = higher or (None, None)
-        for k in range(n_steps + 1):
+    def consumer(rows, _):
+        # Zeroed per chunk: a half redone after a failed child starts at 0.
+        terms = acc[:, rows]
+        terms[:] = 0.0
+
+        def visit(k, x, v):
             t = k * dt
             w = dt * (0.5 if k in (0, n_steps) else 1.0)
-            x = batch.x_paths[rows, k]
-            v = batch.v_paths[rows, k]
             cell = _bilinear_weights(grid, x, v)
             g_d = greeks_d(t)
             g_0 = greeks_0(t)
@@ -549,25 +544,28 @@ def feynman_kac_terms(
             ev = np.exp(v)
             g_1 = greeks_1(t)
             base = 0.5 * d_sq * ind * ev * ev * x * x
-            i0_acc += w * base * gamma_0
-            i1_acc += w * (
+            terms[0] += w * base * gamma_0
+            terms[1] += w * (
                 d_lin * ind * rho_sigma * ev * x * _bilinear_read(g_0.vanna, *cell)
                 + base * _bilinear_read(g_1.gamma, *cell)
             )
             if include_higher:
                 q_star = np.where(gamma_d >= 0.0, hi, lo)
                 drift_v = params.a - params.b * np.exp(params.alpha * v)
-                i2_acc += w * (
+                terms[2] += w * (
                     q_star * rho_sigma * ev * x * _bilinear_read(g_1.vanna, *cell)
                     + 0.5 * params.sigma**2 * _bilinear_read(g_0.vomma, *cell)
                     + drift_v * _bilinear_read(g_0.vega, *cell)
                 )
-                i3_acc += w * (
+                terms[3] += w * (
                     0.5 * params.sigma**2 * _bilinear_read(g_1.vomma, *cell)
                     + drift_v * _bilinear_read(g_1.vega, *cell)
                 )
 
-    _in_halves(n_paths, half)
+        return visit
+
+    _march_paths(params_d, x0, v0, policy, n_paths, n_steps, grid.T, seed,
+                 consumer)
     (i0, i0_se), (i1, i1_se), *higher = map(_mean_and_se, acc)
     extra = {}
     for name, (value, std_error) in zip(("i2", "i3"), higher):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import mmap
+import numbers
 import os
 import pickle
 import queue
@@ -316,6 +317,56 @@ def _factor_step(params: ModelParams, v: np.ndarray, dt: float, dw2) -> np.ndarr
     return v
 
 
+def _control(params: ModelParams, q_policy, x0: float, v0: float,
+             n_paths: int, n_steps: int, T: float) -> tuple[object, str]:
+    """``(q, tag)`` of a checked path run: ``q`` is a real ``q_policy`` as
+    a float, or else a policy object exposing ``values(t, x, v)``."""
+    _check_run(n_paths, n_steps, T, x0, v0)
+    if isinstance(q_policy, (numbers.Real, np.ndarray)) and np.ndim(q_policy) == 0:
+        q = _check_fixed_q(params, q_policy)
+        return q, f"fixed q={q}"
+    if not hasattr(q_policy, "values"):
+        raise TypeError("q_policy must be a number or expose values(t, x, v); "
+                        f"got {type(q_policy).__name__}")
+    return q_policy, str(getattr(q_policy, "tag", q_policy.__class__.__name__))
+
+
+def _march_paths(params: ModelParams, x0: float, v0: float, q, n_paths: int,
+                 n_steps: int, T: float, seed: int, consumer) -> None:
+    """Stream the Euler march of ``(X, V)`` under ``q`` to ``consumer``.
+
+    A fixed multiplier ``q`` (a float) runs its chunks on the thread pool;
+    a policy object's paths split into :func:`_in_halves` of sequential
+    chunks.  The chunk of paths ``rows`` (a slice) makes ``visit =
+    consumer(rows, dw)`` and calls ``visit(k, x, v)`` with the stored state
+    at each step ``k = 0 .. n_steps``: ``x0``, then ``exp(log_x)``.  Rows
+    ``0 .. k - 1`` of its increments ``dw`` are spent, free to overwrite.
+    """
+    dt = T / n_steps
+    fixed = isinstance(q, float)
+
+    def march(lo, m, dw1, dw2):
+        visit = consumer(slice(lo, lo + m), (dw1, dw2))
+        log_x = np.full(m, math.log(x0))
+        x = np.full(m, float(x0))
+        v = np.full(m, float(v0))
+        for k in range(n_steps):
+            visit(k, x, v)
+            # The policy reads the stored row, and exp(log x0), which may
+            # differ from x0 in its last bit, at the first step.
+            qk = q if fixed else q.values(k * dt, x if k else np.exp(log_x), v)
+            log_x += _log_x_step(params, qk, np.exp(v), dt, dw1[k])
+            v = _factor_step(params, v, dt, dw2[k])
+            x = np.exp(log_x)
+        visit(n_steps, x, v)
+
+    if fixed:
+        _march_chunks(params.rho, n_paths, n_steps, dt, seed, True, march)
+    else:
+        _in_halves(n_paths, lambda first, count: _march_chunks(
+            params.rho, count, n_steps, dt, seed, False, march, first))
+
+
 def simulate_paths(
     params: ModelParams,
     x0: float,
@@ -328,75 +379,35 @@ def simulate_paths(
 ) -> PathBatch:
     """Euler-Maruyama batch of ``(X, V)`` paths up to horizon ``T``.
 
-    ``q_policy`` is either a fixed multiplier inside the admissible
+    ``q_policy`` is either a real multiplier inside the admissible
     interval, or any object with ``values(t, x, v) -> array`` (and an
     optional ``tag``) evaluated at the start of each step.  A policy
     object is called on the calling thread; on two CPUs or more the
     second half of the paths calls a copy of it in a forked child
     (:func:`_in_halves`), so its own state sees only the first half.
     """
-    _check_run(n_paths, n_steps, T, x0, v0)
-    fixed_q = None
-    if isinstance(q_policy, (int, float)):
-        fixed_q = _check_fixed_q(params, q_policy)
-        tag = f"fixed q={fixed_q}"
-    elif not hasattr(q_policy, "values"):
-        raise TypeError(
-            "q_policy must be a number or expose values(t, x, v); got "
-            f"{type(q_policy).__name__}"
-        )
-    else:
-        tag = str(getattr(q_policy, "tag", q_policy.__class__.__name__))
-
-    dt = T / n_steps
-    # A policy runs Python per step, so its paths split into two halves, one
-    # in a forked child; fixed-q chunks run on the thread pool instead.
-    alloc = np.empty if fixed_q is not None else _shared
+    q, tag = _control(params, q_policy, x0, v0, n_paths, n_steps, T)
+    # A forked half writes its rows of shared memory.
+    alloc = np.empty if isinstance(q, float) else _shared
     x_out = alloc((n_paths, n_steps + 1))
     v_out = alloc((n_paths, n_steps + 1))
+    x_out[:, 0], v_out[:, 0] = x0, v0
 
-    def half(first, count):
-        # Step-major storage keeps every step's write one contiguous row.
-        x_steps = np.empty((n_steps + 1, count))
-        v_steps = np.empty((n_steps + 1, count))
+    def consumer(rows, dw):
+        # Step k > 0 goes into the spent increment row k - 1, and the chunk
+        # is copied out path-major after its last step.
+        def visit(k, x, v):
+            if k:
+                dw[0][k - 1], dw[1][k - 1] = x, v
+            if k == n_steps:
+                x_out[rows, 1:], v_out[rows, 1:] = dw[0].T, dw[1].T
+        return visit
 
-        def march(lo, m, dw1, dw2):
-            rows = slice(lo - first, lo - first + m)
-            log_x = np.full(m, math.log(x0))
-            v = np.full(m, float(v0))
-            x_steps[0, rows] = x0
-            v_steps[0, rows] = v0
-            for k in range(n_steps):
-                if fixed_q is not None:
-                    q = fixed_q
-                else:
-                    # Row k > 0 holds exp(log_x); exp(log x0) may differ
-                    # from x0 in its last bit.
-                    x = x_steps[k, rows] if k else np.exp(log_x)
-                    q = q_policy.values(k * dt, x, v)
-                log_x += _log_x_step(params, q, np.exp(v), dt, dw1[k])
-                v = _factor_step(params, v, dt, dw2[k])
-                x_steps[k + 1, rows] = np.exp(log_x)
-                v_steps[k + 1, rows] = v
-
-        # A policy (e.g. a WorstCaseControl with its last-slice memo) is
-        # only ever called from this thread.
-        _march_chunks(params.rho, count, n_steps, dt, seed,
-                      fixed_q is not None, march, first)
-        # Drop each step-major buffer once copied.
-        x_out[first:first + count] = x_steps.T
-        del x_steps
-        v_out[first:first + count] = v_steps.T
-
-    if fixed_q is not None:
-        half(0, n_paths)
-    else:
-        _in_halves(n_paths, half)
+    _march_paths(params, x0, v0, q, n_paths, n_steps, T, seed, consumer)
     x_out.flags.writeable = False
     v_out.flags.writeable = False
-    return PathBatch(
-        x_paths=x_out, v_paths=v_out, dt=dt, seed=seed, control_tag=tag
-    )
+    return PathBatch(x_paths=x_out, v_paths=v_out, dt=T / n_steps, seed=seed,
+                     control_tag=tag)
 
 
 def _mean_and_se(samples: np.ndarray) -> tuple[float, float]:

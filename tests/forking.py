@@ -1,6 +1,7 @@
-"""Helpers for tests of the forked path halves."""
+"""Helpers for tests of the forked path halves and of their memory."""
 
 import os
+import tracemalloc
 
 import pytest
 
@@ -27,3 +28,18 @@ def assert_no_children():
     """Every child of this process has been reaped."""
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def in_process_peak(call, *args, **kwargs):
+    """``call`` with :func:`sde._fork_ok` forced off; returns the result
+    and the peak of the memory traced during the call, in bytes, numpy
+    buffers included.  Anonymous shared memory is not traced."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sde, "_fork_ok", lambda: False)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            result = call(*args, **kwargs)
+            return result, tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()

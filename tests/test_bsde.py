@@ -22,10 +22,11 @@ from uvpricer.bsde import (
 )
 from uvpricer.hjb import min_time_steps, solve_bsb_1d, solve_hjb_2d
 from uvpricer.model import GridSpec, ModelParams, PiecewiseLinearPayoff
+from uvpricer.sde import simulate_paths
 from uvpricer.surface import WorstCaseControl, _SliceMemo, greeks
 
 from bilinear_reference import gather_read, gather_weights
-from forking import assert_no_children, forked
+from forking import assert_no_children, forked, in_process_peak
 
 
 def mk_params(sigma_min=0.1, sigma_max=0.2, delta=0.0, rho=0.5, r=0.0, sigma=0.5):
@@ -413,6 +414,40 @@ class TestMartingaleCheck:
                 rep.std_error + ref.std_error
             )
 
+
+    @pytest.mark.parametrize("q", [0.15, np.float32(0.15), np.int64(1),
+                                   "worst-case"])
+    def test_terminal_state_of_the_batch(self, q):
+        """The report reads exactly the terminal column of the
+        simulate_paths batch under the same control, and its tag."""
+        p = mk_params(sigma_max=1.0)
+        surface = limit_family(p, PiecewiseLinearPayoff.call(100.0),
+                               n_x=39, n_v=9)
+        if q == "worst-case":
+            q = WorstCaseControl(surface, p)
+        rep = martingale_check(surface, p, q, 100.0, -0.5, 301, 8, seed=4)
+        batch = simulate_paths(p, 100.0, -0.5, q, 301, 8, surface.grid.T, 4)
+        m_term = surface.value_at(surface.grid.n_t, batch.x_paths[:, -1],
+                                  batch.v_paths[:, -1])
+        m_term = m_term - surface.value_at(0, 100.0, -0.5)
+        assert rep.drift_estimate == float(m_term.mean())
+        assert rep.std_error == float(m_term.std(ddof=1) / math.sqrt(301))
+        assert rep.policy_tag == batch.control_tag
+
+    def test_policy_run_peaks_below_one_path_array(self, monkeypatch):
+        """Only the terminal state is kept: the traced peak stays below
+        one ``(n_steps + 1, n_paths)`` float64 array."""
+        p = mk_params()
+        surface = limit_family(p, PiecewiseLinearPayoff.call(100.0),
+                               n_x=39, n_v=9)
+        n_paths, n_steps = 2000, 50
+        args = (surface, p, WorstCaseControl(surface, p), 100.0, -0.5, n_paths,
+                n_steps, 6)
+        want = martingale_check(*args)  # also loads scipy
+        monkeypatch.setattr(sde, "_CHUNK_CELLS", 64 * n_steps)
+        got, peak = in_process_peak(martingale_check, *args)
+        assert got == want
+        assert peak < (n_steps + 1) * n_paths * 8
 
     def test_untagged_policy(self):
         """A policy object without a tag is reported by its class name."""

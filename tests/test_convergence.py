@@ -33,7 +33,7 @@ from uvpricer.sde import coupled_payoff_gap, simulate_paths
 from uvpricer.surface import _SliceMemo, greeks, optimal_control_field
 
 from bilinear_reference import gather_read, gather_weights
-from forking import assert_no_children, forked
+from forking import assert_no_children, forked, in_process_peak
 
 
 def mk_params(**overrides):
@@ -688,7 +688,7 @@ class TestFeynmanKacTerms:
                 want = gather_feynman_kac(self.params, self.grid, self.p0,
                                           self.p1, p_delta, **kwargs)
                 assert got == want
-        assert n_forks == (2 if n_paths >= 2 else 0)  # the batch, the terms
+        assert n_forks == int(n_paths >= 2)  # one march, the terms inside
         assert_no_children()
         assert got == alone
 
@@ -711,9 +711,23 @@ class TestFeynmanKacTerms:
 
         monkeypatch.setattr(convergence, "_bilinear_read", dying)
         got, n_forks = forked(True, self.run_terms, **kwargs)
-        assert n_forks == 2  # the batch, the terms
+        assert n_forks == 1  # one march, the terms inside
         assert_no_children()
         assert got == want
+
+    def test_terms_peak_below_one_path_array(self, monkeypatch):
+        """The terms accumulate inside the policy march: no path batch is
+        made, and the traced peak stays below one ``(n_steps + 1,
+        n_paths)`` float64 array."""
+        p_delta = full_surface(self.params, self.grid)
+        n_paths, n_steps = 2000, 40
+        kwargs = dict(p_delta=p_delta, n_paths=n_paths, n_steps=n_steps,
+                      include_higher=True)
+        want = self.run_terms(**kwargs)  # also loads scipy
+        monkeypatch.setattr(sde, "_CHUNK_CELLS", 64 * n_steps)
+        got, peak = in_process_peak(self.run_terms, **kwargs)
+        assert got == want
+        assert peak < (n_steps + 1) * n_paths * 8
 
     def test_one_path_has_zero_standard_errors(self):
         """One path gives zero standard errors, as estimate_moment does,

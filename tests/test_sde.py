@@ -30,7 +30,7 @@ from uvpricer.sde import (
 )
 from uvpricer.surface import WorstCaseControl
 
-from forking import assert_no_children, forked
+from forking import assert_no_children, forked, in_process_peak
 
 
 def make_params(**overrides):
@@ -137,6 +137,19 @@ class TestSimulatePaths:
         assert batch.control_tag == "bang-bang on v"
 
     @pytest.mark.parametrize(
+        "q", [np.float32(0.15), np.float64(0.15), np.int64(1), np.array(0.15)]
+    )
+    def test_numpy_real_multipliers(self, q):
+        """A numpy scalar or 0-d array runs as the fixed multiplier
+        ``float(q)``, as in coupled_payoff_gap."""
+        params = make_params(sigma_max=1.0)
+        got = simulate_paths(params, 100.0, -1.0, q, 20, 4, 0.1, seed=3)
+        want = simulate_paths(params, 100.0, -1.0, float(q), 20, 4, 0.1, seed=3)
+        assert got.control_tag == want.control_tag == f"fixed q={float(q)}"
+        assert np.array_equal(got.x_paths, want.x_paths)
+        assert np.array_equal(got.v_paths, want.v_paths)
+
+    @pytest.mark.parametrize(
         "kwargs, exc",
         [
             (dict(q_policy=0.05), ValueError),
@@ -148,6 +161,7 @@ class TestSimulatePaths:
             (dict(n_paths=0), ValueError),
             (dict(n_steps=0), ValueError),
             (dict(T=0.0), ValueError),
+            (dict(q_policy=np.array([0.15])), TypeError),
         ],
     )
     def test_invalid_inputs_rejected(self, kwargs, exc):
@@ -498,6 +512,43 @@ class TestPathHalves:
         _, n_forks = forked(True, simulate_paths, make_params(), 100.0, -1.0,
                             0.15, 400, 4, 0.1, 2)
         assert n_forks == 0
+
+
+class TestStreamingMemory:
+    """Paths stream from the march into their outputs: no step-major
+    batch-sized buffer is ever made."""
+
+    def test_policy_run_peaks_below_one_path_array(self, monkeypatch):
+        """Under a policy the outputs are shared memory, and the traced
+        peak stays below one ``(n_steps + 1, n_paths)`` float64 array."""
+        params, surface = worst_case_surface()
+        n_paths, n_steps = 2000, 50
+        simulate_paths(params, 100.0, -1.0, 0.15, 2, 2, 0.1, 3)  # loads scipy
+        monkeypatch.setattr(sde, "_CHUNK_CELLS", 64 * n_steps)
+        policy = WorstCaseControl(surface, params)
+        batch, peak = in_process_peak(simulate_paths, params, 100.0, -1.0,
+                                      policy, n_paths, n_steps, 0.1, 3)
+        assert batch.x_paths.shape == (n_paths, n_steps + 1)
+        assert peak < (n_steps + 1) * n_paths * 8
+
+    def test_fixed_q_run_peaks_below_outputs_and_workspaces(self, monkeypatch):
+        """A fixed-q run holds its two outputs and one workspace per
+        worker: the increments, whose spent rows hold the paths until they
+        are copied out, and a chunk's Philox words while it draws.  Half an
+        output is left for numpy's temporaries; a step-major copy of the
+        batch would need a whole one."""
+        n_paths, n_steps = 4000, 50
+        args = (make_params(), 100.0, -1.0, 0.15)
+        simulate_paths(*args, 2, 2, 0.1, 3)  # scipy loads at the first draw
+        monkeypatch.setattr(sde, "_CHUNK_CELLS", 4 * 100 * n_steps)
+        chunks = sde._chunks(n_paths, n_steps, True)
+        width = max(count for _, count in chunks)
+        per_space = (2 + 4) * n_steps * width * 8
+        outputs = 2 * (n_steps + 1) * n_paths * 8
+        _, peak = in_process_peak(simulate_paths, *args, n_paths, n_steps,
+                                  0.1, 3)
+        spaces = min(sde._WORKERS, len(chunks)) * per_space
+        assert peak < 1.5 * outputs + spaces
 
 
 class TestEstimateMoment:
