@@ -22,7 +22,7 @@ from .config import RunConfig, apply_override, config_hash, load_config
 from .convergence import corrector_sweep, run_delta_sweep
 from .errors import ConfigError, FitError, NonFiniteError, PoleError, StabilityError
 from .hjb import min_time_steps, solve_bsb_1d, solve_hjb_2d
-from .sde import simulate_paths
+from .sde import _simulate
 from .surface import _write_json
 
 
@@ -156,15 +156,17 @@ def cmd_corrector(cfg: RunConfig, out: Path, chash: str) -> None:
 
 def cmd_simulate(cfg: RunConfig, out: Path, chash: str) -> None:
     block = _require_block(cfg, "simulate")
-    batch = simulate_paths(
+    # Only the paths written to paths.csv are kept whole.
+    keep = block.n_paths if block.max_csv_paths is None else block.max_csv_paths
+    batch, x_end, v_end = _simulate(
         cfg.model, block.x0, block.v0, block.q, block.n_paths,
-        block.n_steps, cfg.grid.T, cfg.seed,
+        block.n_steps, cfg.grid.T, cfg.seed, keep,
     )
     headers = _headers(chash, cfg, seed=cfg.seed)
     batch.to_csv(out / "paths.csv", max_paths=block.max_csv_paths,
                  header_lines=headers)
-    x_mean = float(np.mean(batch.x_paths[:, -1]))
-    v_mean = float(np.mean(batch.v_paths[:, -1]))
+    x_mean = float(np.mean(x_end))
+    v_mean = float(np.mean(v_end))
     print(f"simulated {block.n_paths} paths, {block.n_steps} steps, "
           f"T={cfg.grid.T:g}")
     print(f"terminal means: x={x_mean!r}, v={v_mean!r}")

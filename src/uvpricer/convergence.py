@@ -24,11 +24,10 @@ from .errors import FitError, NonFiniteError, StabilityError
 from .hjb import (
     _full_values,
     _kept_indices,
+    _limit_and_corrector,
     _limit_value_at,
     _require_stability,
     min_time_steps,
-    solve_bsb_1d,
-    solve_corrector,
     solve_hjb_2d,
 )
 from .model import GridSpec, ModelParams, PiecewiseLinearPayoff
@@ -205,16 +204,16 @@ def _limit_values(params_base, payoff, grid, x0, v0, p1_delta,
                   cell_average_terminal, corrector):
     """``(P0, P1, P1 surface)`` at ``(0, x0, v0)``; the last two are None
     unless ``corrector``.  Without it only the two v-columns that bracket
-    ``v0`` are solved; with it the whole family is, with slices kept, as
-    the corrector's source reads every column."""
+    ``v0`` are solved; with it the whole family is, marched beside the
+    corrector, whose source reads every column."""
     if not corrector:
         p0_val = _limit_value_at(params_base, payoff, grid, x0, v0,
                                  cell_average_terminal)
         return p0_val, None, None
-    p0 = solve_bsb_1d(params_base, payoff, grid, store_slices=True,
-                      cell_average_terminal=cell_average_terminal)
-    p1 = solve_corrector(params_base.with_delta(p1_delta), payoff, grid, p0)
-    return p0.value_at(0, x0, v0), p1.value_at(0, x0, v0), p1
+    p0_val, p1 = _limit_and_corrector(params_base, payoff, grid,
+                                      params_base.with_delta(p1_delta), x0, v0,
+                                      cell_average_terminal)
+    return p0_val, p1.value_at(0, x0, v0), p1
 
 
 def _solve_deltas(params_base, payoff, grid, x0, v0, ds, cell_average_terminal):

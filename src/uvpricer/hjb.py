@@ -31,7 +31,8 @@ import numpy as np
 
 from .errors import NonFiniteError, StabilityError
 from .model import GridSpec, ModelParams, PiecewiseLinearPayoff
-from .surface import PriceSurface, _bilinear_weights, _q_sup_bare, _SliceMemo
+from .surface import (PriceSurface, _bilinear, _bilinear_weights, _nearest_pos,
+                      _q_sup_bare)
 
 
 def min_time_steps(
@@ -193,53 +194,63 @@ def _discount(P: np.ndarray, xc: np.ndarray, d_x: np.ndarray, r: float):
 
 
 class _Marcher:
-    """Backward marcher handling slice retention and boundary rows."""
+    """Backward march of ``terminal`` under ``rhs``, with its boundary rows.
 
-    def __init__(self, params, payoff, grid, kept):
+    ``rhs(P, k, out)`` writes into ``out`` the interior time derivative
+    used at step ``k -> k-1``.
+    """
+
+    def __init__(self, params, payoff, grid, terminal, rhs, v_offset=0):
         self.params = params
         self.grid = grid
-        self.kept = kept
-        self.pos = {k: p for p, k in enumerate(kept)}
+        self.terminal = terminal
+        self.rhs = rhs
         self.h0 = float(payoff(grid.x_min))
         self.exact_x_min = grid.x_min == 0.0
-        self.v_offset = 0
+        self.v_offset = v_offset
 
-    def run(self, terminal: np.ndarray, rhs) -> np.ndarray:
-        """March ``terminal`` down to t=0; ``rhs(P, k, out)`` writes into
-        ``out`` the interior time derivative used at step ``k -> k-1``.
+    def steps(self):
+        """Yield ``(k, P)``, the slice at each time index ``k = n_t .. 0``.
 
         Two slices are swapped step by step: the step is written into the
-        one not read.  A slice is scanned for its first non-finite node
-        only when its sum is not finite (any non-finite node makes it so);
-        overflow and invalid operations are not warned about, as they
-        either leave such a node or only overflow that sum.
+        one not read, so ``P`` is the march's own buffer, to be read before
+        the march goes on.  A slice is scanned for its first non-finite
+        node only when its sum is not finite (any non-finite node makes it
+        so).  The caller sets the floating-point error state: overflow and
+        invalid operations either leave such a node or only overflow that
+        sum, so :meth:`run` ignores them.
         """
         grid = self.grid
         dt = grid.dt
-        values = np.empty((len(self.kept), *terminal.shape))
-        P = terminal.copy()
+        P = self.terminal.copy()
         Q = np.empty_like(P)
         step = np.empty_like(P[1:-1])
-        if grid.n_t in self.pos:
-            values[self.pos[grid.n_t]] = P
+        yield grid.n_t, P
+        for k in range(grid.n_t, 0, -1):
+            self.rhs(P, k, step)
+            step *= dt
+            np.add(P[1:-1], step, out=Q[1:-1])
+            t_new = (k - 1) * dt
+            if self.exact_x_min:
+                Q[0] = math.exp(-self.params.r * (grid.T - t_new)) * self.h0
+            else:
+                np.multiply(Q[1], 2.0, out=Q[0])
+                Q[0] -= Q[2]
+            np.multiply(Q[-2], 2.0, out=Q[-1])
+            Q[-1] -= Q[-3]
+            if not math.isfinite(Q.sum()):
+                _check_finite(Q, k - 1, self.v_offset)
+            P, Q = Q, P
+            yield k - 1, P
+
+    def run(self, kept) -> np.ndarray:
+        """The slices at the ascending time indices ``kept``, stacked."""
+        pos = {k: p for p, k in enumerate(kept)}
+        values = np.empty((len(kept), *self.terminal.shape))
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(grid.n_t, 0, -1):
-                rhs(P, k, step)
-                step *= dt
-                np.add(P[1:-1], step, out=Q[1:-1])
-                t_new = (k - 1) * dt
-                if self.exact_x_min:
-                    Q[0] = math.exp(-self.params.r * (grid.T - t_new)) * self.h0
-                else:
-                    np.multiply(Q[1], 2.0, out=Q[0])
-                    Q[0] -= Q[2]
-                np.multiply(Q[-2], 2.0, out=Q[-1])
-                Q[-1] -= Q[-3]
-                if not math.isfinite(Q.sum()):
-                    _check_finite(Q, k - 1, self.v_offset)
-                P, Q = Q, P
-                if (k - 1) in self.pos:
-                    values[self.pos[k - 1]] = P
+            for k, P in self.steps():
+                if k in pos:
+                    values[pos[k]] = P
         return values
 
 
@@ -303,11 +314,11 @@ def _full_values(params, deltas, payoff, grid, kept, cell_average_terminal):
         if r != 0.0:
             out += _discount(P, xc, d_x, r)
 
-    marcher = _Marcher(params, payoff, grid, kept)
     terminal = _terminal_slice(payoff, grid, cell_average_terminal)
     terminal = np.repeat(terminal[:, None], n_d, axis=1)
-    values = marcher.run(terminal.reshape(n_x + 2, *shape[1:]), rhs)
-    return values.reshape(len(kept), n_x + 2, n_d, n_v)
+    marcher = _Marcher(params, payoff, grid,
+                       terminal.reshape(n_x + 2, *shape[1:]), rhs)
+    return marcher.run(kept).reshape(len(kept), n_x + 2, n_d, n_v)
 
 
 def solve_hjb_2d(
@@ -337,15 +348,13 @@ def solve_hjb_2d(
     )
 
 
-def _bsb_values(params, payoff, grid, kept, cell_average_terminal, e2v,
-                v_offset=0):
-    """Kept slices of the limit equation at the factor levels ``e2v``.
+def _bsb_march(params, payoff, grid, cell_average_terminal, e2v, v_offset=0):
+    """The march of the limit equation at the factor levels ``e2v``.
 
     ``e2v`` is a ``(1, width)`` row of ``e^{2v}``; each of its columns is
     an independent 1-D problem.  ``v_offset`` is the full-grid index of the
-    first column, which a non-finite node is reported at.  Returns
-    ``(n_kept, n_x + 2, width)`` values; the stability check is the
-    caller's.
+    first column, which a non-finite node is reported at.  The stability
+    check is the caller's.
     """
     width = e2v.shape[1]
     shape = (grid.n_x, width)
@@ -365,10 +374,8 @@ def _bsb_values(params, payoff, grid, kept, cell_average_terminal, e2v,
         if r != 0.0:
             out += _discount(P, xc, _px(P, dx, out=work), r)
 
-    marcher = _Marcher(params, payoff, grid, kept)
-    marcher.v_offset = v_offset
     terminal = _terminal_slice(payoff, grid, cell_average_terminal)[:, :width]
-    return marcher.run(terminal, rhs)
+    return _Marcher(params, payoff, grid, terminal, rhs, v_offset)
 
 
 def solve_bsb_1d(
@@ -397,7 +404,7 @@ def solve_bsb_1d(
         if not np.isfinite(v):
             raise ValueError(f"v must be finite, got {v}")
         e2v = np.array([[math.exp(2.0 * v)]])
-    values = _bsb_values(params, payoff, grid, kept, cell_average_terminal, e2v)
+    values = _bsb_march(params, payoff, grid, cell_average_terminal, e2v).run(kept)
     if v is not None:
         values = np.repeat(values, grid.n_v, axis=2)
     values.flags.writeable = False
@@ -425,13 +432,63 @@ def _limit_value_at(params, payoff, grid, x0, v0, cell_average_terminal):
     iv = int(_bilinear_weights(grid, x0, v0)[0]) % grid.n_v
     band = slice(iv, iv + 2)
     values = np.zeros((len(kept), grid.n_x + 2, grid.n_v))
-    values[..., band] = _bsb_values(
-        params, payoff, grid, kept, cell_average_terminal,
+    values[..., band] = _bsb_march(
+        params, payoff, grid, cell_average_terminal,
         np.exp(2.0 * grid.v_nodes)[None, band], v_offset=iv,
-    )
+    ).run(kept)
     surface = PriceSurface(values=values, grid=grid, params=params,
                            kind="limit_p0", kept_times=kept)
     return surface.value_at(0, x0, v0)
+
+
+def _corrector_march(params, payoff, grid, nearest_pos, limit_slice):
+    """The march of the correction equation, reading limit slices.
+
+    Step ``k -> k-1`` freezes the diffusion at the limit slice's bang-bang
+    multiplier and takes the source ``q0 rho sigma e^v x`` times its mixed
+    derivative, where the slice is ``limit_slice(pos)`` for ``pos =
+    nearest_pos(k dt)``.  A slice is asked for only when ``pos`` changes,
+    and read at once.  The checks are the caller's.
+    """
+    xc = grid.x_nodes[1:-1][:, None]
+    ev = np.exp(grid.v_nodes)[None, :]
+    diff_coef = 0.5 * xc**2 * ev**2
+    src_coef = params.rho * params.sigma * xc * ev
+    dx, dv, dt = grid.dx, grid.dv, grid.dt
+    lo, hi = params.sigma_min, params.sigma_max
+    # The frozen multiplier q0 is lo or hi, so ``diff_coef * q0**2`` and
+    # ``q0 * src_coef`` are one of two precomputed products at each node.
+    diff_lo, diff_hi = diff_coef * (lo * lo), diff_coef * (hi * hi)
+    src_lo, src_hi = lo * src_coef, hi * src_coef
+    shape = (grid.n_x, grid.n_v)
+    d2, d_x, diffusion, source = (np.empty(shape) for _ in range(4))
+    convex = np.empty(shape, dtype=bool)
+    read = -1
+
+    def rhs(P, k, out):
+        nonlocal read
+        pos = nearest_pos(k * dt)
+        if pos != read:
+            # The frozen fields are written over the last slice's.
+            F0 = limit_slice(pos)
+            read = pos
+            np.greater_equal(_pxx(F0, dx, out=d2), 0.0, out=convex)
+            np.copyto(diffusion, diff_lo)
+            np.copyto(diffusion, diff_hi, where=convex)
+            np.copyto(source, src_lo)
+            np.copyto(source, src_hi, where=convex)
+            np.multiply(source, _pxv(_px(F0, dx, out=d_x), dv, out=d2),
+                        out=source)
+        _pxx(P, dx, out=out)
+        out *= diffusion
+        out += source
+
+    # Zero boundary data: the payoff plays no role beyond the x_min row,
+    # which the correction keeps at zero where the equation degenerates.
+    marcher = _Marcher(params, payoff, grid, np.zeros((grid.n_x + 2, grid.n_v)),
+                       rhs)
+    marcher.h0 = 0.0
+    return marcher
 
 
 def solve_corrector(
@@ -472,47 +529,61 @@ def solve_corrector(
         )
     _require_stability(params, grid, "corrector")
     kept = _kept_indices(grid.n_t, store_slices, max_kept_slices)
-    xc = grid.x_nodes[1:-1][:, None]
-    ev = np.exp(grid.v_nodes)[None, :]
-    diff_coef = 0.5 * xc**2 * ev**2
-    src_coef = params.rho * params.sigma * xc * ev
-    dx, dv = grid.dx, grid.dv
-    lo, hi = params.sigma_min, params.sigma_max
-    # The frozen multiplier q0 is lo or hi, so ``diff_coef * q0**2`` and
-    # ``q0 * src_coef`` are one of two precomputed products at each node.
-    diff_lo, diff_hi = diff_coef * (lo * lo), diff_coef * (hi * hi)
-    src_lo, src_hi = lo * src_coef, hi * src_coef
-    shape = (grid.n_x, grid.n_v)
-    d2, d_x, diffusion, source = (np.empty(shape) for _ in range(4))
-    convex = np.empty(shape, dtype=bool)
-
-    def frozen_fields(surface, time_index):
-        # Written over the last slice's fields: the memo keeps one, and
-        # ``rhs`` reads it before the next is derived.
-        F0 = surface.slice_at(time_index)
-        np.greater_equal(_pxx(F0, dx, out=d2), 0.0, out=convex)
-        np.copyto(diffusion, diff_lo)
-        np.copyto(diffusion, diff_hi, where=convex)
-        np.copyto(source, src_lo)
-        np.copyto(source, src_hi, where=convex)
-        np.multiply(source, _pxv(_px(F0, dx, out=d_x), dv, out=d2), out=source)
-        return diffusion, source
-
-    frozen_at = _SliceMemo(p0, frozen_fields)
-
-    def rhs(P, k, out):
-        diffusion, source = frozen_at(k * grid.dt)
-        _pxx(P, dx, out=out)
-        out *= diffusion
-        out += source
-
-    marcher = _Marcher(params, payoff, grid, kept)
-    # Zero boundary data: the payoff plays no role beyond the x_min row,
-    # which the correction keeps at zero where the equation degenerates.
-    marcher.h0 = 0.0
-    terminal = np.zeros((grid.n_x + 2, grid.n_v))
-    values = marcher.run(terminal, rhs)
+    march = _corrector_march(params, payoff, grid, p0.nearest_pos,
+                             lambda pos: p0.values[pos])
+    values = march.run(kept)
     values.flags.writeable = False
     return PriceSurface(
         values=values, grid=grid, params=params, kind="corrector_p1", kept_times=kept
     )
+
+
+def _limit_and_corrector(params, payoff, grid, p1_params, x0, v0,
+                         cell_average_terminal):
+    """``(P0(0, x0, v0), P1)`` from one march of the limit and corrector.
+
+    Bit for bit what :func:`solve_bsb_1d` with stored slices and
+    :func:`solve_corrector` on it give (``P1`` keeps the slices at 0 and
+    ``n_t``), but the limit march runs beside the corrector's, only as
+    far as the stored slice the corrector reads next, so no slice stack
+    is kept.  Errors come in the order of the two solves: the limit's
+    stability check and any non-finite limit node come before the
+    corrector's checks and march.
+    """
+    _require_stability(params, grid, "bsb")
+    limit = _bsb_march(params, payoff, grid, cell_average_terminal,
+                       np.exp(2.0 * grid.v_nodes)[None, :]).steps()
+    # The corrector reads the slice that solve_bsb_1d(store_slices=True)
+    # keeps nearest in time, and the limit march stops there.
+    kept_times = np.asarray(_kept_indices(grid.n_t, True, 601))
+    times = kept_times * grid.dt
+    k0, F0 = grid.n_t + 1, None
+
+    def limit_at(time_index):
+        nonlocal k0, F0
+        while k0 > time_index:
+            k0, F0 = next(limit)
+        return F0
+
+    try:
+        if p1_params.r != 0.0:
+            raise ValueError("corrector is defined for r = 0")
+        _require_stability(p1_params, grid, "corrector")
+        march = _corrector_march(
+            p1_params, payoff, grid, lambda t: _nearest_pos(times, t),
+            lambda pos: limit_at(kept_times[pos]),
+        )
+        kept = _kept_indices(grid.n_t, False, 2)
+        values = march.run(kept)
+        with np.errstate(over="ignore", invalid="ignore"):
+            limit_at(0)
+    except (ValueError, RuntimeError):
+        # A limit march that fails later still raises first.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in limit:
+                pass
+        raise
+    values.flags.writeable = False
+    p1 = PriceSurface(values=values, grid=grid, params=p1_params,
+                      kind="corrector_p1", kept_times=kept)
+    return _bilinear(grid, F0, x0, v0, True), p1

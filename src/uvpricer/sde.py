@@ -214,20 +214,26 @@ def _shared(shape, dtype=float) -> np.ndarray:
     return np.frombuffer(buf, dtype=dtype, count=count).reshape(shape)
 
 
+# Each forked half derives every slice its path loop reads, so a half of
+# fewer paths than this runs faster in one call with the other (the two
+# break even near 1,000-2,000 paths in all at 128 steps).
+_FORK_MIN_PATHS = 1024
+
+
 def _in_halves(n_paths: int, work) -> None:
     """``work(first, count)`` over paths ``0 .. n_paths - 1``, on both CPUs.
 
-    When :func:`_fork_ok`, ``work(0, h)`` runs here and ``work(h, n_paths
-    - h)`` as a :class:`_Job`, with ``h = n_paths // 2``; otherwise
-    ``work(0, n_paths)`` runs here in one call, so each slice a path loop
-    reads is derived once.  ``work`` writes only its own rows of
+    When :func:`_fork_ok` and ``h = n_paths // 2`` is at least
+    ``_FORK_MIN_PATHS``, ``work(0, h)`` runs here and ``work(h, n_paths
+    - h)`` as a :class:`_Job`; otherwise ``work(0, n_paths)`` runs here in
+    one call, so each slice a path loop reads is derived once.  ``work`` writes only its own rows of
     :func:`_shared` arrays and returns nothing: its results are per path,
     and every reduction over paths belongs to the caller, after this
     returns.  A child that fails is redone here, so its error is raised
     as the caller's; an error in the first half kills and reaps the child.
     """
     h = n_paths // 2
-    if h == 0 or not _fork_ok():
+    if h < _FORK_MIN_PATHS or not _fork_ok():
         work(0, n_paths)
         return
     job = _Job(work, h, n_paths - h)
@@ -386,28 +392,49 @@ def simulate_paths(
     second half of the paths calls a copy of it in a forked child
     (:func:`_in_halves`), so its own state sees only the first half.
     """
+    return _simulate(params, x0, v0, q_policy, n_paths, n_steps, T, seed,
+                     n_paths)[0]
+
+
+def _simulate(params, x0, v0, q_policy, n_paths, n_steps, T, seed, keep):
+    """``(batch, x_T, v_T)``: the first ``keep`` paths of
+    :func:`simulate_paths`'s batch, and the terminal asset and factor
+    values of every path.  The other paths are not stored whole."""
     q, tag = _control(params, q_policy, x0, v0, n_paths, n_steps, T)
+    if keep < 0:
+        raise ValueError(f"cannot keep {keep} paths")
+    keep = min(keep, n_paths)
     # A forked half writes its rows of shared memory.
     alloc = np.empty if isinstance(q, float) else _shared
-    x_out = alloc((n_paths, n_steps + 1))
-    v_out = alloc((n_paths, n_steps + 1))
+    x_out = alloc((keep, n_steps + 1))
+    v_out = alloc((keep, n_steps + 1))
     x_out[:, 0], v_out[:, 0] = x0, v0
+    if keep == n_paths:
+        x_end, v_end = x_out[:, -1], v_out[:, -1]
+    else:
+        x_end, v_end = alloc((n_paths,)), alloc((n_paths,))
 
     def consumer(rows, dw):
-        # Step k > 0 goes into the spent increment row k - 1, and the chunk
-        # is copied out path-major after its last step.
+        # Step k > 0 of a kept path goes into the spent increment row
+        # k - 1, and the chunk's kept paths are copied out path-major after
+        # its last step.
+        head = slice(rows.start, max(rows.start, min(rows.stop, keep)))
+        n = head.stop - head.start
+
         def visit(k, x, v):
-            if k:
-                dw[0][k - 1], dw[1][k - 1] = x, v
+            if k and n:
+                dw[0][k - 1, :n], dw[1][k - 1, :n] = x[:n], v[:n]
             if k == n_steps:
-                x_out[rows, 1:], v_out[rows, 1:] = dw[0].T, dw[1].T
+                x_out[head, 1:], v_out[head, 1:] = dw[0][:, :n].T, dw[1][:, :n].T
+                x_end[rows], v_end[rows] = x, v
         return visit
 
     _march_paths(params, x0, v0, q, n_paths, n_steps, T, seed, consumer)
     x_out.flags.writeable = False
     v_out.flags.writeable = False
-    return PathBatch(x_paths=x_out, v_paths=v_out, dt=T / n_steps, seed=seed,
-                     control_tag=tag)
+    batch = PathBatch(x_paths=x_out, v_paths=v_out, dt=T / n_steps, seed=seed,
+                      control_tag=tag)
+    return batch, x_end, v_end
 
 
 def _mean_and_se(samples: np.ndarray) -> tuple[float, float]:
@@ -416,6 +443,9 @@ def _mean_and_se(samples: np.ndarray) -> tuple[float, float]:
     if n < 2:
         return mean, 0.0
     return mean, float(samples.std(ddof=1) / math.sqrt(n))
+
+
+_MOMENT_BLOCK_ROWS = 512
 
 
 def estimate_moment(
@@ -433,7 +463,13 @@ def estimate_moment(
     else:
         raise ValueError(f"which must be 'X' or 'V', got {which!r}")
     if time_integrated:
-        samples = np.trapezoid(np.abs(paths) ** k, dx=batch.dt, axis=1)
+        # Each path's integral reads only its own row, so blocks of rows
+        # give the same bits without batch-sized temporaries.
+        samples = np.empty(batch.n_paths)
+        for lo in range(0, batch.n_paths, _MOMENT_BLOCK_ROWS):
+            rows = slice(lo, lo + _MOMENT_BLOCK_ROWS)
+            samples[rows] = np.trapezoid(np.abs(paths[rows]) ** k,
+                                         dx=batch.dt, axis=1)
     else:
         samples = np.abs(paths[:, -1]) ** k
     estimate, std_error = _mean_and_se(samples)

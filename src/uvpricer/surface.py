@@ -204,7 +204,7 @@ class PriceSurface:
 
     def nearest_pos(self, t: float) -> int:
         """Storage row whose time value is closest to ``t``."""
-        return int(np.argmin(np.abs(self._times - t)))
+        return _nearest_pos(self._times, t)
 
     def slice_at(self, time_index: int) -> np.ndarray:
         """The (n_x+2, n_v) slice at an exact time index."""
@@ -229,6 +229,11 @@ class PriceSurface:
                    np.tile(np.repeat(grid.x_nodes, grid.n_v), len(ks)),
                    np.tile(grid.v_nodes, (grid.n_x + 2) * len(ks)),
                    self.values[[self.pos_of(int(k)) for k in ks]].ravel())
+
+
+def _nearest_pos(times: np.ndarray, t: float) -> int:
+    """Index of the entry of ``times`` closest to ``t``; ties to the first."""
+    return int(np.argmin(np.abs(times - t)))
 
 
 def _bilinear_weights(grid: GridSpec, x, v, extrapolate: bool = True):

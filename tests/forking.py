@@ -9,8 +9,9 @@ from uvpricer import sde
 
 
 def forked(fork, call, *args, **kwargs):
-    """``call`` with :func:`sde._fork_ok` forced to ``fork``; returns the
-    result and the number of ``os.fork`` calls it made."""
+    """``call`` with :func:`sde._fork_ok` forced to ``fork`` and path halves
+    of any size forked; returns the result and the number of ``os.fork``
+    calls it made."""
     started = []
     real_fork = os.fork
 
@@ -20,6 +21,7 @@ def forked(fork, call, *args, **kwargs):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sde, "_fork_ok", lambda: fork)
+        mp.setattr(sde, "_FORK_MIN_PATHS", 1)
         mp.setattr(os, "fork", counting_fork)
         return call(*args, **kwargs), len(started)
 

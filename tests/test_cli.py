@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import uvpricer.hjb as hjb
+from uvpricer import cli, sde
 from uvpricer.analytic import bs_call
 from uvpricer.cli import main
 from uvpricer.config import (
@@ -20,6 +21,9 @@ from uvpricer.config import (
     load_config,
 )
 from uvpricer.errors import ConfigError
+from uvpricer.sde import simulate_paths
+
+from forking import in_process_peak
 
 
 def base_doc(out_dir):
@@ -328,25 +332,23 @@ class TestSweepCommands:
 
     def test_corrector_solves_each_limit_surface_once(self, tmp_path,
                                                       monkeypatch):
-        """The corrector command solves P0 once and P1 once."""
-        calls = {"solve_bsb_1d": 0, "solve_corrector": 0}
-        for name in calls:
-            original = getattr(hjb, name)
+        """The corrector command marches P0 once and P1 once."""
+        marches = []
+        steps = hjb._Marcher.steps
 
-            def counted(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
-                return _original(*args, **kwargs)
+        def counted(marcher):
+            # Named by the builder of the march's right-hand side.
+            marches.append(marcher.rhs.__qualname__.split(".")[0])
+            return steps(marcher)
 
-            for mod_name, module in list(sys.modules.items()):
-                if mod_name == "uvpricer" or mod_name.startswith("uvpricer."):
-                    for attr, value in list(vars(module).items()):
-                        if value is original:
-                            monkeypatch.setattr(module, attr, counted)
+        monkeypatch.setattr(hjb._Marcher, "steps", counted)
         doc = base_doc(tmp_path / "out")
         doc["corrector"] = {"point": [100.0, -1.0], "deltas": [0.16, 0.36],
                             "noise_floor": 0.0}
         assert main(["corrector", "--config", write_doc(tmp_path, doc)]) == 0
-        assert calls == {"solve_bsb_1d": 1, "solve_corrector": 1}
+        # The delta march may run in a forked child, out of sight.
+        limit_marches = sorted(m for m in marches if m != "_full_values")
+        assert limit_marches == ["_bsb_march", "_corrector_march"]
 
 
 class TestSimulateCommand:
@@ -386,6 +388,47 @@ class TestSimulateCommand:
         assert (out / "paths.csv").read_bytes() == first
         assert main(["simulate", "--config", path, "--seed", "8"]) == 0
         assert (out / "paths.csv").read_bytes() != first
+
+
+    @pytest.mark.parametrize("n_paths, max_csv_paths", [
+        (9000, 100), (9000, 4600), (9000, None), (50, 50), (50, 60)])
+    def test_artifacts_equal_those_of_the_whole_batch(
+            self, tmp_path, monkeypatch, n_paths, max_csv_paths):
+        """Only the written paths and the terminal states are kept, and
+        the artifacts are the bytes the whole ``simulate_paths`` batch
+        gave: past numpy's 8,192-element reduction blocks, across the two
+        thread chunks (4,500 paths each) and with every path written."""
+        out = tmp_path / "out"
+        doc = base_doc(out)
+        doc["simulate"] = {"x0": 100.0, "v0": -1.0, "q": 0.15,
+                           "n_paths": n_paths, "n_steps": 6,
+                           "max_csv_paths": max_csv_paths}
+        path = write_doc(tmp_path, doc)
+        names = ("paths.csv", "summary.json")
+        assert main(["simulate", "--config", path]) == 0
+        streamed = [(out / name).read_bytes() for name in names]
+
+        def whole_batch(*args):
+            batch = simulate_paths(*args[:-1])
+            return batch, batch.x_paths[:, -1], batch.v_paths[:, -1]
+
+        monkeypatch.setattr(cli, "_simulate", whole_batch)
+        assert main(["simulate", "--config", path]) == 0
+        assert streamed == [(out / name).read_bytes() for name in names]
+
+    def test_peak_below_one_path_array(self, tmp_path, monkeypatch):
+        """The in-process traced peak of the command stays below one
+        ``(n_steps + 1, n_paths)`` float64 array."""
+        n_paths, n_steps = 20000, 50
+        monkeypatch.setattr(sde, "_CHUNK_CELLS", 4 * 1000 * n_steps)
+        doc = base_doc(tmp_path / "out")
+        doc["simulate"] = {"x0": 100.0, "v0": -1.0, "q": 0.15,
+                           "n_paths": n_paths, "n_steps": n_steps}
+        argv = ["simulate", "--config", write_doc(tmp_path, doc)]
+        assert main(argv) == 0  # scipy loads at the first draw
+        rc, peak = in_process_peak(main, argv)
+        assert rc == 0
+        assert peak < (n_steps + 1) * n_paths * 8
 
 
 class TestCheck2bsdeCommand:

@@ -270,6 +270,23 @@ class TestCorrectorSweep:
         assert all(row.excluded for row in voided.rows)
         assert math.isnan(voided.ratio)
 
+    def test_peak_does_not_grow_with_the_step_count(self):
+        """The limit marches beside the corrector and keeps no slice stack:
+        at four times the steps the in-process traced peak of the sweep
+        grows by less than four slices (a stack would add one per step)."""
+        params = mk_params()
+        grid = mk_grid(params, n_x=99, n_v=11)
+
+        def peak(n_t):
+            longer = dataclasses.replace(grid, n_t=n_t)
+            return in_process_peak(corrector_sweep, params, BUTTERFLY, longer,
+                                   (100.0, -1.0), [0.16, 0.36],
+                                   noise_floor=0.0)[1]
+
+        peak(grid.n_t)  # first-call allocations are not the sweep's
+        slice_bytes = (grid.n_x + 2) * grid.n_v * 8
+        assert peak(4 * grid.n_t) < peak(grid.n_t) + 4 * slice_bytes
+
     def test_artifacts(self, tmp_path):
         """The corrector CSV and JSON mirror the row schema."""
         params = mk_params()

@@ -11,10 +11,11 @@ import solver_reference as ref
 from uvpricer import hjb
 from uvpricer.errors import NonFiniteError, StabilityError
 from uvpricer.analytic import bs_call, fixed_vol_price
-from uvpricer.convergence import _solve_deltas
+from uvpricer.convergence import _refined_for_floor, _solve_deltas
 from uvpricer.hjb import (
     _full_values,
     _kept_indices,
+    _limit_and_corrector,
     _limit_value_at,
     min_time_steps,
     solve_bsb_1d,
@@ -458,6 +459,134 @@ HUGE_BUTTERFLY = PiecewiseLinearPayoff.from_calls(
 TOO_HUGE_BUTTERFLY = PiecewiseLinearPayoff.from_calls(
     [(90.0, 1e307), (100.0, -2e307), (110.0, 1e307)]
 )
+
+
+def limit_then_corrector(p, h, grid, p1_params, x0, v0, cell_average):
+    """``(P0(0, x0, v0), P1)`` from a stored limit solve and the corrector
+    on it, one after the other."""
+    p0 = solve_bsb_1d(p, h, grid, store_slices=True,
+                      cell_average_terminal=cell_average)
+    p1 = solve_corrector(p1_params, h, grid, p0)
+    return p0.value_at(0, x0, v0), p1
+
+
+def outcome(call, *args):
+    """``call``'s result, or the type, text and attributes of its error."""
+    try:
+        with np.errstate(all="ignore"):
+            return call(*args)
+    except Exception as err:  # noqa: BLE001 - the error is the outcome
+        return type(err), str(err), vars(err)
+
+
+@st.composite
+def fused_cases(draw, n_t):
+    """A solver case with ``r = 0``, a point on the grid and the
+    corrector's delta, on a grid of ``n_t`` steps (at least the stability
+    bound; None for the bound) or on the refined noise-floor grid."""
+    p, h, grid, extra, options, _ = draw(solver_cases())
+    p = dataclasses.replace(p, r=0.0)
+    p1_params = p.with_delta(draw(floats(0.0, 1.0)))
+    if n_t == "refined":
+        grid = _refined_for_floor(p1_params, grid)
+    else:
+        grid = dataclasses.replace(
+            grid, n_t=max(n_t or 1, min_time_steps(p, grid, "bsb") + extra))
+    u, w = draw(floats(0.0, 1.0)), draw(floats(0.0, 1.0))
+    x0 = grid.x_min + u * (grid.x_max - grid.x_min)
+    v0 = grid.v_min + w * (grid.v_max - grid.v_min)
+    return p, h, grid, p1_params, x0, v0, options["cell_average_terminal"]
+
+
+class TestLimitBesideCorrector:
+    """The corrector sweep marches the limit beside the corrector and gets
+    the numbers and errors of the two solves one after the other."""
+
+    # 601 limit slices are kept: 599 and 600 steps read every slice, 631
+    # every second (odd steps tie between two), 1201 and 1300 every third.
+    @pytest.mark.parametrize("n_t", [None, 599, 600, 631, 1201, 1300, "refined"])
+    @settings(max_examples=10, deadline=None)
+    @given(data=st.data())
+    def test_equals_the_stored_limit_and_corrector(self, n_t, data):
+        case = data.draw(fused_cases(n_t))
+        got_p0, got_p1 = _limit_and_corrector(*case)
+        want_p0, want_p1 = limit_then_corrector(*case)
+        assert type(got_p0) is float
+        assert np.array_equal(got_p0, want_p0)
+        assert (got_p1.kind, got_p1.params, got_p1.kept_times) == (
+            want_p1.kind, want_p1.params, want_p1.kept_times)
+        assert np.array_equal(got_p1.values, want_p1.values)
+        assert not got_p1.values.flags.writeable
+
+    def test_odd_steps_read_the_earlier_of_two_tied_slices(self):
+        """At limit-slice stride 2 an odd step lies midway between two kept
+        slices and reads the earlier one, as ``nearest_pos`` does."""
+        p = mk_params()
+        grid = dataclasses.replace(mk_grid(p, "bsb", x_max=200.0, n_x=19),
+                                   n_t=631)
+        kept = _kept_indices(grid.n_t, True, 601)
+        assert kept[:3] == (0, 2, 4)
+        surface = PriceSurface(values=np.zeros((len(kept), grid.n_x + 2, grid.n_v)),
+                               grid=grid, params=p, kind="limit_p0",
+                               kept_times=kept)
+        assert surface.nearest_pos(3 * grid.dt) == 1
+        case = (p, BUTTERFLY, grid, p.with_delta(0.3), 100.0, -0.5, False)
+        got_p0, got_p1 = _limit_and_corrector(*case)
+        want_p0, want_p1 = limit_then_corrector(*case)
+        assert got_p0 == want_p0
+        assert np.array_equal(got_p1.values, want_p1.values)
+
+    def test_limit_stability_error_comes_first(self):
+        p = mk_params(r=0.03)
+        grid = mk_grid(p, "bsb", x_max=200.0, n_x=39)
+        grid = dataclasses.replace(grid, n_t=grid.n_t - 1)
+        case = (p, BUTTERFLY, grid, p, 100.0, -0.5, False)
+        got = outcome(_limit_and_corrector, *case)
+        assert got[0] is StabilityError
+        assert got == outcome(limit_then_corrector, *case)
+
+    @pytest.mark.parametrize("payoff, error", [(BUTTERFLY, ValueError),
+                                               (TOO_HUGE_BUTTERFLY, NonFiniteError)])
+    def test_limit_overflow_comes_before_the_corrector_checks(self, payoff,
+                                                              error):
+        """With ``r != 0`` the corrector refuses to run, but only after a
+        limit march that overflows has raised."""
+        p = mk_params(r=0.03)
+        grid = mk_grid(p, "bsb", x_max=200.0, n_x=39)
+        case = (p, payoff, grid, p, 100.0, -0.5, False)
+        got = outcome(_limit_and_corrector, *case)
+        assert got[0] is error
+        assert got == outcome(limit_then_corrector, *case)
+
+    @pytest.mark.parametrize("payoff", [BUTTERFLY, TOO_HUGE_BUTTERFLY])
+    def test_limit_overflow_wins_over_a_corrector_overflow(self, monkeypatch,
+                                                           payoff):
+        """The corrector overflows at its first step, before the limit
+        march beside it does: the limit's error is still raised, as the
+        limit solve raised it before the corrector ran."""
+        corrector_march = hjb._corrector_march
+
+        def overflowing(*args):
+            march = corrector_march(*args)
+            rhs = march.rhs
+
+            def rhs_inf(P, k, out):
+                rhs(P, k, out)
+                out[0, 0] = np.inf
+
+            march.rhs = rhs_inf
+            return march
+
+        monkeypatch.setattr(hjb, "_corrector_march", overflowing)
+        p = mk_params()
+        grid = mk_grid(p, "bsb", x_max=200.0, n_x=39)
+        case = (p, payoff, grid, p, 100.0, -0.5, False)
+        got = outcome(_limit_and_corrector, *case)
+        assert got[0] is NonFiniteError
+        assert got == outcome(limit_then_corrector, *case)
+        if payoff is BUTTERFLY:
+            assert got[2]["time_index"] == grid.n_t - 1
+            assert got[2]["node"] == (1, 0)
 
 
 def nonfinite_report(solve, *args, **kwargs):

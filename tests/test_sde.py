@@ -425,6 +425,25 @@ class TestPathHalves:
             assert batch.x_paths.flags.c_contiguous
             assert not batch.x_paths.flags.writeable
 
+    @pytest.mark.parametrize("keep", [0, 3, 6, 9])
+    def test_kept_paths_and_terminal_states(self, keep):
+        """``sde._simulate`` stores only the first ``keep`` paths whole, and
+        every path's terminal state, forked or in-process, with the bits
+        of the whole batch."""
+        params, surface = worst_case_surface()
+        args = (params, 100.0, -1.0)
+        tail = (9, 5, 0.1, 4)
+        whole = simulate_paths(*args, WorstCaseControl(surface, params), *tail)
+        for fork in (True, False):
+            (head, x_end, v_end), n_forks = forked(
+                fork, sde._simulate, *args, WorstCaseControl(surface, params),
+                *tail, keep)
+            assert n_forks == int(fork)
+            assert np.array_equal(head.x_paths, whole.x_paths[:keep])
+            assert np.array_equal(head.v_paths, whole.v_paths[:keep])
+            assert np.array_equal(x_end, whole.x_paths[:, -1])
+            assert np.array_equal(v_end, whole.v_paths[:, -1])
+
     def test_policy_sees_the_stored_asset_values(self):
         """The policy reads exactly what the old loop passed it: the
         stored ``exp(log_x)`` row, and ``exp(log x0)`` (not ``x0``) at the
@@ -551,7 +570,47 @@ class TestStreamingMemory:
         assert peak < 1.5 * outputs + spaces
 
 
+class TestForkThreshold:
+    def test_small_halves_run_in_one_call(self, monkeypatch):
+        """A half of fewer than ``_FORK_MIN_PATHS`` paths would not pay for
+        its own slice derivations, so the batch runs in one call; from
+        that size on the second half forks."""
+        monkeypatch.setattr(sde, "_fork_ok", lambda: True)
+        started = []
+        real_fork = os.fork
+
+        def counting_fork():
+            started.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        half = sde._FORK_MIN_PATHS
+        # The benchmark's 20,000-path policy and 2BSDE runs still fork.
+        assert half <= 20_000 // 2
+        for n_paths, here, forks in ((2 * half - 1, [(0, 2 * half - 1)], 0),
+                                     (2 * half, [(0, half)], 1)):
+            calls, started[:] = [], []
+            sde._in_halves(n_paths, lambda first, count: calls.append(
+                (first, count)))
+            assert (calls, len(started)) == (here, forks)
+            assert_no_children()
+
+
 class TestEstimateMoment:
+    def test_time_integral_in_row_blocks(self):
+        """Blocks of rows give the whole-batch trapezoid's bits, and the
+        in-process traced peak stays below a quarter of one path array."""
+        n_paths = 40 * sde._MOMENT_BLOCK_ROWS + 7
+        batch = simulate_paths(make_params(), 100.0, -1.0, 0.15, n_paths, 20,
+                               0.1, seed=4)
+        for which, k in (("X", 1), ("V", 2), ("X", 3)):
+            paths = batch.x_paths if which == "X" else batch.v_paths
+            samples = np.trapezoid(np.abs(paths) ** k, dx=batch.dt, axis=1)
+            got = estimate_moment(batch, which, k, time_integrated=True)
+            assert (got.estimate, got.std_error) == sde._mean_and_se(samples)
+        _, peak = in_process_peak(estimate_moment, batch, "V", 2, True)
+        assert peak < batch.v_paths.nbytes / 4
+
     def test_frozen_factor_moment_is_exact(self):
         """delta = 0 makes the terminal V moment deterministic."""
         batch = simulate_paths(
