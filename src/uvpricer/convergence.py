@@ -521,6 +521,8 @@ def feynman_kac_terms(
     greeks_d, greeks_0, greeks_1 = (
         _SliceMemo(surface, greeks) for surface in (p_delta, p0, p1)
     )
+    # The policy reads its surface's Greeks at each t after the integrand.
+    policy._greeks_at = greeks_d if control_source == "delta" else greeks_0
     # One accumulator row per term, one column per path.
     acc = _shared((4 if include_higher else 2, n_paths))
 

@@ -131,73 +131,81 @@ def _check_finite(P: np.ndarray, time_index: int, v_offset: int = 0) -> None:
     raise err
 
 
-# The stencils write into ``out`` when given (else a new array).  Each
-# applies the same IEEE operations in the same order as its expression
-# form, so buffered and allocating calls agree bit for bit.  The
-# v-stencils read offset-by-one slices of the flattened C-contiguous rows
-# and then overwrite the two edge columns, where those slices straddle
-# two rows.  The v-axis is the last one, so a stack of slices on a middle
-# axis runs through them unchanged: each of its row junctions also falls
-# on an edge column.
+# The stencils write into ``out`` with the IEEE operations, operands and
+# order of their expression forms, reading views made once per solve: a
+# spacing term (``dx**2``, ``2 dx``, ...) is divided by, never folded into
+# a coefficient.  The v-stencils read offset-by-one slices of the
+# flattened C-contiguous rows and then overwrite the two edge columns,
+# where those slices straddle two rows.  The v-axis is the last one, so a
+# stack of slices on a middle axis runs through them unchanged: each of
+# its row junctions also falls on an edge column.
 
 
-def _pxx(P: np.ndarray, dx: float, out=None) -> np.ndarray:
-    """Central second x-difference on the interior rows."""
-    out = np.multiply(P[1:-1], 2.0, out=out)
-    np.subtract(P[2:], out, out=out)
-    out += P[:-2]
-    out /= dx**2
-    return out
+class _Views:
+    """Views of one ``(n_x + 2, ...)`` march buffer ``whole``: rows ``2:``,
+    ``1:-1``, ``:-2`` (``up``, ``inner``, ``down``); the flattened interior
+    rows ``[2:]``, ``[1:-1]``, ``[:-2]``, ``[1:]``, ``[:-1]`` (``flat_up``,
+    ``flat_mid``, ``flat_down``, ``flat_tail``, ``flat_head``); each
+    x-edge row with its two inward neighbours (``first``, ``last``)."""
+
+    def __init__(self, P: np.ndarray):
+        self.whole = P
+        self.up, self.inner, self.down = P[2:], P[1:-1], P[:-2]
+        flat = self.inner.reshape(-1)
+        self.flat_up, self.flat_mid, self.flat_down = flat[2:], flat[1:-1], flat[:-2]
+        self.flat_tail, self.flat_head = flat[1:], flat[:-1]
+        self.first, self.last = (P[0], P[1], P[2]), (P[-1], P[-2], P[-3])
 
 
-def _px(P: np.ndarray, dx: float, out=None) -> np.ndarray:
-    """Central first x-difference on the interior rows."""
-    out = np.subtract(P[2:], P[:-2], out=out)
-    out /= 2.0 * dx
-    return out
+def _pxx(up, inner, down, dx2: float, out: np.ndarray) -> np.ndarray:
+    """Central second x-difference of the rows, over ``dx2 = dx**2``."""
+    np.multiply(inner, 2.0, out=out)
+    np.subtract(up, out, out=out)
+    np.add(out, down, out=out)
+    return np.divide(out, dx2, out=out)
 
 
-def _pxv(d_x: np.ndarray, dv: float, out=None) -> np.ndarray:
-    """Cross derivative from the x-difference ``d_x``: central in v, first
-    order one-sided at the two v-edges."""
-    if out is None:
-        out = np.empty_like(d_x)
-    flat, mid = d_x.reshape(-1), out.reshape(-1)[1:-1]
-    np.subtract(flat[2:], flat[:-2], out=mid)
-    mid /= 2.0 * dv
-    left, right = out[..., 0], out[..., -1]
-    np.subtract(d_x[..., 1], d_x[..., 0], out=left)
-    left /= dv
-    np.subtract(d_x[..., -1], d_x[..., -2], out=right)
-    right /= dv
-    return out
+def _px(up, down, two_dx: float, out: np.ndarray) -> np.ndarray:
+    """Central first x-difference of the rows, over ``two_dx = 2.0 * dx``."""
+    np.subtract(up, down, out=out)
+    return np.divide(out, two_dx, out=out)
 
 
-def _pvv(inner: np.ndarray, dv: float, out: np.ndarray) -> np.ndarray:
-    """Central second v-difference, zero on the two v-edge columns."""
-    flat, mid = inner.reshape(-1), out.reshape(-1)[1:-1]
-    np.multiply(flat[1:-1], 2.0, out=mid)
-    np.subtract(flat[2:], mid, out=mid)
-    mid += flat[:-2]
-    mid /= dv**2
-    out[..., 0] = 0.0
-    out[..., -1] = 0.0
-    return out
+def _pxv(d_x: np.ndarray, dv: float, out: np.ndarray):
+    """A function of no arguments writing the cross derivative from the
+    x-difference ``d_x`` into ``out``: central in v, first order one-sided
+    at the two v-edges."""
+    flat = d_x.reshape(-1)
+    up, down, mid = flat[2:], flat[:-2], out.reshape(-1)[1:-1]
+    two_dv = 2.0 * dv
+    edges = ((out[..., 0], d_x[..., 1], d_x[..., 0]),
+             (out[..., -1], d_x[..., -1], d_x[..., -2]))
+
+    def pxv():
+        np.subtract(up, down, out=mid)
+        np.divide(mid, two_dv, out=mid)
+        for edge, right, left in edges:
+            np.subtract(right, left, out=edge)
+            np.divide(edge, dv, out=edge)
+        return out
+
+    return pxv
 
 
-def _discount(P: np.ndarray, xc: np.ndarray, d_x: np.ndarray, r: float):
-    """Discount and drift terms ``r (x P_x - P)`` of the interior rows,
-    written over the x-difference ``d_x``."""
+def _discount(inner, xc: np.ndarray, d_x: np.ndarray, r: float):
+    """Discount and drift terms ``r (x P_x - P)`` of the interior rows
+    ``inner``, written over the x-difference ``d_x``."""
     np.multiply(d_x, xc, out=d_x)
-    np.subtract(d_x, P[1:-1], out=d_x)
+    np.subtract(d_x, inner, out=d_x)
     return np.multiply(d_x, r, out=d_x)
 
 
 class _Marcher:
     """Backward march of ``terminal`` under ``rhs``, with its boundary rows.
 
-    ``rhs(P, k, out)`` writes into ``out`` the interior time derivative
-    used at step ``k -> k-1``.
+    ``rhs(V, k, out)`` writes into ``out`` the interior time derivative
+    used at step ``k -> k-1``, reading the slice through its
+    :class:`_Views` ``V``.
     """
 
     def __init__(self, params, payoff, grid, terminal, rhs, v_offset=0):
@@ -212,36 +220,37 @@ class _Marcher:
     def steps(self):
         """Yield ``(k, P)``, the slice at each time index ``k = n_t .. 0``.
 
-        Two slices are swapped step by step: the step is written into the
-        one not read, so ``P`` is the march's own buffer, to be read before
-        the march goes on.  A slice is scanned for its first non-finite
-        node only when its sum is not finite (any non-finite node makes it
-        so).  The caller sets the floating-point error state: overflow and
-        invalid operations either leave such a node or only overflow that
-        sum, so :meth:`run` ignores them.
+        Two slices, their views made once, are swapped step by step: the
+        step is written into the one not read, so ``P`` is the march's own
+        buffer, to be read before the march goes on.  A slice is scanned
+        for its first non-finite node only when its sum is not finite (any
+        non-finite node makes it so).  The caller sets the floating-point
+        error state: overflow and invalid operations either leave such a
+        node or only overflow that sum, so :meth:`run` ignores them.
         """
-        grid = self.grid
-        dt = grid.dt
+        grid, rhs, h0 = self.grid, self.rhs, self.h0
+        T, dt, neg_r = grid.T, grid.dt, -self.params.r
         P = self.terminal.copy()
-        Q = np.empty_like(P)
-        step = np.empty_like(P[1:-1])
+        V, W = _Views(P), _Views(np.empty_like(P))
+        step = np.empty_like(V.inner)
         yield grid.n_t, P
         for k in range(grid.n_t, 0, -1):
-            self.rhs(P, k, step)
-            step *= dt
-            np.add(P[1:-1], step, out=Q[1:-1])
-            t_new = (k - 1) * dt
+            rhs(V, k, step)
+            np.multiply(step, dt, out=step)
+            np.add(V.inner, step, out=W.inner)
+            edge, near, far = W.first
             if self.exact_x_min:
-                Q[0] = math.exp(-self.params.r * (grid.T - t_new)) * self.h0
+                edge.fill(math.exp(neg_r * (T - (k - 1) * dt)) * h0)
             else:
-                np.multiply(Q[1], 2.0, out=Q[0])
-                Q[0] -= Q[2]
-            np.multiply(Q[-2], 2.0, out=Q[-1])
-            Q[-1] -= Q[-3]
-            if not math.isfinite(Q.sum()):
-                _check_finite(Q, k - 1, self.v_offset)
-            P, Q = Q, P
-            yield k - 1, P
+                np.multiply(near, 2.0, out=edge)
+                np.subtract(edge, far, out=edge)
+            edge, near, far = W.last
+            np.multiply(near, 2.0, out=edge)
+            np.subtract(edge, far, out=edge)
+            if not math.isfinite(W.whole.sum()):
+                _check_finite(W.whole, k - 1, self.v_offset)
+            V, W = W, V
+            yield k - 1, V.whole
 
     def run(self, kept) -> np.ndarray:
         """The slices at the ascending time indices ``kept``, stacked."""
@@ -295,24 +304,34 @@ def _full_values(params, deltas, payoff, grid, kept, cell_average_terminal):
     rows = np.arange(n_x * n_d).reshape(n_x, n_d, 1)
     upwind = (rows * n_v + j_upwind).ravel()
     dx, dv, r = grid.dx, grid.dv, params.r
+    dx2, two_dx, dv2 = dx**2, 2.0 * dx, dv**2
     lo, hi = params.sigma_min, params.sigma_max
-    d_x, aa, bb, f_lo, f_hi, work = (np.empty(shape) for _ in range(6))
+    d_x, aa, bb, work, f_lo, f_hi = (np.empty(shape) for _ in range(6))
+    masks = (np.empty(shape, dtype=bool), np.empty(shape, dtype=bool))
+    pxv = _pxv(d_x, dv, bb)
+    work_flat = work.reshape(-1)
+    work_mid, work_edges = work_flat[1:-1], (work[..., 0], work[..., -1])
     fwd = np.empty(n_x * n_d * n_v - 1)
 
-    def rhs(P, k, out):
-        inner = P[1:-1]
-        _px(P, dx, out=d_x)
-        np.multiply(_pxx(P, dx, out=aa), a_coef, out=aa)
-        np.multiply(_pxv(d_x, dv, out=bb), b_coef, out=bb)
-        _q_sup_bare(aa, bb, lo, hi, out=(out, f_lo, f_hi))
-        # The zero edge columns are added too: -0.0 + 0.0 is +0.0.
-        out += np.multiply(_pvv(inner, dv, out=work), c_vv, out=work)
-        flat = inner.reshape(-1)
-        np.divide(np.subtract(flat[1:], flat[:-1], out=fwd), dv, out=fwd)
-        np.take(fwd, upwind, out=work.reshape(-1), mode="clip")
-        out += np.multiply(work, drift, out=work)
+    def rhs(V, k, out):
+        _px(V.up, V.down, two_dx, d_x)
+        np.multiply(_pxx(V.up, V.inner, V.down, dx2, aa), a_coef, out=aa)
+        np.multiply(pxv(), b_coef, out=bb)
+        _q_sup_bare(aa, bb, lo, hi, out=(out, f_lo, f_hi, *masks))
+        # Central second v-difference, zero on the two v-edge columns;
+        # these are added too: -0.0 + 0.0 is +0.0.
+        np.multiply(V.flat_mid, 2.0, out=work_mid)
+        np.subtract(V.flat_up, work_mid, out=work_mid)
+        np.add(work_mid, V.flat_down, out=work_mid)
+        np.divide(work_mid, dv2, out=work_mid)
+        for edge in work_edges:
+            edge.fill(0.0)
+        np.add(out, np.multiply(work, c_vv, out=work), out=out)
+        np.divide(np.subtract(V.flat_tail, V.flat_head, out=fwd), dv, out=fwd)
+        fwd.take(upwind, out=work_flat, mode="clip")
+        np.add(out, np.multiply(work, drift, out=work), out=out)
         if r != 0.0:
-            out += _discount(P, xc, d_x, r)
+            np.add(out, _discount(V.inner, xc, d_x, r), out=out)
 
     terminal = _terminal_slice(payoff, grid, cell_average_terminal)
     terminal = np.repeat(terminal[:, None], n_d, axis=1)
@@ -361,18 +380,20 @@ def _bsb_march(params, payoff, grid, cell_average_terminal, e2v, v_offset=0):
     xc = np.broadcast_to(grid.x_nodes[1:-1][:, None], shape).copy()
     a_coef = 0.5 * xc**2 * e2v
     dx, r = grid.dx, params.r
+    dx2, two_dx = dx**2, 2.0 * dx
     a_lo = a_coef * params.sigma_min**2
     a_hi = a_coef * params.sigma_max**2
     d2, work = np.empty(shape), np.empty(shape)
     convex = np.empty(shape, dtype=bool)
 
-    def rhs(P, k, out):
-        _pxx(P, dx, out=d2)
+    def rhs(V, k, out):
+        _pxx(V.up, V.inner, V.down, dx2, d2)
         np.greater_equal(d2, 0.0, out=convex)
         np.multiply(d2, a_lo, out=out)
         np.multiply(d2, a_hi, out=out, where=convex)
         if r != 0.0:
-            out += _discount(P, xc, _px(P, dx, out=work), r)
+            _px(V.up, V.down, two_dx, work)
+            np.add(out, _discount(V.inner, xc, work, r), out=out)
 
     terminal = _terminal_slice(payoff, grid, cell_average_terminal)[:, :width]
     return _Marcher(params, payoff, grid, terminal, rhs, v_offset)
@@ -455,6 +476,7 @@ def _corrector_march(params, payoff, grid, nearest_pos, limit_slice):
     diff_coef = 0.5 * xc**2 * ev**2
     src_coef = params.rho * params.sigma * xc * ev
     dx, dv, dt = grid.dx, grid.dv, grid.dt
+    dx2, two_dx = dx**2, 2.0 * dx
     lo, hi = params.sigma_min, params.sigma_max
     # The frozen multiplier q0 is lo or hi, so ``diff_coef * q0**2`` and
     # ``q0 * src_coef`` are one of two precomputed products at each node.
@@ -463,25 +485,27 @@ def _corrector_march(params, payoff, grid, nearest_pos, limit_slice):
     shape = (grid.n_x, grid.n_v)
     d2, d_x, diffusion, source = (np.empty(shape) for _ in range(4))
     convex = np.empty(shape, dtype=bool)
+    pxv = _pxv(d_x, dv, d2)
     read = -1
 
-    def rhs(P, k, out):
+    def rhs(V, k, out):
         nonlocal read
         pos = nearest_pos(k * dt)
         if pos != read:
             # The frozen fields are written over the last slice's.
             F0 = limit_slice(pos)
             read = pos
-            np.greater_equal(_pxx(F0, dx, out=d2), 0.0, out=convex)
+            up, down = F0[2:], F0[:-2]
+            np.greater_equal(_pxx(up, F0[1:-1], down, dx2, d2), 0.0, out=convex)
             np.copyto(diffusion, diff_lo)
             np.copyto(diffusion, diff_hi, where=convex)
             np.copyto(source, src_lo)
             np.copyto(source, src_hi, where=convex)
-            np.multiply(source, _pxv(_px(F0, dx, out=d_x), dv, out=d2),
-                        out=source)
-        _pxx(P, dx, out=out)
-        out *= diffusion
-        out += source
+            _px(up, down, two_dx, d_x)
+            np.multiply(source, pxv(), out=source)
+        _pxx(V.up, V.inner, V.down, dx2, out)
+        np.multiply(out, diffusion, out=out)
+        np.add(out, source, out=out)
 
     # Zero boundary data: the payoff plays no role beyond the x_min row,
     # which the correction keeps at zero where the equation degenerates.

@@ -233,7 +233,7 @@ class PriceSurface:
 
 def _nearest_pos(times: np.ndarray, t: float) -> int:
     """Index of the entry of ``times`` closest to ``t``; ties to the first."""
-    return int(np.argmin(np.abs(times - t)))
+    return int(np.abs(times - t).argmin())
 
 
 def _bilinear_weights(grid: GridSpec, x, v, extrapolate: bool = True):
@@ -324,8 +324,9 @@ def _q_sup(aa, bb, lo: float, hi: float, out=None):
     are tried, plus the stationary point ``q_hat = -bb / (2 aa)`` where the
     quadratic is concave and ``q_hat`` is interior.  As ``q_hat > lo > 0``
     needs ``aa < 0 < bb``, ``q_hat`` is computed only at those nodes and
-    ``f(q_hat)`` only where it is interior.  ``out`` is an optional triple
-    of C-contiguous arrays of that shape receiving ``(sup, f_lo, f_hi)``.
+    ``f(q_hat)`` only where it is interior.  ``out`` is an optional tuple
+    of C-contiguous arrays of that shape: three receiving ``(sup, f_lo,
+    f_hi)``, then two boolean ones for the candidate masks.
     Returns ``(sup, f_lo, f_hi, inside, q_inside)``: ``inside`` holds the
     flat indices where ``q_hat`` is interior and ``q_inside`` the ``q_hat``
     there; ``sup`` exceeds ``max(f_lo, f_hi)`` exactly where ``f(q_hat)``
@@ -340,26 +341,29 @@ def _q_sup_bare(aa, bb, lo: float, hi: float, out=None):
     """:func:`_q_sup` in the caller's floating-point error state: the march
     calls it once per step, and sets that state once for all of them."""
     if out is None:
-        out = tuple(np.empty(np.shape(aa)) for _ in range(3))
-    sup, f_lo, f_hi = out
+        out = (*(np.empty(np.shape(aa)) for _ in range(3)),
+               *(np.empty(np.shape(aa), dtype=bool) for _ in range(2)))
+    sup, f_lo, f_hi, concave, rising = out
     np.multiply(aa, lo * lo, out=f_lo)
-    f_lo += np.multiply(bb, lo, out=sup)
+    np.add(f_lo, np.multiply(bb, lo, out=sup), out=f_lo)
     np.multiply(aa, hi * hi, out=f_hi)
-    f_hi += np.multiply(bb, hi, out=sup)
+    np.add(f_hi, np.multiply(bb, hi, out=sup), out=f_hi)
     np.maximum(f_lo, f_hi, out=sup)
-    candidates = np.flatnonzero((aa < 0.0) & (bb > 0.0))
-    a, b = np.take(aa, candidates), np.take(bb, candidates)
+    np.less(aa, 0.0, out=concave)
+    np.greater(bb, 0.0, out=rising)
+    candidates = np.logical_and(concave, rising, out=concave).ravel().nonzero()[0]
+    a, b = aa.take(candidates), bb.take(candidates)
     q_hat = -b / (2.0 * a)
     interior = (q_hat > lo) & (q_hat < hi)
+    inside = candidates[interior]
     a, b, q_hat = a[interior], b[interior], q_hat[interior]
     f_hat = -(b * b) / (4.0 * a)
     # b * b leaves the normal range unless 2**-511 <= b < 2**512; there
     # f(q_hat) is taken as the equal b q_hat / 2.
-    lost = (b < 2.0**-511) | (b >= 2.0**512)
-    f_hat[lost] = 0.5 * b[lost] * q_hat[lost]
-    inside = candidates[interior]
-    flat = sup.reshape(-1)
-    flat[inside] = np.maximum(flat.take(inside), f_hat)
+    if b.min(initial=1.0) < 2.0**-511 or b.max(initial=1.0) >= 2.0**512:
+        lost = (b < 2.0**-511) | (b >= 2.0**512)
+        f_hat[lost] = 0.5 * b[lost] * q_hat[lost]
+    sup.put(inside, np.maximum(sup.take(inside), f_hat))
     return sup, f_lo, f_hi, inside, q_hat
 
 
@@ -387,13 +391,19 @@ def optimal_control_field(
     quadratic is concave, its interior stationary point.  Ties go to
     ``sigma_max``.
     """
+    return _control_field(surface, params, time_index, gamma_tolerance)
+
+
+def _control_field(surface, params, time_index, gamma_tolerance, g=None):
+    """:func:`optimal_control_field`, from the slice's Greeks ``g`` if given."""
     if surface.kind not in ("full_delta", "limit_p0"):
         raise ValueError(
             f"control extraction needs a price surface, got kind={surface.kind!r}"
         )
     if gamma_tolerance is None:
         gamma_tolerance = default_gamma_tolerance(surface)
-    g = greeks(surface, time_index)
+    if g is None:
+        g = greeks(surface, time_index)
     lo, hi = params.sigma_min, params.sigma_max
     if surface.kind == "limit_p0":
         q = np.where(g.gamma >= -gamma_tolerance, hi, lo)
@@ -478,14 +488,17 @@ class WorstCaseControl:
                 "worst-case policy needs a surface solved with stored slices"
             )
         self._surface = surface
-        self._field_at = _SliceMemo(
-            surface,
-            lambda s, k: optimal_control_field(s, params, k, gamma_tolerance).q_star,
-        )
+        self._params, self._gamma_tolerance = params, gamma_tolerance
+        # A caller that derives the same Greeks may share this memo.
+        self._greeks_at = _SliceMemo(surface, greeks)
+        self._greeks = self._q_grid = None
 
     def values(self, t: float, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         grid = self._surface.grid
-        q_grid = self._field_at(t)
+        g = self._greeks_at(t)
+        if g is not self._greeks:
+            self._greeks, self._q_grid = g, _control_field(
+                self._surface, self._params, None, self._gamma_tolerance, g).q_star
         ix = np.clip(
             np.rint((np.asarray(x) - grid.x_min) / grid.dx).astype(int),
             0, grid.n_x + 1,
@@ -494,7 +507,7 @@ class WorstCaseControl:
             np.rint((np.asarray(v) - grid.v_min) / grid.dv).astype(int),
             0, grid.n_v - 1,
         )
-        return q_grid.ravel().take(ix * grid.n_v + iv)
+        return self._q_grid.ravel().take(ix * grid.n_v + iv)
 
 
 def _require_dense_slices(surface: PriceSurface, n_steps: int, name: str) -> None:

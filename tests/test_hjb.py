@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import solver_reference as ref
@@ -377,11 +377,41 @@ def assert_same_march(surface, reference):
     assert np.array_equal(surface.values, values)
 
 
+def smallest_case(x_min, extra, cell_average=False):
+    """A solver case on GridSpec's smallest grid, 3 x 3 interior nodes;
+    ``x_min = 40`` extrapolates at both x-edges.  Steps ``extra`` of 0 and
+    1 end the march in each of its two swapped buffers."""
+    params = ModelParams(r=0.03, a=0.5, b=0.6, alpha=1.0, sigma=0.6, rho=-0.5,
+                         sigma_min=0.1, sigma_max=0.3, delta=0.7)
+    grid = GridSpec(x_min=x_min, x_max=200.0, n_x=3, v_min=-1.0, v_max=0.0,
+                    n_v=3, T=2.0, n_t=1)
+    payoff = PiecewiseLinearPayoff.from_calls([(60.0, 1.0), (100.0, -2.0),
+                                               (140.0, 1.0)])
+    options = dict(store_slices=True, max_kept_slices=12,
+                   cell_average_terminal=cell_average)
+    return params, payoff, grid, extra, options, -0.5
+
+
+SMALLEST_CASES = [smallest_case(40.0, 0), smallest_case(40.0, 1),
+                  smallest_case(40.0, 1, cell_average=True),
+                  smallest_case(0.0, 0)]
+
+
+def examples(cases, case=lambda c: c):
+    """``hypothesis.example`` decorators of the ``case`` of each of ``cases``."""
+    def decorate(test):
+        for c in cases:
+            test = example(case=case(c))(test)
+        return test
+    return decorate
+
+
 class TestBufferedMarch:
     """The buffered march gives the allocating march's bits."""
 
     @settings(max_examples=40, deadline=None)
     @given(case=solver_cases())
+    @examples(SMALLEST_CASES)
     def test_equals_the_allocating_march(self, case):
         """Full, limit (per v-node and single-v) and corrector solves equal
         the reference solves bit for bit, kept slices included."""
@@ -415,11 +445,20 @@ def stacked_cases(draw):
     return p, h, dataclasses.replace(grid, n_t=steps + extra), deltas, options
 
 
+def smallest_stack(case):
+    """A stacked case of two deltas on the grid of ``smallest_case``."""
+    p, h, grid, extra, options, _ = case
+    deltas = [0.7, 0.05]
+    steps = max(min_time_steps(p.with_delta(d), grid, "full") for d in deltas)
+    return p, h, dataclasses.replace(grid, n_t=steps + extra), deltas, options
+
+
 class TestStackedMarch:
     """The same-grid delta solves march as one stack, bit for bit."""
 
     @settings(max_examples=40, deadline=None)
     @given(case=stacked_cases())
+    @examples(SMALLEST_CASES, smallest_stack)
     def test_equals_each_lone_solve(self, case):
         """Every delta's kept slices equal its own ``solve_hjb_2d``."""
         p, h, grid, deltas, options = case

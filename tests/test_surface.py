@@ -16,6 +16,7 @@ from uvpricer.surface import (
     _bilinear_weights,
     _q_argsup,
     _q_sup,
+    _q_sup_bare,
     default_gamma_tolerance,
     greeks,
     mismatch_set,
@@ -384,6 +385,10 @@ def quadratics(draw):
     return aa, -2.0 * aa * draw(st.floats(min_value=0.0, max_value=2.5))
 
 
+# One node's (aa, bb), special values included.
+NODE = st.one_of(quadratics(), st.tuples(SPECIAL, SPECIAL), st.tuples(SPECIAL, COEF))
+
+
 class TestQSup:
     @given(coef=quadratics(),
            lo=st.floats(min_value=0.01, max_value=1.0),
@@ -429,9 +434,7 @@ class TestQSup:
             assert sup == max(endpoints)
             assert q_star in (lo, hi)
 
-    @given(coefs=st.lists(st.one_of(quadratics(), st.tuples(SPECIAL, SPECIAL),
-                                    st.tuples(SPECIAL, COEF)),
-                          min_size=1, max_size=40),
+    @given(coefs=st.lists(NODE, min_size=1, max_size=40),
            lo=st.floats(min_value=0.01, max_value=1.0),
            width=st.floats(min_value=0.0, max_value=1.0))
     def test_candidate_prefilter_changes_no_bit(self, coefs, lo, width):
@@ -443,6 +446,26 @@ class TestQSup:
             want = solver_reference.q_sup_parts(aa, bb, lo, lo + width)
         for g, w in zip(got, want, strict=True):
             assert same_bits(g, w)
+
+    @given(rows=st.lists(st.lists(st.tuples(NODE, NODE), min_size=3,
+                                  max_size=3), min_size=1, max_size=14),
+           lo=st.floats(min_value=0.01, max_value=1.0),
+           width=st.floats(min_value=0.0, max_value=1.0))
+    def test_reused_buffers_change_no_bit(self, rows, lo, width):
+        """Two draws into the same preallocated buffers, as the march makes
+        its calls, each give the reference kernel's five returns."""
+        shape = (len(rows), 3)
+        out = (np.empty(shape), np.empty(shape), np.empty(shape),
+               np.empty(shape, dtype=bool), np.empty(shape, dtype=bool))
+        for draw in (0, 1):
+            aa, bb = (np.array([[node[draw][i] for node in row] for row in rows])
+                      for i in (0, 1))
+            with np.errstate(all="ignore"):
+                got = _q_sup_bare(aa, bb, lo, lo + width, out=out)
+                want = solver_reference.q_sup_parts(aa, bb, lo, lo + width)
+            assert got[0] is out[0]
+            for g, w in zip(got, want, strict=True):
+                assert same_bits(g, w)
 
     @given(lo=st.floats(min_value=0.01, max_value=1.0),
            width=st.floats(min_value=1e-3, max_value=1.0))
