@@ -5,10 +5,11 @@ Usage::
 
     python scripts/bench_pairs.py PARENT CHANGE OUT.json --section final \\
         --workloads pde_sweep mc_paths surface_mc --pairs 10 --seed 1901 \\
-        --seconds 25 --trace 0 --note "..." --set parent_commit=abc1234
+        --trace 0 --note "..." --set parent_commit=abc1234
 
 ``PARENT`` and ``CHANGE`` are two checkouts of the repository; each side's
-runs start in its own checkout.  Pair ``i`` of workload number ``w`` (in
+runs start in its own checkout and last the ``run_seconds`` of its
+``BENCHMARK.json``, which must agree between the two.  Pair ``i`` of workload number ``w`` (in
 the order given) runs with seed ``SEED + 20 w + i`` on both sides; the
 parent runs first in the odd-numbered pairs (1, 3, ...) and the change
 in the even-numbered ones.
@@ -76,6 +77,15 @@ def summarize(pairs: list[dict]) -> dict:
     return summary
 
 
+def run_seconds(checkouts: dict) -> float:
+    """The ``run_seconds`` both checkouts' ``BENCHMARK.json`` declare."""
+    seconds = {side: json.loads((checkout / "BENCHMARK.json").read_text())
+               ["run_seconds"] for side, checkout in checkouts.items()}
+    if len(set(seconds.values())) != 1:
+        raise ValueError(f"run_seconds differ between the checkouts: {seconds}")
+    return seconds["change"]
+
+
 def run_side(checkout: Path, workload: str, seed: int, seconds: float,
              trace: int) -> dict:
     args = [sys.executable, "perfbench/run.py", "--workload", workload,
@@ -110,16 +120,16 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--workloads", nargs="+", required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--note", default="")
     parser.add_argument("--set", action="append", default=[],
                         metavar="KEY=VALUE")
     args = parser.parse_args(argv)
     checkouts = {"parent": args.parent, "change": args.change}
+    seconds = run_seconds(checkouts)
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc.setdefault("benchmark", "python3 perfbench/run.py --workload W "
-                   f"--seed N --seconds {args.seconds:g} --trace {args.trace}")
+                   f"--seed N --seconds {seconds:g} --trace {args.trace}")
     doc.setdefault("method", "Alternating parent/change pairs made by "
                    "scripts/bench_pairs.py; see its docstring.")
     for item in args.set:
@@ -129,7 +139,7 @@ def main(argv: list[str]) -> int:
     doc[args.section] = {"note": args.note, "workloads": workloads}
     for w, workload in enumerate(args.workloads):
         pairs = run_pairs(checkouts, workload, args.seed + SEED_STRIDE * w,
-                          args.pairs, args.seconds, args.trace)
+                          args.pairs, seconds, args.trace)
         workloads[workload] = {"summary": summarize(pairs), "pairs": pairs}
         # Written after each workload, so a stopped run keeps what it has.
         args.out.write_text(json.dumps(doc, indent=1) + "\n")

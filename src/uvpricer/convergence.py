@@ -34,9 +34,9 @@ from .model import GridSpec, ModelParams, PiecewiseLinearPayoff
 from .sde import _check_run, _Job, _march_paths, _mean_and_se, _shared
 from .surface import (
     PriceSurface,
-    WorstCaseControl,
     _bilinear_read,
     _bilinear_weights,
+    _control_sharing,
     _require_dense_slices,
     _SliceMemo,
     _write_header,
@@ -509,8 +509,11 @@ def feynman_kac_terms(
         _require_dense_slices(surface, n_steps, name)
 
     x0, v0 = float(point[0]), float(point[1])
-    policy_surface = p_delta if control_source == "delta" else p0
-    policy = WorstCaseControl(policy_surface, params_d)
+    greeks_d, greeks_0, greeks_1 = (
+        _SliceMemo(surface, greeks) for surface in (p_delta, p0, p1)
+    )
+    policy = _control_sharing(greeks_d if control_source == "delta" else greeks_0,
+                              params_d)
     _check_run(n_paths, n_steps, grid.T, x0, v0)
     dt = grid.T / n_steps
     lo, hi = params.sigma_min, params.sigma_max
@@ -518,11 +521,6 @@ def feynman_kac_terms(
     d_sq = hi * hi - lo * lo
     rho_sigma = params.rho * params.sigma
 
-    greeks_d, greeks_0, greeks_1 = (
-        _SliceMemo(surface, greeks) for surface in (p_delta, p0, p1)
-    )
-    # The policy reads its surface's Greeks at each t after the integrand.
-    policy._greeks_at = greeks_d if control_source == "delta" else greeks_0
     # One accumulator row per term, one column per path.
     acc = _shared((4 if include_higher else 2, n_paths))
 

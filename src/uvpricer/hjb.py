@@ -379,8 +379,7 @@ def _bsb_march(params, payoff, grid, cell_average_terminal, e2v, v_offset=0):
     shape = (grid.n_x, width)
     xc = np.broadcast_to(grid.x_nodes[1:-1][:, None], shape).copy()
     a_coef = 0.5 * xc**2 * e2v
-    dx, r = grid.dx, params.r
-    dx2, two_dx = dx**2, 2.0 * dx
+    dx2, two_dx, r = grid.dx**2, 2.0 * grid.dx, params.r
     a_lo = a_coef * params.sigma_min**2
     a_hi = a_coef * params.sigma_max**2
     d2, work = np.empty(shape), np.empty(shape)
@@ -475,8 +474,7 @@ def _corrector_march(params, payoff, grid, nearest_pos, limit_slice):
     ev = np.exp(grid.v_nodes)[None, :]
     diff_coef = 0.5 * xc**2 * ev**2
     src_coef = params.rho * params.sigma * xc * ev
-    dx, dv, dt = grid.dx, grid.dv, grid.dt
-    dx2, two_dx = dx**2, 2.0 * dx
+    dx2, two_dx, dv, dt = grid.dx**2, 2.0 * grid.dx, grid.dv, grid.dt
     lo, hi = params.sigma_min, params.sigma_max
     # The frozen multiplier q0 is lo or hi, so ``diff_coef * q0**2`` and
     # ``q0 * src_coef`` are one of two precomputed products at each node.

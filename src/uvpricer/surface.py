@@ -391,19 +391,17 @@ def optimal_control_field(
     quadratic is concave, its interior stationary point.  Ties go to
     ``sigma_max``.
     """
-    return _control_field(surface, params, time_index, gamma_tolerance)
-
-
-def _control_field(surface, params, time_index, gamma_tolerance, g=None):
-    """:func:`optimal_control_field`, from the slice's Greeks ``g`` if given."""
     if surface.kind not in ("full_delta", "limit_p0"):
         raise ValueError(
             f"control extraction needs a price surface, got kind={surface.kind!r}"
         )
+    return _control_field(surface, params, greeks(surface, time_index), gamma_tolerance)
+
+
+def _control_field(surface, params, g, gamma_tolerance):
+    """:func:`optimal_control_field` from the slice's Greeks ``g``."""
     if gamma_tolerance is None:
         gamma_tolerance = default_gamma_tolerance(surface)
-    if g is None:
-        g = greeks(surface, time_index)
     lo, hi = params.sigma_min, params.sigma_max
     if surface.kind == "limit_p0":
         q = np.where(g.gamma >= -gamma_tolerance, hi, lo)
@@ -488,17 +486,14 @@ class WorstCaseControl:
                 "worst-case policy needs a surface solved with stored slices"
             )
         self._surface = surface
-        self._params, self._gamma_tolerance = params, gamma_tolerance
-        # A caller that derives the same Greeks may share this memo.
-        self._greeks_at = _SliceMemo(surface, greeks)
-        self._greeks = self._q_grid = None
+        self._field_at = _SliceMemo(
+            surface,
+            lambda s, k: optimal_control_field(s, params, k, gamma_tolerance).q_star,
+        )
 
     def values(self, t: float, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         grid = self._surface.grid
-        g = self._greeks_at(t)
-        if g is not self._greeks:
-            self._greeks, self._q_grid = g, _control_field(
-                self._surface, self._params, None, self._gamma_tolerance, g).q_star
+        q_grid = self._field_at(t)
         ix = np.clip(
             np.rint((np.asarray(x) - grid.x_min) / grid.dx).astype(int),
             0, grid.n_x + 1,
@@ -507,7 +502,17 @@ class WorstCaseControl:
             np.rint((np.asarray(v) - grid.v_min) / grid.dv).astype(int),
             0, grid.n_v - 1,
         )
-        return self._q_grid.ravel().take(ix * grid.n_v + iv)
+        return q_grid.ravel().take(ix * grid.n_v + iv)
+
+
+def _control_sharing(greeks_at: _SliceMemo, params: ModelParams) -> WorstCaseControl:
+    """A :class:`WorstCaseControl` whose field at ``t`` derives from the Greeks
+    memo's ``greeks_at(t)``, not through :func:`optimal_control_field`, so a
+    caller reading the same Greeks at each step derives them once."""
+    policy = WorstCaseControl(greeks_at._surface, params)
+    policy._field_at = lambda t: _control_field(
+        greeks_at._surface, params, greeks_at(t), None).q_star
+    return policy
 
 
 def _require_dense_slices(surface: PriceSurface, n_steps: int, name: str) -> None:

@@ -69,3 +69,17 @@ def test_result_lines_are_the_last_two():
     detail, line = bench_pairs.result_lines(stdout)
     assert detail == {"seed": 7}
     assert line == result(0.3, 58.5)
+
+
+def test_run_seconds_come_from_both_checkouts(tmp_path):
+    """Each checkout's BENCHMARK.json sets the run length; they must agree."""
+    checkouts = {side: tmp_path / side for side in bench_pairs.SIDES}
+    for checkout, seconds in zip(checkouts.values(), (25, 25)):
+        checkout.mkdir()
+        (checkout / "BENCHMARK.json").write_text(
+            json.dumps({"run_seconds": seconds}))
+    assert bench_pairs.run_seconds(checkouts) == 25
+    (checkouts["change"] / "BENCHMARK.json").write_text(
+        json.dumps({"run_seconds": 30}))
+    with pytest.raises(ValueError, match="run_seconds differ"):
+        bench_pairs.run_seconds(checkouts)
