@@ -29,8 +29,7 @@ import numpy as np
 from . import sde
 from .model import ModelParams, PiecewiseLinearPayoff
 from .rng import chunk_ranges
-from .sde import (_control, _in_halves, _march_chunks, _march_paths,
-                  _mean_and_se, _shared)
+from .sde import _march_chunks, _mean_and_se, _shared
 from .surface import (
     PriceSurface,
     _bilinear_read,
@@ -237,8 +236,7 @@ def simulate_2bsde_residual(
 
     # Independent increments (rho = 0).  A half of up to _CHUNK_CELLS cells
     # marches as one chunk, so each process derives every slice's Greeks once.
-    _in_halves(n_paths, lambda first, count: _march_chunks(
-        0.0, count, n_steps, dt, seed, False, march, first))
+    _march_chunks(0.0, n_paths, n_steps, dt, seed, False, march)
     n_used = int(np.count_nonzero(alive_out))
     if n_used == 0:
         raise RuntimeError(
@@ -281,16 +279,8 @@ def martingale_check(
     """
     if params.r != 0.0:
         raise ValueError("martingale check is defined for r = 0")
-    q, tag = _control(params, q_policy, x0, v0, n_paths, n_steps, surface.grid.T)
-    x_t, v_t = _shared((2, n_paths))  # only the terminal state is kept
-
-    def consumer(rows, _):
-        def visit(k, x, v):
-            if k == n_steps:
-                x_t[rows], v_t[rows] = x, v
-        return visit
-
-    _march_paths(params, x0, v0, q, n_paths, n_steps, surface.grid.T, seed, consumer)
+    batch, x_t, v_t = sde._simulate(params, x0, v0, q_policy, n_paths, n_steps,
+                                    surface.grid.T, seed, 0)
     m0 = surface.value_at(0, x0, v0)
     m_term = surface.value_at(surface.grid.n_t, x_t, v_t)
     drift, std_error = _mean_and_se(m_term - m0)
@@ -298,7 +288,7 @@ def martingale_check(
         drift_estimate=drift,
         std_error=std_error,
         n_paths=int(n_paths),
-        policy_tag=tag,
+        policy_tag=batch.control_tag,
     )
 
 

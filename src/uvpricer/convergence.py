@@ -216,9 +216,10 @@ def _limit_values(params_base, payoff, grid, x0, v0, p1_delta,
     return p0_val, p1.value_at(0, x0, v0), p1
 
 
-def _solve_deltas(params_base, payoff, grid, x0, v0, ds, cell_average_terminal):
-    """``P_delta(0, x0, v0)`` per delta, from one march of all of them;
-    a failing solve names its delta.
+def _solve_deltas(params_base, payoff, grid, x0, v0, ds, cell_average_terminal,
+                  out):
+    """Write ``P_delta(0, x0, v0)`` of ``ds[j]`` into ``out[j]``, from one
+    march of all of them; a failing solve names its delta.
 
     Stability is checked for every delta first, in the order given, so
     the first delta that fails it is the one named.
@@ -236,12 +237,11 @@ def _solve_deltas(params_base, payoff, grid, x0, v0, ds, cell_average_terminal):
     except NonFiniteError as exc:
         _attach_delta(exc, ds[exc.stack_index])
         raise
-    return {
-        d: PriceSurface(values=values[:, :, j], grid=grid,
-                        params=params_base.with_delta(d), kind="full_delta",
-                        kept_times=kept).value_at(0, x0, v0)
-        for j, d in enumerate(ds)
-    }
+    for j, d in enumerate(ds):
+        out[j] = PriceSurface(values=values[:, :, j], grid=grid,
+                              params=params_base.with_delta(d),
+                              kind="full_delta",
+                              kept_times=kept).value_at(0, x0, v0)
 
 
 def _sweep(params_base, payoff, grid, point, deltas, cell_average_terminal,
@@ -263,14 +263,15 @@ def _sweep(params_base, payoff, grid, point, deltas, cell_average_terminal,
     ds = _check_sweep_inputs(grid, point, deltas)
     x0, v0 = float(point[0]), float(point[1])
     d_min = ds[-1]
+    p_out = _shared((2, len(ds)))
     jobs = []
     try:
         jobs.append(_Job(_solve_deltas, params_base, payoff, grid, x0, v0, ds,
-                         cell_average_terminal))
+                         cell_average_terminal, p_out[0]))
         if noise_floor is None:
             fine = _refined_for_floor(params_base.with_delta(d_min), grid)
             jobs.append(_Job(_solve_deltas, params_base, payoff, fine, x0, v0,
-                             [d_min], cell_average_terminal))
+                             [d_min], cell_average_terminal, p_out[1]))
         p0_val, p1_val, p1 = _limit_values(params_base, payoff, grid, x0, v0,
                                            ds[0], cell_average_terminal,
                                            corrector)
@@ -282,23 +283,24 @@ def _sweep(params_base, payoff, grid, point, deltas, cell_average_terminal,
             except Exception as exc:
                 _attach_delta(exc, d_min)
                 fine_limit = exc
-        p_vals = jobs[0].result()
+        jobs[0].wait()
         if noise_floor is None:
-            pd_fine = jobs[1].result()[d_min]
+            jobs[1].wait()
             if isinstance(fine_limit, Exception):
                 raise fine_limit
             p0_fine, p1_fine, _ = fine_limit
+            pd_fine, pd_min = float(p_out[1, 0]), float(p_out[0, -1])
             noise_floor = abs(_remainder(pd_fine, p0_fine, p1_fine, d_min)
-                              - _remainder(p_vals[d_min], p0_val, p1_val, d_min))
+                              - _remainder(pd_min, p0_val, p1_val, d_min))
     finally:
         for job in jobs:
             job.cancel()
 
     rows = []
-    for d in ds:
-        e = _remainder(p_vals[d], p0_val, p1_val, d)
+    for d, p_d in zip(ds, p_out[0].tolist()):
+        e = _remainder(p_d, p0_val, p1_val, d)
         excluded = abs(e) < 10.0 * noise_floor or e == 0.0
-        rows.append((d, p_vals[d], p0_val, p1_val, e, excluded))
+        rows.append((d, p_d, p0_val, p1_val, e, excluded))
     return (0.0, x0, v0), rows, float(noise_floor), p1
 
 

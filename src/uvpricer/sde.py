@@ -21,7 +21,6 @@ import math
 import mmap
 import numbers
 import os
-import pickle
 import queue
 import signal
 import threading
@@ -142,15 +141,15 @@ def _fork_ok() -> bool:
 class _Job:
     """``fn(*args)``, started in a forked child when :func:`_fork_ok`.
 
-    The child writes the pickle of the return value into a pipe and
-    always leaves by ``os._exit``: it never returns into the caller's
-    stack nor flushes the stdio it inherited.  :meth:`result` reads the
-    pipe to its end and reaps the child.  When there is no child, or the
-    child raised, died or sent unreadable data, :meth:`result` makes the
-    call in-process, so a failure reaches the caller as its own error.
-    Processes, not threads: the marches' many small numpy calls hand the
-    GIL back and forth, and two solves on two threads ran slower than one
-    after the other.
+    ``fn`` writes its results into :func:`_shared` arrays and returns
+    nothing.  The child always leaves by ``os._exit``, with status 0 only
+    once ``fn`` has returned: it never returns into the caller's stack nor
+    flushes the stdio it inherited.  :meth:`wait` reaps the child; when
+    there was no child, or its status is not 0, it makes the call
+    in-process, so a failure reaches the caller as its own error and
+    whatever the child wrote is written again.  Processes, not threads:
+    the marches' many small numpy calls hand the GIL back and forth, and
+    two solves on two threads ran slower than one after the other.
     """
 
     def __init__(self, fn, *args):
@@ -158,46 +157,30 @@ class _Job:
         self._pid = None
         if not _fork_ok():
             return
-        read, write = os.pipe()
         try:
             pid = os.fork()
         except OSError:
-            os.close(read)
-            os.close(write)
             return
         if pid == 0:
             status = 1
             try:
-                os.close(read)
-                data = memoryview(pickle.dumps(fn(*args)))
-                while data:
-                    data = data[os.write(write, data):]
+                fn(*args)
                 status = 0
             finally:
                 os._exit(status)
-        os.close(write)
-        self._pid, self._read = pid, read
+        self._pid = pid
 
     def _reap(self, kill: bool) -> int:
         if kill:
             os.kill(self._pid, signal.SIGKILL)
         status = os.waitpid(self._pid, 0)[1]
         self._pid = None
-        os.close(self._read)
         return status
 
-    def result(self):
-        if self._pid is not None:
-            chunks = []
-            while chunk := os.read(self._read, 1 << 16):
-                chunks.append(chunk)
-            if self._reap(kill=False) == 0:
-                try:
-                    return pickle.loads(b"".join(chunks))
-                except Exception:
-                    pass
-        fn, args = self._call
-        return fn(*args)
+    def wait(self) -> None:
+        if self._pid is None or self._reap(kill=False) != 0:
+            fn, args = self._call
+            fn(*args)
 
     def cancel(self) -> None:
         """Kill and reap the child, if it is still outstanding."""
@@ -207,7 +190,7 @@ class _Job:
 
 def _shared(shape, dtype=float) -> np.ndarray:
     """A zero-filled array in anonymous shared memory: what a forked
-    child writes into it, the parent reads, with no pickling."""
+    :class:`_Job` child writes into it, the parent reads."""
     dtype = np.dtype(dtype)
     count = math.prod(shape)
     buf = mmap.mmap(-1, max(1, count * dtype.itemsize))
@@ -226,11 +209,12 @@ def _in_halves(n_paths: int, work) -> None:
     When :func:`_fork_ok` and ``h = n_paths // 2`` is at least
     ``_FORK_MIN_PATHS``, ``work(0, h)`` runs here and ``work(h, n_paths
     - h)`` as a :class:`_Job`; otherwise ``work(0, n_paths)`` runs here in
-    one call, so each slice a path loop reads is derived once.  ``work`` writes only its own rows of
-    :func:`_shared` arrays and returns nothing: its results are per path,
-    and every reduction over paths belongs to the caller, after this
-    returns.  A child that fails is redone here, so its error is raised
-    as the caller's; an error in the first half kills and reaps the child.
+    one call, so each slice a path loop reads is derived once.  ``work``
+    writes only its own rows of :func:`_shared` arrays and returns
+    nothing: its results are per path, and every reduction over paths
+    belongs to the caller, after this returns.  A child that fails is
+    redone here, so its error is raised as the caller's; an error in the
+    first half kills and reaps the child.
     """
     h = n_paths // 2
     if h < _FORK_MIN_PATHS or not _fork_ok():
@@ -239,7 +223,7 @@ def _in_halves(n_paths: int, work) -> None:
     job = _Job(work, h, n_paths - h)
     try:
         work(0, h)
-        job.result()
+        job.wait()
     finally:
         job.cancel()
 
@@ -260,9 +244,8 @@ def _chunks(n_paths: int, n_steps: int, parallel: bool) -> list[tuple[int, int]]
 
 
 def _march_chunks(rho: float, n_paths: int, n_steps: int, dt: float,
-                  seed: int, parallel: bool, march, first_path: int = 0) -> None:
-    """Call ``march(first, count, dw1, dw2)`` once per path chunk of paths
-    ``first_path .. first_path + n_paths - 1``.
+                  seed: int, parallel: bool, march) -> None:
+    """Call ``march(first, count, dw1, dw2)`` once per path chunk.
 
     ``dw1`` and ``dw2`` are the asset and factor Brownian increments,
     correlated by ``rho``, step-major with shape ``(n_steps, count)`` so
@@ -271,42 +254,50 @@ def _march_chunks(rho: float, n_paths: int, n_steps: int, dt: float,
     run on a pool of one thread per CPU the process may use (Philox,
     ``ndtri`` and numpy ufuncs release the GIL), which lives for this
     call only; ``march`` must then write only its own path slice.
-    Sequential chunks run in path order on the calling thread.
+    Otherwise each of :func:`_in_halves` runs its chunks in path order,
+    and ``march`` writes only its own rows of :func:`_shared` arrays.
     """
     sq_dt = math.sqrt(dt)
     rho_perp_dt = math.sqrt(max(0.0, 1.0 - rho * rho)) * sq_dt
-    chunks = [(first_path + lo, count)
-              for lo, count in _chunks(n_paths, n_steps, parallel)]
-    pooled = parallel and _WORKERS > 1 and len(chunks) > 1
-    # One step-major workspace per worker, allocated on this thread and
-    # handed out through a queue, so pool threads allocate only row-sized
-    # temporaries and their arenas do not keep chunk-sized blocks.
-    width = max(count for _, count in chunks)
-    spaces = queue.SimpleQueue()
-    for _ in range(min(_WORKERS, len(chunks)) if pooled else 1):
-        spaces.put(np.empty((2, n_steps, width)))
 
-    def run(chunk):
-        first, count = chunk
-        space = spaces.get()
-        try:
-            z = space[:, :, :count]
-            normal_increments(seed, count, n_steps, first_path=first, out=z)
-            dw1, dw2 = z
-            np.multiply(dw1, sq_dt, out=dw1)
-            np.multiply(dw2, rho_perp_dt, out=dw2)
-            for k in range(n_steps):
-                dw2[k] += rho * dw1[k]
-            march(first, count, dw1, dw2)
-        finally:
-            spaces.put(space)
+    def run_paths(first_path, n):
+        chunks = [(first_path + lo, count)
+                  for lo, count in _chunks(n, n_steps, parallel)]
+        pooled = parallel and _WORKERS > 1 and len(chunks) > 1
+        # One step-major workspace per worker, allocated on this thread and
+        # handed out through a queue, so pool threads allocate only row-sized
+        # temporaries and their arenas do not keep chunk-sized blocks.
+        width = max(count for _, count in chunks)
+        spaces = queue.SimpleQueue()
+        for _ in range(min(_WORKERS, len(chunks)) if pooled else 1):
+            spaces.put(np.empty((2, n_steps, width)))
 
-    if pooled:
-        with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
-            list(pool.map(run, chunks))
+        def run(chunk):
+            first, count = chunk
+            space = spaces.get()
+            try:
+                z = space[:, :, :count]
+                normal_increments(seed, count, n_steps, first_path=first, out=z)
+                dw1, dw2 = z
+                np.multiply(dw1, sq_dt, out=dw1)
+                np.multiply(dw2, rho_perp_dt, out=dw2)
+                for k in range(n_steps):
+                    dw2[k] += rho * dw1[k]
+                march(first, count, dw1, dw2)
+            finally:
+                spaces.put(space)
+
+        if pooled:
+            with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
+                list(pool.map(run, chunks))
+        else:
+            for chunk in chunks:
+                run(chunk)
+
+    if parallel:
+        run_paths(0, n_paths)
     else:
-        for chunk in chunks:
-            run(chunk)
+        _in_halves(n_paths, run_paths)
 
 
 def _log_x_step(params: ModelParams, q, ev, dt: float, dw1):
@@ -366,11 +357,7 @@ def _march_paths(params: ModelParams, x0: float, v0: float, q, n_paths: int,
             x = np.exp(log_x)
         visit(n_steps, x, v)
 
-    if fixed:
-        _march_chunks(params.rho, n_paths, n_steps, dt, seed, True, march)
-    else:
-        _in_halves(n_paths, lambda first, count: _march_chunks(
-            params.rho, count, n_steps, dt, seed, False, march, first))
+    _march_chunks(params.rho, n_paths, n_steps, dt, seed, fixed, march)
 
 
 def simulate_paths(
@@ -509,20 +496,21 @@ def coupled_payoff_gap(
     gap_samples = np.empty(n_paths)
     pay_samples = np.empty(n_paths)
 
-    def march(first, count, dw1, dw2):
-        log_x_mov = np.full(count, math.log(x0))
-        log_x_frz = np.full(count, math.log(x0))
-        v = np.full(count, float(v0))
-        for k in range(n_steps):
-            log_x_mov += _log_x_step(params, q, np.exp(v), dt, dw1[k])
-            log_x_frz += _log_x_step(params, q, ev0, dt, dw1[k])
-            v = _factor_step(params, v, dt, dw2[k])
-        x_mov = np.exp(log_x_mov)
-        x_frz = np.exp(log_x_frz)
-        gap_samples[first : first + count] = (x_mov - x_frz) ** 2
-        pay_samples[first : first + count] = (payoff(x_mov) - payoff(x_frz)) ** 2
+    def consumer(rows, dw):
+        # The twin steps on the unspent increment row k of the march.
+        log_x_frz = np.full(rows.stop - rows.start, math.log(x0))
 
-    _march_chunks(params.rho, n_paths, n_steps, dt, seed, True, march)
+        def visit(k, x, v):
+            if k < n_steps:
+                np.add(log_x_frz, _log_x_step(params, q, ev0, dt, dw[0][k]),
+                       out=log_x_frz)
+                return
+            x_frz = np.exp(log_x_frz)
+            gap_samples[rows] = (x - x_frz) ** 2
+            pay_samples[rows] = (payoff(x) - payoff(x_frz)) ** 2
+        return visit
+
+    _march_paths(params, x0, v0, q, n_paths, n_steps, T, seed, consumer)
     gap, gap_se = _mean_and_se(gap_samples)
     pay, pay_se = _mean_and_se(pay_samples)
     return CoupledGap(

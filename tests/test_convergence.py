@@ -5,7 +5,6 @@ import functools
 import json
 import math
 import os
-import pickle
 import signal
 import threading
 import warnings
@@ -452,11 +451,12 @@ class TestForkedSweeps:
                             [0.36, 0.09])
         assert_no_children()
 
-    @pytest.mark.parametrize("failure", ["killed", "garbage"])
+    @pytest.mark.parametrize("failure", ["killed", "wrong_values"])
     def test_failed_child_is_redone_in_process(self, forks, monkeypatch,
                                                failure):
-        """A child killed mid-march, or one that sends unreadable data,
-        still gives the in-process report."""
+        """A child killed mid-march, or one that writes wrong values into
+        its shared output and then dies, still gives the in-process
+        report."""
         params = mk_params()
         args = (params, BUTTERFLY, mk_grid(params, n_x=149), (100.0, -1.0),
                 [0.6, 0.3])
@@ -474,15 +474,25 @@ class TestForkedSweeps:
 
             monkeypatch.setattr(hjb, "_q_sup_bare", dying)
         else:
-            dumps = pickle.dumps
-            monkeypatch.setattr(pickle, "dumps", lambda obj: (
-                b"garbage" if os.getpid() != parent else dumps(obj)))
+            solve = convergence._solve_deltas
+
+            def writing_then_dying(*a):
+                steps.append(1)
+                if os.getpid() != parent:
+                    a[-1][:] = -1.0
+                    os.kill(os.getpid(), signal.SIGKILL)
+                solve(*a)
+
+            monkeypatch.setattr(convergence, "_solve_deltas",
+                                writing_then_dying)
         got = run_delta_sweep(*args)
         assert len(forks) == 2
         assert_no_children()
         assert got == want
         if failure == "killed":
             assert steps  # the parent marched both deltas itself
+        else:
+            assert steps == [1, 1]  # the parent redid both delta solves
 
     def test_sweep_forks_after_a_fixed_q_simulation(self, monkeypatch):
         """A fixed-q simulation and a coupled gap leave no pool thread

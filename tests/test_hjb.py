@@ -628,6 +628,46 @@ class TestLimitBesideCorrector:
             assert got[2]["node"] == (1, 0)
 
 
+@st.composite
+def affine_cases(draw):
+    """A solver case at ``r = 0`` with the affine payoff ``c + s x`` and
+    its scale ``|c| + |s| x_max``."""
+    p, _, grid, extra, options, v = draw(solver_cases())
+    c, s = draw(floats(-100.0, 100.0)), draw(floats(-2.0, 2.0))
+    payoff = PiecewiseLinearPayoff(knots=(0.0,), slopes=(s, s), anchor_value=c)
+    # The corrector reads a limit family of three kept slices or more.
+    options = dict(options, store_slices=True,
+                   max_kept_slices=draw(st.integers(3, 12)))
+    scale = abs(c) + abs(s) * grid.x_max
+    return dataclasses.replace(p, r=0.0), payoff, grid, extra, options, v, scale
+
+
+class TestAffinePayoff:
+    """Without discounting an affine payoff is its own price: the curvature
+    it gives every q-sup vanishes, so no march moves it."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=affine_cases())
+    def test_every_kept_slice_is_the_payoff(self, case):
+        """The full solve, the limit family and a single-v limit return
+        ``h(x_nodes)`` on every kept slice, and the corrector on the
+        family is zero, all within ``1e-12`` of the payoff's scale.  The
+        corrector is not zero bit for bit: the family's columns can
+        differ in their last bits, and its mixed derivative with them."""
+        p, h, grid, extra, options, v, scale = case
+        want = h(grid.x_nodes)[:, None]
+        limit_grid = dataclasses.replace(grid, n_t=extra + max(
+            min_time_steps(p, grid, kind) for kind in ("bsb", "corrector")))
+        family = solve_bsb_1d(p, h, limit_grid, **options)
+        for surface in (solve_hjb_2d(p, h, sized(p, grid, "full", extra),
+                                     **options),
+                        family, solve_bsb_1d(p, h, limit_grid, v=v, **options)):
+            assert surface.n_kept == len(surface.values) >= 2
+            assert np.abs(surface.values - want).max() <= 1e-12 * scale
+        p1 = solve_corrector(p, h, limit_grid, family, store_slices=True)
+        assert np.abs(p1.values).max() <= 1e-12 * scale
+
+
 def nonfinite_report(solve, *args, **kwargs):
     with np.errstate(all="ignore"), pytest.raises(NonFiniteError) as err:
         solve(*args, **kwargs)
@@ -688,7 +728,8 @@ class TestNonFinite:
         first = max(t for t, _ in alone)
         named = next(j for j, (t, _) in enumerate(alone) if t == first)
         with np.errstate(all="ignore"), pytest.raises(NonFiniteError) as err:
-            _solve_deltas(p, payoff, grid, 100.0, -0.5, ds, False)
+            _solve_deltas(p, payoff, grid, 100.0, -0.5, ds, False,
+                          np.empty(len(ds)))
         assert named == 1
         assert f"delta={ds[named]!r}" in str(err.value)
         assert (err.value.time_index, err.value.node) == alone[named]

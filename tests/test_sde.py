@@ -30,6 +30,7 @@ from uvpricer.sde import (
 )
 from uvpricer.surface import WorstCaseControl
 
+import gap_reference
 from forking import assert_no_children, forked, in_process_peak
 
 
@@ -197,9 +198,12 @@ class TestPathEngine:
         self, n_paths, n_steps, seed, chunk, budget, delta
     ):
         """Fixed-q batches and gaps are bit-identical for any chunking, any
-        chunk budget and a one-worker pool."""
+        chunk budget and a one-worker pool, and the gap is the two-asset
+        loop's report field for field."""
         params = make_params(delta=delta)
         ref_batch, ref_gap = self.run_both(params, n_paths, n_steps, seed)
+        assert ref_gap == gap_reference.coupled_payoff_gap(
+            params, self.PAYOFF, 100.0, -1.0, 0.15, n_paths, n_steps, 0.15, seed)
         runs = []
         # A budget of 4 * c * n_steps cells makes chunks of about c paths.
         with pytest.MonkeyPatch.context() as mp:
