@@ -1,4 +1,4 @@
-"""Run the README's eight *Refactor check* commands and hash their output.
+"""Run the README's ten *Refactor check* commands and hash their output.
 
 Usage, from the root of a checkout::
 
@@ -32,12 +32,19 @@ RUNS = (
     [("quickstart", c, []) for c in ("price", "sweep", "simulate")]
     + [("section4", c, []) for c in ("price", "sweep", "corrector")]
     + [("check2bsde", "check2bsde", []),
-       ("check2bsde", "check2bsde", ["--set", "check2bsde.surface=limit_p0"])]
+       ("check2bsde", "check2bsde", ["--set", "check2bsde.surface=limit_p0"]),
+       ("section4", "price", ["--set", "price.cell_average_terminal=true"]),
+       ("quickstart", "sweep", ["--set", "sweep.cell_average_terminal=true"])]
 )
+
+# The directory suffix of each run with a ``--set``, after its config name.
+SET_DIRS = {"check2bsde.surface=limit_p0": "limit",
+            "price.cell_average_terminal=true": "price_cell_average",
+            "sweep.cell_average_terminal=true": "sweep_cell_average"}
 
 
 def run_dir(config: str, command: str, extra: list[str]) -> str:
-    return f"{config}_limit" if extra else f"{config}_{command}"
+    return f"{config}_{SET_DIRS[extra[1]]}" if extra else f"{config}_{command}"
 
 
 def write_library(out: Path) -> None:

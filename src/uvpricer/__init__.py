@@ -1,7 +1,7 @@
 """Worst-case option pricing under an uncertain volatility multiplier
 modulated by a slow exponential factor."""
 
-from .analytic import bs_call, bs_call_vega, fixed_vol_price, fixed_vol_vega
+from .analytic import bs_call, fixed_vol_price
 from .bsde import (
     BsdeResidualReport,
     DriverSpec,
@@ -75,7 +75,6 @@ __all__ = [
     "WorstCaseControl",
     "__version__",
     "bs_call",
-    "bs_call_vega",
     "build_driver",
     "corrector_sweep",
     "coupled_payoff_gap",
@@ -84,7 +83,6 @@ __all__ = [
     "feynman_kac_terms",
     "fit_loglog",
     "fixed_vol_price",
-    "fixed_vol_vega",
     "greeks",
     "martingale_check",
     "mgf_closed_form",

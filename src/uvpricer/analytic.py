@@ -13,11 +13,6 @@ import numpy as np
 from .model import PiecewiseLinearPayoff
 
 
-def _norm_pdf(d):
-    """Standard normal density, by the same formula as ``scipy.stats.norm``."""
-    return np.exp(-d**2 / 2.0) / np.sqrt(2 * np.pi)
-
-
 def bs_call(x, strike: float, vol: float, tau: float, rate: float = 0.0):
     """Black-Scholes price of ``(X - strike)^+`` at time-to-maturity ``tau``.
 
@@ -51,23 +46,6 @@ def bs_call(x, strike: float, vol: float, tau: float, rate: float = 0.0):
     return out
 
 
-def bs_call_vega(x, strike: float, vol: float, tau: float, rate: float = 0.0):
-    """Sensitivity of :func:`bs_call` to the volatility argument."""
-    if tau < 0.0:
-        raise ValueError(f"time to maturity must be non-negative, got {tau}")
-    if vol <= 0.0 or tau == 0.0:
-        out = np.zeros_like(np.asarray(x, dtype=float))
-    else:
-        x_arr = np.asarray(x, dtype=float)
-        srt = vol * np.sqrt(tau)
-        with np.errstate(divide="ignore"):
-            d1 = (np.log(x_arr / strike) + (rate + 0.5 * vol**2) * tau) / srt
-        out = np.where(x_arr > 0.0, x_arr * _norm_pdf(d1) * np.sqrt(tau), 0.0)
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        return float(out)
-    return out
-
-
 def fixed_vol_price(
     payoff: PiecewiseLinearPayoff, x, vol: float, tau: float, rate: float = 0.0
 ):
@@ -82,20 +60,6 @@ def fixed_vol_price(
     out = const * np.exp(-rate * tau) + base_slope * x_arr
     for strike, weight in legs:
         out = out + weight * bs_call(x_arr, strike, vol, tau, rate)
-    if np.isscalar(x) or x_arr.ndim == 0:
-        return float(out)
-    return out
-
-
-def fixed_vol_vega(
-    payoff: PiecewiseLinearPayoff, x, vol: float, tau: float, rate: float = 0.0
-):
-    """Derivative of :func:`fixed_vol_price` with respect to ``vol``."""
-    _, _, legs = payoff.as_calls()
-    x_arr = np.asarray(x, dtype=float)
-    out = np.zeros_like(x_arr)
-    for strike, weight in legs:
-        out = out + weight * bs_call_vega(x_arr, strike, vol, tau, rate)
     if np.isscalar(x) or x_arr.ndim == 0:
         return float(out)
     return out

@@ -173,7 +173,7 @@ def _attach_delta(exc: Exception, delta: float) -> None:
         exc.args = exc.args + (note,)
 
 
-def _check_sweep_inputs(grid: GridSpec, point, deltas) -> list[float]:
+def _check_sweep_inputs(grid: GridSpec, point, deltas, noise_floor) -> list[float]:
     x0, v0 = float(point[0]), float(point[1])
     if not grid.contains(x0, v0):
         raise ValueError(f"evaluation point ({x0}, {v0}) lies outside the grid")
@@ -184,6 +184,8 @@ def _check_sweep_inputs(grid: GridSpec, point, deltas) -> list[float]:
         raise ValueError(f"deltas must be distinct, got {ds}")
     if any(not 0.0 < d <= 1.0 for d in ds):
         raise ValueError(f"deltas must lie in (0, 1], got {ds}")
+    if noise_floor is not None and not 0.0 <= noise_floor < math.inf:
+        raise ValueError(f"noise_floor must be finite and >= 0, got {noise_floor}")
     return sorted(ds, reverse=True)
 
 
@@ -260,7 +262,7 @@ def _sweep(params_base, payoff, grid, point, deltas, cell_average_terminal,
     the limits.  Errors keep the order of one solve after the other: the
     limit, the deltas, the refined deltas, the refined limit.
     """
-    ds = _check_sweep_inputs(grid, point, deltas)
+    ds = _check_sweep_inputs(grid, point, deltas, noise_floor)
     x0, v0 = float(point[0]), float(point[1])
     d_min = ds[-1]
     p_out = _shared((2, len(ds)))

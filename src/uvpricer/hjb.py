@@ -31,8 +31,7 @@ import numpy as np
 
 from .errors import NonFiniteError, StabilityError
 from .model import GridSpec, ModelParams, PiecewiseLinearPayoff
-from .surface import (PriceSurface, _bilinear, _bilinear_weights, _nearest_pos,
-                      _q_sup_bare)
+from .surface import PriceSurface, _bilinear, _nearest_pos, _q_sup_bare
 
 
 def min_time_steps(
@@ -94,12 +93,10 @@ def _kept_indices(n_t: int, store_slices: bool, max_kept: int) -> tuple[int, ...
 def _terminal_slice(
     payoff: PiecewiseLinearPayoff, grid: GridSpec, cell_average: bool
 ) -> np.ndarray:
-    x = grid.x_nodes
     if cell_average:
-        half = 0.5 * grid.dx
-        col = np.array([payoff.average(xi - half, xi + half) for xi in x])
+        col = np.array([payoff.average(lo, hi) for lo, hi in zip(*grid._x_cells())])
     else:
-        col = np.asarray(payoff(x), dtype=float)
+        col = np.asarray(payoff(grid.x_nodes), dtype=float)
     return np.repeat(col[:, None], grid.n_v, axis=1)
 
 
@@ -449,7 +446,7 @@ def _limit_value_at(params, payoff, grid, x0, v0, cell_average_terminal):
     """
     _require_stability(params, grid, "bsb")
     kept = _kept_indices(grid.n_t, False, 2)
-    iv = int(_bilinear_weights(grid, x0, v0)[0]) % grid.n_v
+    iv = int(grid._cell(x0, v0)[1])
     band = slice(iv, iv + 2)
     values = np.zeros((len(kept), grid.n_x + 2, grid.n_v))
     values[..., band] = _bsb_march(

@@ -290,6 +290,28 @@ class GridSpec:
         """Time levels from 0 to ``T`` (length ``n_t + 1``)."""
         return np.linspace(0.0, self.T, self.n_t + 1)
 
+    def _cell(self, x, v):
+        """Lower-left node ``(ix, iv)`` of each point's cell and the point's
+        offsets ``(wx, wv)`` from it, outside ``[0, 1]`` off the grid."""
+        fx = (np.asarray(x, dtype=float) - self.x_min) / self.dx
+        fv = (np.asarray(v, dtype=float) - self.v_min) / self.dv
+        ix = np.clip(np.floor(fx).astype(int), 0, self.n_x)
+        iv = np.clip(np.floor(fv).astype(int), 0, self.n_v - 2)
+        return ix, iv, fx - ix, fv - iv
+
+    def _nearest_node(self, x, v):
+        """Flat index ``ix * n_v + iv`` of each point's nearest node."""
+        ix = np.clip(np.rint((np.asarray(x) - self.x_min) / self.dx).astype(int),
+                     0, self.n_x + 1)
+        iv = np.clip(np.rint((np.asarray(v) - self.v_min) / self.dv).astype(int),
+                     0, self.n_v - 1)
+        return ix * self.n_v + iv
+
+    def _x_cells(self):
+        """Bounds ``(lo, hi)`` of each asset node's cell."""
+        x, half = self.x_nodes, 0.5 * self.dx
+        return x - half, x + half
+
     def contains(self, x: float, v: float) -> bool:
         """Whether ``(x, v)`` lies inside the closed grid rectangle."""
         return (self.x_min <= x <= self.x_max) and (self.v_min <= v <= self.v_max)

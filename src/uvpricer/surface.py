@@ -245,12 +245,7 @@ def _bilinear_weights(grid: GridSpec, x, v, extrapolate: bool = True):
     ``[0, 1]`` extrapolate linearly unless ``extrapolate`` is False (then
     they are clamped).
     """
-    fx = (np.asarray(x, dtype=float) - grid.x_min) / grid.dx
-    fv = (np.asarray(v, dtype=float) - grid.v_min) / grid.dv
-    ix = np.clip(np.floor(fx).astype(int), 0, grid.n_x)
-    iv = np.clip(np.floor(fv).astype(int), 0, grid.n_v - 2)
-    wx = fx - ix
-    wv = fv - iv
+    ix, iv, wx, wv = grid._cell(x, v)
     if not extrapolate:
         wx = np.clip(wx, 0.0, 1.0)
         wv = np.clip(wv, 0.0, 1.0)
@@ -492,17 +487,8 @@ class WorstCaseControl:
         )
 
     def values(self, t: float, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        grid = self._surface.grid
         q_grid = self._field_at(t)
-        ix = np.clip(
-            np.rint((np.asarray(x) - grid.x_min) / grid.dx).astype(int),
-            0, grid.n_x + 1,
-        )
-        iv = np.clip(
-            np.rint((np.asarray(v) - grid.v_min) / grid.dv).astype(int),
-            0, grid.n_v - 1,
-        )
-        return q_grid.ravel().take(ix * grid.n_v + iv)
+        return q_grid.ravel().take(self._surface.grid._nearest_node(x, v))
 
 
 def _control_sharing(greeks_at: _SliceMemo, params: ModelParams) -> WorstCaseControl:

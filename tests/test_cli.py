@@ -309,6 +309,18 @@ class TestSweepCommands:
         assert main(["sweep", "--config", path]) == 1
         assert "empty" in capsys.readouterr().err
 
+    def test_nan_noise_floor_is_validation_error(self, tmp_path, capsys):
+        """A NaN noise floor, which ``json`` reads, exits with the validation
+        code and writes no ``sweep.json``."""
+        out = tmp_path / "out"
+        doc = base_doc(out)
+        doc["sweep"] = {"point": [100.0, -1.0], "deltas": [0.2, 0.5],
+                        "noise_floor": float("nan")}
+        path = write_doc(tmp_path, doc)
+        assert main(["sweep", "--config", path]) == 1
+        assert "noise_floor" in capsys.readouterr().err
+        assert not (out / "sweep.json").exists()
+
     def test_corrector_zero_rho_exports_zero_surface(self, tmp_path, capsys):
         """With rho = 0 the exported correction surface is identically zero."""
         out = tmp_path / "out"

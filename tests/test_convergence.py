@@ -171,6 +171,10 @@ class TestRunDeltaSweep:
             run_delta_sweep(params, BUTTERFLY, grid, point, [])
         with pytest.raises(ValueError, match="outside"):
             run_delta_sweep(params, BUTTERFLY, grid, (500.0, -1.0), [0.2, 0.5])
+        for floor in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="noise_floor"):
+                run_delta_sweep(params, BUTTERFLY, grid, point, [0.2, 0.5],
+                                noise_floor=floor)
 
     def test_solver_failure_names_the_delta(self):
         """A stability failure during the sweep carries the offending delta."""
@@ -258,7 +262,8 @@ class TestCorrectorSweep:
         assert report.ratio < 4.0
 
     def test_measured_floor_and_exclusion(self):
-        """The floor is measured on the remainder; a huge one voids the ratio."""
+        """The floor is measured on the remainder; a huge one voids the ratio;
+        a negative or NaN one is rejected."""
         params = mk_params()
         grid = mk_grid(params, n_x=49)
         report = corrector_sweep(params, BUTTERFLY, grid, (100.0, -1.0),
@@ -268,6 +273,10 @@ class TestCorrectorSweep:
                                  [0.09, 0.36], noise_floor=1e6)
         assert all(row.excluded for row in voided.rows)
         assert math.isnan(voided.ratio)
+        for floor in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="noise_floor"):
+                corrector_sweep(params, BUTTERFLY, grid, (100.0, -1.0),
+                                [0.09, 0.36], noise_floor=floor)
 
     def test_peak_does_not_grow_with_the_step_count(self):
         """The limit marches beside the corrector and keeps no slice stack:

@@ -187,15 +187,18 @@ class TestBsbSolver:
         assert np.array_equal(surface.slice_at(grid.n_t), expected)
 
     def test_cell_average_terminal(self):
-        """With averaging on, terminal nodes carry exact cell means."""
-        p = mk_params()
-        grid = mk_grid(p, "bsb", n_x=59, n_v=3)
-        surface = solve_bsb_1d(p, BUTTERFLY, grid, cell_average_terminal=True)
-        half = 0.5 * grid.dx
-        expected = np.array(
-            [BUTTERFLY.average(x - half, x + half) for x in grid.x_nodes]
-        )
-        assert surface.slice_at(grid.n_t)[:, 0] == pytest.approx(expected, abs=1e-12)
+        """With averaging on, terminal nodes carry exact cell means, bit for
+        bit, in the limit and in the full solver."""
+        for solve, kind, p in ((solve_bsb_1d, "bsb", mk_params()),
+                               (solve_hjb_2d, "full", mk_params(delta=0.5))):
+            grid = mk_grid(p, kind, n_x=59, n_v=3)
+            surface = solve(p, BUTTERFLY, grid, cell_average_terminal=True)
+            half = 0.5 * grid.dx
+            expected = np.array(
+                [BUTTERFLY.average(x - half, x + half) for x in grid.x_nodes]
+            )
+            assert np.array_equal(surface.slice_at(grid.n_t),
+                                  np.repeat(expected[:, None], grid.n_v, axis=1))
 
     def test_slice_retention(self):
         """store_slices keeps a strided subset bracketing the time range."""

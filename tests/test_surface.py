@@ -350,6 +350,12 @@ class TestFlatBilinearKernel:
     @given(case=grids_and_slices(),
            ux=st.lists(UNIT, min_size=1, max_size=30),
            uv=st.lists(UNIT, min_size=1, max_size=30))
+    # dx = 1 and dv = 0.5: x = 1.5, 2.5 and v = -0.25, 0.25 lie midway
+    # between two nodes, where rint rounds to the even node (2 each time).
+    @example(case=(GridSpec(x_min=0.0, x_max=4.0, n_x=3, v_min=-1.0, v_max=1.0,
+                            n_v=5, T=1.0, n_t=1),
+                   np.random.default_rng(0).standard_normal((5, 5))),
+             ux=[0.375, 0.625, 0.375, 0.625], uv=[0.375, 0.625, 0.625, 0.375])
     def test_policy_reads_the_nearest_node(self, case, ux, uv):
         """The worst-case policy's flat nearest-node read equals ``q[ix, iv]``."""
         grid, F = case
