@@ -9,13 +9,15 @@ directory and writes into a subdirectory of ``OUT``, which must not hold
 files yet.  The script then imports ``uvpricer`` from the same ``src/`` and
 writes the JSON of a few library reports that no command writes into
 ``OUT/library``: the coupled payoff gap at delta 0 and 0.5, the martingale
-check under a fixed multiplier and under the worst-case control, and the
-Feynman-Kac terms.  They use only the public API, so the script runs
-against an older ``src/`` too.  It prints one ``sha256  ./path`` line per
-file written, sorted by path, as ``find . -type f | sort | xargs
-sha256sum`` run in ``OUT`` prints them.  ``--out`` enters every
-artifact's config hash, so compare two checkouts by running this script
-in each with the same relative ``OUT`` and diffing the two listings.
+check under a fixed multiplier and under the worst-case control, the
+Feynman-Kac terms, and the Greeks at every node of the first, middle and
+last kept slice of the three surfaces those reports read.  They use only
+the public API, so the script runs against an older ``src/`` too.  It
+prints one ``sha256  ./path`` line per file written, sorted by path, as
+``find . -type f | sort | xargs sha256sum`` run in ``OUT`` prints them.
+``--out`` enters every artifact's config hash, so compare two checkouts
+by running this script in each with the same relative ``OUT`` and
+diffing the two listings.
 """
 
 from __future__ import annotations
@@ -83,6 +85,15 @@ def write_library(out: Path) -> None:
     for name, report in reports.items():
         (out / "library" / f"{name}.json").write_text(
             json.dumps(dataclasses.asdict(report)))
+    # The Greeks at every node of the first, middle and last kept slice.
+    fields = {}
+    for name, s in (("surface", surface), ("p0", p0), ("p1", p1)):
+        kept = s.kept_times
+        for k in (kept[0], kept[len(kept) // 2], kept[-1]):
+            g = uv.greeks(s, k)
+            fields[f"{name}_{k}"] = {f.name: getattr(g, f.name).tolist()
+                                     for f in dataclasses.fields(g)}
+    (out / "library" / "greeks.json").write_text(json.dumps(fields))
 
 
 def main(argv: list[str]) -> int:

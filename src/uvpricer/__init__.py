@@ -6,7 +6,6 @@ from .bsde import (
     BsdeResidualReport,
     DriverSpec,
     MartingaleReport,
-    build_driver,
     driver_consistency,
     martingale_check,
     simulate_2bsde_residual,
@@ -75,7 +74,6 @@ __all__ = [
     "WorstCaseControl",
     "__version__",
     "bs_call",
-    "build_driver",
     "corrector_sweep",
     "coupled_payoff_gap",
     "driver_consistency",

@@ -86,12 +86,6 @@ class DriverSpec:
         return out
 
 
-def build_driver(params: ModelParams, kind: str) -> DriverSpec:
-    """Driver paired with a solved surface kind: ``f_delta`` for the
-    moving-factor equation, ``f0`` for the frozen limit."""
-    return DriverSpec(kind=kind, params=params)
-
-
 @dataclass(frozen=True)
 class BsdeResidualReport:
     """Terminal residual of the backward representation.
@@ -152,7 +146,7 @@ def _driver_for_surface(surface: PriceSurface, params: ModelParams) -> DriverSpe
         raise ValueError(
             f"no driver is associated with surface kind {surface.kind!r}"
         )
-    return build_driver(params, kind)
+    return DriverSpec(kind=kind, params=params)
 
 
 def simulate_2bsde_residual(
@@ -163,7 +157,6 @@ def simulate_2bsde_residual(
     n_steps: int,
     seed: int,
     payoff: PiecewiseLinearPayoff | None = None,
-    driver: DriverSpec | None = None,
 ) -> BsdeResidualReport:
     """Forward-simulate the backward representation and report the residual.
 
@@ -188,8 +181,7 @@ def simulate_2bsde_residual(
     if n_paths <= 0 or n_steps <= 0:
         raise ValueError("n_paths and n_steps must be positive")
     _require_dense_slices(surface, n_steps, surface.kind)
-    if driver is None:
-        driver = _driver_for_surface(surface, params)
+    driver = _driver_for_surface(surface, params)
     dt = grid.T / n_steps
     y0_fd = surface.value_at(0, x0, v0)
     terminal = surface.slice_at(grid.n_t)
@@ -295,7 +287,6 @@ def martingale_check(
 def driver_consistency(
     surface: PriceSurface,
     params: ModelParams,
-    driver: DriverSpec | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-slice RMS gap between the discrete time derivative and the driver.
 
@@ -305,8 +296,7 @@ def driver_consistency(
     times and the RMS profile; the profile shrinks under grid refinement
     as both sides converge to ``du/dt``.
     """
-    if driver is None:
-        driver = _driver_for_surface(surface, params)
+    driver = _driver_for_surface(surface, params)
     if surface.n_kept < 2:
         raise ValueError("need at least two retained slices")
     grid = surface.grid

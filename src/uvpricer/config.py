@@ -306,6 +306,10 @@ class RunConfig:
         grid, auto_n_t = _parse_grid(root.child("grid"))
         out_dir = root.take_str("out_dir", "out")
         seed = root.take_int("seed", 0)
+        if not 0 <= seed < 2**128:
+            # The Philox key holds 128 bits.
+            raise ConfigError(f"expected an integer in [0, 2**128), got {seed}",
+                              key_path="seed")
         blocks = {}
         for name, parse in (
             ("price", _parse_price),

@@ -31,7 +31,8 @@ import numpy as np
 
 from .errors import NonFiniteError, StabilityError
 from .model import GridSpec, ModelParams, PiecewiseLinearPayoff
-from .surface import PriceSurface, _bilinear, _nearest_pos, _q_sup_bare
+from .surface import (PriceSurface, _bilinear, _diff, _diff2, _nearest_pos,
+                      _q_sup_bare)
 
 
 def min_time_steps(
@@ -128,14 +129,11 @@ def _check_finite(P: np.ndarray, time_index: int, v_offset: int = 0) -> None:
     raise err
 
 
-# The stencils write into ``out`` with the IEEE operations, operands and
-# order of their expression forms, reading views made once per solve: a
-# spacing term (``dx**2``, ``2 dx``, ...) is divided by, never folded into
-# a coefficient.  The v-stencils read offset-by-one slices of the
-# flattened C-contiguous rows and then overwrite the two edge columns,
-# where those slices straddle two rows.  The v-axis is the last one, so a
-# stack of slices on a middle axis runs through them unchanged: each of
-# its row junctions also falls on an edge column.
+# The v-stencils read offset-by-one slices of the flattened C-contiguous
+# rows and then overwrite the two edge columns, where those slices
+# straddle two rows.  The v-axis is the last one, so a stack of slices on
+# a middle axis runs through them unchanged: each of its row junctions
+# also falls on an edge column.
 
 
 class _Views:
@@ -154,20 +152,6 @@ class _Views:
         self.first, self.last = (P[0], P[1], P[2]), (P[-1], P[-2], P[-3])
 
 
-def _pxx(up, inner, down, dx2: float, out: np.ndarray) -> np.ndarray:
-    """Central second x-difference of the rows, over ``dx2 = dx**2``."""
-    np.multiply(inner, 2.0, out=out)
-    np.subtract(up, out, out=out)
-    np.add(out, down, out=out)
-    return np.divide(out, dx2, out=out)
-
-
-def _px(up, down, two_dx: float, out: np.ndarray) -> np.ndarray:
-    """Central first x-difference of the rows, over ``two_dx = 2.0 * dx``."""
-    np.subtract(up, down, out=out)
-    return np.divide(out, two_dx, out=out)
-
-
 def _pxv(d_x: np.ndarray, dv: float, out: np.ndarray):
     """A function of no arguments writing the cross derivative from the
     x-difference ``d_x`` into ``out``: central in v, first order one-sided
@@ -179,11 +163,9 @@ def _pxv(d_x: np.ndarray, dv: float, out: np.ndarray):
              (out[..., -1], d_x[..., -1], d_x[..., -2]))
 
     def pxv():
-        np.subtract(up, down, out=mid)
-        np.divide(mid, two_dv, out=mid)
+        _diff(up, down, two_dv, mid)
         for edge, right, left in edges:
-            np.subtract(right, left, out=edge)
-            np.divide(edge, dv, out=edge)
+            _diff(right, left, dv, edge)
         return out
 
     return pxv
@@ -311,20 +293,17 @@ def _full_values(params, deltas, payoff, grid, kept, cell_average_terminal):
     fwd = np.empty(n_x * n_d * n_v - 1)
 
     def rhs(V, k, out):
-        _px(V.up, V.down, two_dx, d_x)
-        np.multiply(_pxx(V.up, V.inner, V.down, dx2, aa), a_coef, out=aa)
+        _diff(V.up, V.down, two_dx, d_x)
+        np.multiply(_diff2(V.up, V.inner, V.down, dx2, aa), a_coef, out=aa)
         np.multiply(pxv(), b_coef, out=bb)
         _q_sup_bare(aa, bb, lo, hi, out=(out, f_lo, f_hi, *masks))
         # Central second v-difference, zero on the two v-edge columns;
         # these are added too: -0.0 + 0.0 is +0.0.
-        np.multiply(V.flat_mid, 2.0, out=work_mid)
-        np.subtract(V.flat_up, work_mid, out=work_mid)
-        np.add(work_mid, V.flat_down, out=work_mid)
-        np.divide(work_mid, dv2, out=work_mid)
+        _diff2(V.flat_up, V.flat_mid, V.flat_down, dv2, work_mid)
         for edge in work_edges:
             edge.fill(0.0)
         np.add(out, np.multiply(work, c_vv, out=work), out=out)
-        np.divide(np.subtract(V.flat_tail, V.flat_head, out=fwd), dv, out=fwd)
+        _diff(V.flat_tail, V.flat_head, dv, fwd)
         fwd.take(upwind, out=work_flat, mode="clip")
         np.add(out, np.multiply(work, drift, out=work), out=out)
         if r != 0.0:
@@ -383,12 +362,12 @@ def _bsb_march(params, payoff, grid, cell_average_terminal, e2v, v_offset=0):
     convex = np.empty(shape, dtype=bool)
 
     def rhs(V, k, out):
-        _pxx(V.up, V.inner, V.down, dx2, d2)
+        _diff2(V.up, V.inner, V.down, dx2, d2)
         np.greater_equal(d2, 0.0, out=convex)
         np.multiply(d2, a_lo, out=out)
         np.multiply(d2, a_hi, out=out, where=convex)
         if r != 0.0:
-            _px(V.up, V.down, two_dx, work)
+            _diff(V.up, V.down, two_dx, work)
             np.add(out, _discount(V.inner, xc, work, r), out=out)
 
     terminal = _terminal_slice(payoff, grid, cell_average_terminal)[:, :width]
@@ -491,14 +470,14 @@ def _corrector_march(params, payoff, grid, nearest_pos, limit_slice):
             F0 = limit_slice(pos)
             read = pos
             up, down = F0[2:], F0[:-2]
-            np.greater_equal(_pxx(up, F0[1:-1], down, dx2, d2), 0.0, out=convex)
+            np.greater_equal(_diff2(up, F0[1:-1], down, dx2, d2), 0.0, out=convex)
             np.copyto(diffusion, diff_lo)
             np.copyto(diffusion, diff_hi, where=convex)
             np.copyto(source, src_lo)
             np.copyto(source, src_hi, where=convex)
-            _px(up, down, two_dx, d_x)
+            _diff(up, down, two_dx, d_x)
             np.multiply(source, pxv(), out=source)
-        _pxx(V.up, V.inner, V.down, dx2, out)
+        _diff2(V.up, V.inner, V.down, dx2, out)
         np.multiply(out, diffusion, out=out)
         np.add(out, source, out=out)
 

@@ -10,9 +10,9 @@ solve, tagged by ``kind``:
 From a slice one can read discrete Greeks, extract the pointwise optimal
 volatility multiplier, and build masks of the curvature zero set and of the
 nodes where the moving-factor and limit controls disagree.  The kernels the
-solvers and Monte-Carlo checks share live here too: bilinear reads, the
-pointwise sup over the multiplier, the last-slice memo, the slice-density
-check and the artifact writers.
+solvers and Monte-Carlo checks share live here too: the difference
+stencils, bilinear reads, the pointwise sup over the multiplier, the
+last-slice memo, the slice-density check and the artifact writers.
 """
 
 from __future__ import annotations
@@ -74,11 +74,31 @@ def _write_json(path, doc: dict) -> None:
         fh.write("\n")
 
 
+def _diff(hi, lo, step: float, out: np.ndarray) -> np.ndarray:
+    """``(hi - lo) / step`` into ``out``: one subtraction, then one division
+    by the caller's spacing (``2.0 * dx``, ``dv``), never by a reciprocal
+    or inside a coefficient."""
+    np.subtract(hi, lo, out=out)
+    return np.divide(out, step, out=out)
+
+
+def _diff2(up, mid, down, step2: float, out: np.ndarray) -> np.ndarray:
+    """``(up - 2.0 * mid + down) / step2`` into ``out``, in that expression's
+    order, dividing by the caller's squared spacing (``dx**2``, ``h * h``)
+    as :func:`_diff` does.  ``out`` may not overlap ``up`` or ``down``."""
+    np.multiply(mid, 2.0, out=out)
+    np.subtract(up, out, out=out)
+    np.add(out, down, out=out)
+    return np.divide(out, step2, out=out)
+
+
+# The interiors are differenced into a new array and copied: on the
+# v-axis, a kernel writing into the strided ``out[1:-1]`` ran slower.
 def _axis_first_deriv(F: np.ndarray, h: float, axis: int) -> np.ndarray:
     """Central first derivative, second-order one-sided at the two edges."""
     F = F.swapaxes(0, axis)
     out = np.empty_like(F)
-    out[1:-1] = (F[2:] - F[:-2]) / (2.0 * h)
+    out[1:-1] = _diff(F[2:], F[:-2], 2.0 * h, np.empty_like(F[2:]))
     out[0] = (-3.0 * F[0] + 4.0 * F[1] - F[2]) / (2.0 * h)
     out[-1] = (3.0 * F[-1] - 4.0 * F[-2] + F[-3]) / (2.0 * h)
     return out.swapaxes(0, axis)
@@ -90,7 +110,7 @@ def _axis_second_deriv(F: np.ndarray, h: float, axis: int) -> np.ndarray:
     F = F.swapaxes(0, axis)
     out = np.empty_like(F)
     h2 = h * h
-    out[1:-1] = (F[2:] - 2.0 * F[1:-1] + F[:-2]) / h2
+    out[1:-1] = _diff2(F[2:], F[1:-1], F[:-2], h2, np.empty_like(F[2:]))
     if F.shape[0] >= 4:
         out[0] = (2.0 * F[0] - 5.0 * F[1] + 4.0 * F[2] - F[3]) / h2
         out[-1] = (2.0 * F[-1] - 5.0 * F[-2] + 4.0 * F[-3] - F[-4]) / h2

@@ -6,7 +6,10 @@ grid; these functions allocate every temporary, take the v-differences on
 column slices, and must give the same bits.  Each returns
 ``(values, kept_times)``.  ``q_sup_parts`` is the q-sup kernel that
 computes the stationary point at every concave node, and ``greeks`` the
-``np.moveaxis`` form of ``surface.greeks``.
+``np.moveaxis`` form of ``surface.greeks``.  Every difference here is an
+expression, not a call of the ``surface._diff`` / ``_diff2`` kernels that
+the marches and ``surface.greeks`` share, so a change to those kernels
+shows against this file.
 """
 
 import dataclasses

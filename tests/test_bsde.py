@@ -15,7 +15,7 @@ from uvpricer import rng, sde
 from uvpricer.analytic import bs_call
 from uvpricer.bsde import (
     BsdeResidualReport,
-    build_driver,
+    DriverSpec,
     driver_consistency,
     martingale_check,
     simulate_2bsde_residual,
@@ -52,14 +52,14 @@ class TestDriverSpec:
         """Zero Hessian and gradient give a zero driver for both kinds."""
         p = mk_params(delta=0.3)
         for kind in ("f0", "f_delta"):
-            d = build_driver(p, kind)
+            d = DriverSpec(kind=kind, params=p)
             assert d(100.0, -1.0, 0.0, 0.0, 0.0, 0.0) == 0.0
 
     def test_zero_delta_collapses_to_limit_driver(self):
         """The moving-factor driver at delta=0 equals the limit driver."""
         p = mk_params(delta=0.0)
-        f0 = build_driver(p, "f0")
-        fd = build_driver(p, "f_delta")
+        f0 = DriverSpec(kind="f0", params=p)
+        fd = DriverSpec(kind="f_delta", params=p)
         rs = np.random.default_rng(3)
         x = rs.uniform(1.0, 200.0, 100)
         v, z2, s11, s12, s22 = (rs.uniform(-2.0, 2.0, 100) for _ in range(5))
@@ -68,7 +68,7 @@ class TestDriverSpec:
 
     def test_multiplier_follows_curvature_sign(self):
         """sigma_bar flips at the curvature sign, with ties to sigma_max."""
-        d = build_driver(mk_params(), "f0")
+        d = DriverSpec(kind="f0", params=mk_params())
         assert np.array_equal(d.sigma_bar([1.0, 0.0, -1.0]), [0.2, 0.2, 0.1])
         # f0 = -x^2 e^{2v} sigma_bar^2 s11 / 2 at x=10, v=0
         assert d(10.0, 0.0, 0.0, 1.0, 0.0, 0.0) == pytest.approx(-0.5 * 100 * 0.04)
@@ -76,7 +76,7 @@ class TestDriverSpec:
 
     def test_scalar_and_array_forms(self):
         """Scalar inputs give a float, arrays give arrays."""
-        d = build_driver(mk_params(), "f0")
+        d = DriverSpec(kind="f0", params=mk_params())
         assert isinstance(d(10.0, 0.0, 0.0, 1.0, 0.0, 0.0), float)
         out = d(np.ones(4) * 10.0, np.zeros(4), 0.0, np.ones(4), 0.0, 0.0)
         assert out.shape == (4,)
@@ -84,7 +84,7 @@ class TestDriverSpec:
     def test_unknown_kind_rejected(self):
         """Only f0 and f_delta are valid driver kinds."""
         with pytest.raises(ValueError):
-            build_driver(mk_params(), "f1")
+            DriverSpec(kind="f1", params=mk_params())
 
 
 class TestResidualSimulation:
@@ -217,8 +217,9 @@ def gather_residual(surface, params, x_tilde0, n_paths, n_steps, seed,
     """The 2BSDE residual as a gather/scatter loop over the alive paths."""
     grid = surface.grid
     x0, v0 = x_tilde0
-    driver = build_driver(
-        params, {"full_delta": "f_delta", "limit_p0": "f0"}[surface.kind]
+    driver = DriverSpec(
+        kind={"full_delta": "f_delta", "limit_p0": "f0"}[surface.kind],
+        params=params,
     )
     dt = grid.T / n_steps
     sqdt = math.sqrt(dt)

@@ -1,5 +1,6 @@
 """Tests for the JSON config schema and the command-line interface."""
 
+import copy
 import json
 import math
 import os
@@ -9,6 +10,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import uvpricer.hjb as hjb
 from uvpricer import cli, sde
@@ -107,6 +110,20 @@ class TestConfigSchema:
             RunConfig.from_dict(doc)
         assert err.value.key_path == "model.delta"
 
+    @pytest.mark.parametrize("seed, ok", [(-1, False), (2**128, False),
+                                          (0, True), (2**128 - 1, True)],
+                             ids=["-1", "2**128", "0", "2**128-1"])
+    def test_seed_is_a_philox_key(self, tmp_path, seed, ok):
+        """The seed keys a 128-bit Philox, so it lies in [0, 2**128)."""
+        doc = base_doc(tmp_path)
+        doc["seed"] = seed
+        if ok:
+            assert RunConfig.from_dict(doc).seed == seed
+        else:
+            with pytest.raises(ConfigError) as err:
+                RunConfig.from_dict(doc)
+            assert err.value.key_path == "seed"
+
     def test_model_invariants_surface_as_config_errors(self, tmp_path):
         """An inconsistent volatility interval names sigma_min on load."""
         doc = base_doc(tmp_path)
@@ -165,6 +182,67 @@ class TestConfigSchema:
         bad.write_text("{not json")
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_config(bad)
+
+
+QUICKSTART = load_config(
+    pathlib.Path(__file__).resolve().parents[1] / "configs" / "quickstart.json")
+
+
+def scalar_paths(doc, prefix=()):
+    """Key paths of the entries of ``doc`` that are neither objects nor lists."""
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from scalar_paths(value, (*prefix, key))
+        elif not isinstance(value, list):
+            yield (*prefix, key)
+
+
+# A dotted path: an existing scalar of the quickstart config, or a new key
+# (random, or one a block may leave out) under a block.
+OVERRIDE_PATHS = st.one_of(
+    st.sampled_from(sorted(scalar_paths(QUICKSTART))),
+    st.tuples(
+        st.sampled_from(sorted(k for k, v in QUICKSTART.items()
+                               if isinstance(v, dict)) + ["corrector"]),
+        st.one_of(st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1,
+                          max_size=12),
+                  st.sampled_from(["r", "sigma", "cfl_safety", "solve_p0",
+                                   "cell_average_terminal", "noise_floor",
+                                   "max_csv_paths"])),
+    ),
+)
+# Integers within 2**53 are exact as floats, so a number field parses to
+# a float equal to the integer.
+JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-2**53, 2**53),
+                        st.floats(), st.text(),
+                        st.lists(st.floats(allow_nan=False), max_size=3))
+
+
+class TestOverrideRoundTrip:
+    @settings(max_examples=200, deadline=None)
+    @given(path=OVERRIDE_PATHS, value=JSON_VALUES)
+    def test_set_equals_the_hand_edit(self, path, value):
+        """``--set`` hashes as the document edited by hand, and a value the
+        schema accepts is the parsed field's value."""
+        doc = copy.deepcopy(QUICKSTART)
+        apply_override(doc, f"{'.'.join(path)}={json.dumps(value)}")
+        by_hand = copy.deepcopy(QUICKSTART)
+        node = by_hand
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        node[path[-1]] = value
+        assert config_hash(doc) == config_hash(by_hand)
+        try:
+            cfg = RunConfig.from_dict(doc)
+        except ConfigError:
+            return
+        if path == ("grid", "n_t") and value is None:
+            assert cfg.auto_n_t
+            return
+        field = cfg
+        for key in path:
+            field = getattr(field, key)
+        assert field == value or (value != value and field != field)
 
 
 class TestPriceCommand:
@@ -400,6 +478,19 @@ class TestSimulateCommand:
         assert (out / "paths.csv").read_bytes() == first
         assert main(["simulate", "--config", path, "--seed", "8"]) == 0
         assert (out / "paths.csv").read_bytes() != first
+
+    def test_negative_seed_is_refused_before_output(self, tmp_path, capsys):
+        """``--seed -3`` is a config error naming the seed, and no output
+        directory is made."""
+        out = tmp_path / "out"
+        doc = base_doc(out)
+        doc["simulate"] = {"x0": 100.0, "v0": -1.0, "q": 0.15,
+                           "n_paths": 50, "n_steps": 8}
+        path = write_doc(tmp_path, doc)
+        assert main(["simulate", "--config", path, "--seed", "-3",
+                     "--out", str(out)]) == 1
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
 
 
     @pytest.mark.parametrize("n_paths, max_csv_paths", [

@@ -4,9 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from uvpricer.hjb import solve_bsb_1d, solve_hjb_2d
 from uvpricer.model import GridSpec, ModelParams, PiecewiseLinearPayoff
 from uvpricer.surface import (
     ControlField,
@@ -26,6 +27,7 @@ from uvpricer.surface import (
 import csv_reference
 import solver_reference
 from bilinear_reference import gather_read, gather_weights
+from test_hjb import sized, smallest_case, solver_cases
 from uvpricer.sde import PathBatch
 
 PARAMS = ModelParams(
@@ -287,6 +289,30 @@ class TestGreeksAxes:
                            strict=True):
             g = getattr(got, name)
             assert same_bits(g, w) and g.strides == w.strides, name
+
+
+class TestGreeksOracle:
+    @settings(max_examples=30, deadline=None)
+    @given(case=solver_cases())
+    @example(case=smallest_case(0.0, 0))
+    def test_solved_slices_equal_the_expression_form(self, case):
+        """On every kept slice of a full and a limit solve, the five fields
+        equal the expression-form Greeks, signs of zero included.  The
+        example's three v-nodes reach the edge rows that the second
+        v-difference copies from the interior."""
+        p, h, grid, extra, options, _ = case
+        options = dict(options, store_slices=True)
+        for surface in (solve_hjb_2d(p, h, sized(p, grid, "full", extra), **options),
+                        solve_bsb_1d(p, h, sized(p, grid, "bsb", extra), **options)):
+            for k in surface.kept_times:
+                got = greeks(surface, k)
+                want = solver_reference.greeks(surface.slice_at(k),
+                                               surface.grid.dx, surface.grid.dv)
+                for name, w in zip(("delta", "gamma", "vega", "vanna", "vomma"),
+                                   want, strict=True):
+                    g = getattr(got, name)
+                    assert np.array_equal(g, w), (name, k)
+                    assert np.array_equal(np.signbit(g), np.signbit(w)), (name, k)
 
 
 class TestFlatBilinearKernel:
