@@ -149,6 +149,18 @@ def _driver_for_surface(surface: PriceSurface, params: ModelParams) -> DriverSpe
     return DriverSpec(kind=kind, params=params)
 
 
+def _check_residual_run(grid, x0: float, v0: float, n_paths: int,
+                        n_steps: int) -> None:
+    """Refuse a start point off the grid interior and a path or step count
+    below one, before anything is solved or simulated."""
+    if not (grid.x_min < x0 < grid.x_max and grid.v_min < v0 < grid.v_max):
+        raise ValueError(
+            f"start point ({x0}, {v0}) is not inside the grid interior"
+        )
+    if n_paths <= 0 or n_steps <= 0:
+        raise ValueError("n_paths and n_steps must be positive")
+
+
 def simulate_2bsde_residual(
     surface: PriceSurface,
     params: ModelParams,
@@ -174,12 +186,7 @@ def simulate_2bsde_residual(
     """
     grid = surface.grid
     x0, v0 = float(x_tilde0[0]), float(x_tilde0[1])
-    if not (grid.x_min < x0 < grid.x_max and grid.v_min < v0 < grid.v_max):
-        raise ValueError(
-            f"start point ({x0}, {v0}) is not inside the grid interior"
-        )
-    if n_paths <= 0 or n_steps <= 0:
-        raise ValueError("n_paths and n_steps must be positive")
+    _check_residual_run(grid, x0, v0, n_paths, n_steps)
     _require_dense_slices(surface, n_steps, surface.kind)
     driver = _driver_for_surface(surface, params)
     dt = grid.T / n_steps

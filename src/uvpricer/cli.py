@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bsde import simulate_2bsde_residual
+from .bsde import _check_residual_run, simulate_2bsde_residual
 from .config import RunConfig, apply_override, config_hash, load_config
 from .convergence import corrector_sweep, run_delta_sweep
 from .errors import ConfigError, FitError, NonFiniteError, PoleError, StabilityError
@@ -182,6 +182,7 @@ def cmd_simulate(cfg: RunConfig, out: Path, chash: str) -> None:
 def cmd_check2bsde(cfg: RunConfig, out: Path, chash: str) -> None:
     block = _require_block(cfg, "check2bsde")
     x0, v0 = block.point
+    _check_residual_run(cfg.grid, x0, v0, block.n_paths, block.n_steps)
     if block.surface == "full_delta":
         grid = _resolve_grid(cfg, "full")
         surface = solve_hjb_2d(cfg.model, cfg.payoff, grid, store_slices=True,
@@ -248,6 +249,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(command: str, cfg: RunConfig, out: Path, chash: str) -> int:
+    """Run one command and map its failure to an exit code."""
+    try:
+        _COMMANDS[command](cfg, out, chash)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except (StabilityError, NonFiniteError, PoleError, FitError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        print(f"validation error: {exc}", file=sys.stderr)
+        return 1
+    except (RuntimeError, ArithmeticError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
+    return 0
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -264,22 +284,18 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     out = Path(cfg.out_dir)
+    made = [d for d in (out, *out.parents) if not d.exists()]
     out.mkdir(parents=True, exist_ok=True)
-    try:
-        _COMMANDS[args.command](cfg, out, chash)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    except (StabilityError, NonFiniteError, PoleError, FitError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
-        return 1
-    except (RuntimeError, ArithmeticError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
-    return 0
+    code = _run(args.command, cfg, out, chash)
+    if code != 0:
+        # A failed command leaves no directory of its own making that it
+        # wrote nothing into.
+        for d in made:
+            try:
+                d.rmdir()
+            except OSError:
+                break
+    return code
 
 
 if __name__ == "__main__":

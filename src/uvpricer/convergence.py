@@ -246,38 +246,67 @@ def _solve_deltas(params_base, payoff, grid, x0, v0, ds, cell_average_terminal,
                               kept_times=kept).value_at(0, x0, v0)
 
 
+def _first_failure(early, late):
+    """The error one march of two stacks of deltas, ``early``'s before
+    ``late``'s, would raise, from each stack's own error or None.
+
+    Stability is checked for every delta before the march, and the march
+    raises at the first step at which a delta turns non-finite, the
+    earlier delta on a tie; steps run down from ``n_t``.
+    """
+    if early is None or late is None:
+        return early or late
+    if isinstance(early, NonFiniteError) and (
+            isinstance(late, StabilityError)
+            or late.time_index > early.time_index):
+        return late
+    return early
+
+
 def _sweep(params_base, payoff, grid, point, deltas, cell_average_terminal,
            noise_floor, corrector):
     """Shared core of both sweeps.
 
     Solves the limit (and, with ``corrector``, the corrector) once and the
-    moving-factor equation for all deltas in one march, then measures the
-    noise floor unless given: the change of the smallest delta's remainder
-    when the grid is refined (half the x-spacing, step count re-matched to
-    the stability bound).  Returns ``(point, rows, noise_floor, p1)`` with rows
-    ``(delta, p_delta, p0, p1, remainder, excluded)`` by descending delta;
-    a row is excluded when its remainder is below ten times the floor.
+    moving-factor equation for all deltas in stacked marches, then measures
+    the noise floor unless given: the change of the smallest delta's
+    remainder when the grid is refined (half the x-spacing, step count
+    re-matched to the stability bound).  Returns ``(point, rows,
+    noise_floor, p1)`` with rows ``(delta, p_delta, p0, p1, remainder,
+    excluded)`` by descending delta; a row is excluded when its remainder
+    is below ten times the floor.
 
-    The two delta marches run as :class:`_Job` s while this process solves
-    the limits.  Errors keep the order of one solve after the other: the
-    limit, the deltas, the refined deltas, the refined limit.
+    One march runs as a :class:`_Job` beside this process, which marches
+    the rest.  With the floor measured, the job is the refined-grid march
+    of the smallest delta, and this process solves the limit, all deltas
+    and the refined limit.  With the floor given, the job marches all but
+    the smallest ``(m - 1) // 2`` of the ``m`` deltas, and this process
+    solves the limit, then those deltas as one stack: the limit, with or
+    without the corrector, costs about one lone delta march.  Errors keep
+    the order of one solve after the other: the limit, the deltas (as one
+    stack of them all would raise them), the refined delta, the refined
+    limit.
     """
     ds = _check_sweep_inputs(grid, point, deltas, noise_floor)
     x0, v0 = float(point[0]), float(point[1])
-    d_min = ds[-1]
-    p_out = _shared((2, len(ds)))
-    jobs = []
+    m, d_min = len(ds), ds[-1]
+    # P_delta per delta, then the refined P_delta of the smallest delta.
+    p_out = _shared((m + 1,))
+    if noise_floor is None:
+        fine = _refined_for_floor(params_base.with_delta(d_min), grid)
+        job = _Job(_solve_deltas, params_base, payoff, fine, x0, v0, [d_min],
+                   cell_average_terminal, p_out[m:])
+    else:
+        split = m - (m - 1) // 2
+        job = _Job(_solve_deltas, params_base, payoff, grid, x0, v0,
+                   ds[:split], cell_average_terminal, p_out[:split])
     try:
-        jobs.append(_Job(_solve_deltas, params_base, payoff, grid, x0, v0, ds,
-                         cell_average_terminal, p_out[0]))
-        if noise_floor is None:
-            fine = _refined_for_floor(params_base.with_delta(d_min), grid)
-            jobs.append(_Job(_solve_deltas, params_base, payoff, fine, x0, v0,
-                             [d_min], cell_average_terminal, p_out[1]))
         p0_val, p1_val, p1 = _limit_values(params_base, payoff, grid, x0, v0,
                                            ds[0], cell_average_terminal,
                                            corrector)
         if noise_floor is None:
+            _solve_deltas(params_base, payoff, grid, x0, v0, ds,
+                          cell_average_terminal, p_out[:m])
             try:
                 fine_limit = _limit_values(params_base, payoff, fine, x0, v0,
                                            d_min, cell_average_terminal,
@@ -285,21 +314,35 @@ def _sweep(params_base, payoff, grid, point, deltas, cell_average_terminal,
             except Exception as exc:
                 _attach_delta(exc, d_min)
                 fine_limit = exc
-        jobs[0].wait()
-        if noise_floor is None:
-            jobs[1].wait()
+            job.wait()
             if isinstance(fine_limit, Exception):
                 raise fine_limit
             p0_fine, p1_fine, _ = fine_limit
-            pd_fine, pd_min = float(p_out[1, 0]), float(p_out[0, -1])
+            pd_fine, pd_min = float(p_out[m]), float(p_out[m - 1])
             noise_floor = abs(_remainder(pd_fine, p0_fine, p1_fine, d_min)
                               - _remainder(pd_min, p0_val, p1_val, d_min))
+        else:
+            failure = None
+            if split < m:
+                try:
+                    _solve_deltas(params_base, payoff, grid, x0, v0,
+                                  ds[split:], cell_average_terminal,
+                                  p_out[split:m])
+                except (StabilityError, NonFiniteError) as exc:
+                    if isinstance(exc, NonFiniteError):
+                        exc.stack_index += split
+                    failure = exc
+            try:
+                job.wait()
+            except (StabilityError, NonFiniteError) as exc:
+                failure = _first_failure(exc, failure)
+            if failure is not None:
+                raise failure
     finally:
-        for job in jobs:
-            job.cancel()
+        job.cancel()
 
     rows = []
-    for d, p_d in zip(ds, p_out[0].tolist()):
+    for d, p_d in zip(ds, p_out[:m].tolist()):
         e = _remainder(p_d, p0_val, p1_val, d)
         excluded = abs(e) < 10.0 * noise_floor or e == 0.0
         rows.append((d, p_d, p0_val, p1_val, e, excluded))

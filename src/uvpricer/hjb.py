@@ -11,9 +11,9 @@ steps):
 * :func:`solve_corrector` — the linear first-order correction PDE driven by
   the mixed derivative of a stored limit solve.
 
-A delta sweep marches its same-grid full solves as one stack, and reads
-its limit price at a point from the two v-columns that bracket it; both
-give the lone solves' numbers bit for bit.
+A delta sweep marches its same-grid full solves in stacks, and reads its
+limit price at a point from the two v-columns that bracket it; both give
+the lone solves' numbers bit for bit.
 
 Boundary treatment: at ``x_min = 0`` the equation degenerates and is solved
 exactly; at ``x_max`` curvature is set to zero (linear extrapolation); the

@@ -568,6 +568,70 @@ class TestCheck2bsdeCommand:
         assert "left the grid" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("setting, message", [
+        ("check2bsde.n_paths=0", "n_paths and n_steps must be positive"),
+        ("check2bsde.n_steps=0", "n_paths and n_steps must be positive"),
+        ("check2bsde.point=[200,-1]", "not inside the grid interior"),
+        ("check2bsde.point=[100,-0.5]", "not inside the grid interior"),
+    ])
+    @pytest.mark.parametrize("surface", ["full_delta", "limit_p0"])
+    def test_bad_run_is_refused_before_the_solve(
+            self, tmp_path, capsys, monkeypatch, setting, message, surface):
+        """A path or step count below one, or a point off the grid
+        interior, exits 1 before any surface is solved."""
+        solves = []
+        for name in ("solve_hjb_2d", "solve_bsb_1d"):
+            monkeypatch.setattr(cli, name,
+                                lambda *a, name=name, **kw: solves.append(name))
+        out = tmp_path / "out"
+        doc = base_doc(out)
+        doc["check2bsde"] = {"point": [100.0, -1.0], "n_paths": 100,
+                             "n_steps": 16, "surface": surface}
+        path = write_doc(tmp_path, doc)
+        assert main(["check2bsde", "--config", path, "--set", setting]) == 1
+        assert message in capsys.readouterr().err
+        assert solves == []
+        assert not out.exists()
+
+
+class TestOutputDirectory:
+    @pytest.mark.parametrize("command, block, setting, message", [
+        ("simulate", {"x0": 100.0, "v0": -1.0, "q": 0.15, "n_paths": 50,
+                      "n_steps": 8},
+         "simulate.x0=NaN", "initial state must be finite"),
+        ("price", {"point": [100.0, -1.0]},
+         "price.point=[500,-1]", "outside the grid"),
+        ("sweep", {"point": [100.0, -1.0], "deltas": [0.2, 0.5]},
+         "sweep.deltas=[0.2,0.2]", "deltas must be distinct"),
+    ])
+    def test_failed_command_leaves_no_directory(
+            self, tmp_path, capsys, command, block, setting, message):
+        """A command refused after the config parsed exits 1 and leaves
+        neither its output directory nor the parents it made."""
+        out = tmp_path / "new" / "out"
+        doc = base_doc(out)
+        doc[command] = block
+        path = write_doc(tmp_path, doc)
+        assert main([command, "--config", path, "--set", setting]) == 1
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
+
+    def test_existing_directory_is_kept(self, tmp_path, capsys):
+        """A failed command leaves a directory that existed before it,
+        empty or not, as it was."""
+        doc = base_doc(tmp_path / "out")
+        path = write_doc(tmp_path, doc)
+        for out in (tmp_path / "empty", tmp_path / "full"):
+            out.mkdir()
+        (tmp_path / "full" / "keep.txt").write_text("kept")
+        for out in (tmp_path / "empty", tmp_path / "full"):
+            assert main(["price", "--config", path, "--out", str(out),
+                         "--set", "price.point=[500,-1]"]) == 1
+        assert "outside the grid" in capsys.readouterr().err
+        assert list((tmp_path / "empty").iterdir()) == []
+        assert [p.name for p in (tmp_path / "full").iterdir()] == ["keep.txt"]
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m_runs_a_subcommand(self, tmp_path):
         """``python -m uvpricer`` runs the CLI from a source checkout."""

@@ -357,9 +357,63 @@ def sweep_error(sweep, *args, **kwargs):
     return err.value
 
 
+def error_fields(err):
+    """What a caller reads of a sweep's error."""
+    return (type(err), str(err), getattr(err, "min_time_steps", None),
+            getattr(err, "stack_index", None), getattr(err, "time_index", None),
+            getattr(err, "node", None))
+
+
+def one_march_error(params, payoff, grid, point, deltas):
+    """The error of one stacked march of all ``deltas``, by descending delta."""
+    ds = sorted(deltas, reverse=True)
+    return sweep_error(convergence._solve_deltas, params, payoff, grid,
+                       *point, ds, False, np.empty(len(ds)))
+
+
+def sweep_outcome(sweep, *args, **kwargs):
+    """The sweep's report, or the partial report of its FitError."""
+    try:
+        return sweep(*args, **kwargs)
+    except FitError as exc:
+        return "FitError", str(exc), exc.report.as_dict()
+
+
+def plant_overflow(monkeypatch, plant, node=(20, 2)):
+    """Every stacked delta march writes the largest float at ``node`` of
+    delta ``d``'s slice at time index ``plant[d]``, so that delta's march
+    overflows at the next step."""
+    full_values, steps = convergence._full_values, hjb._Marcher.steps
+    marching = []
+
+    def planting_full_values(params, deltas, *args):
+        marching[:] = deltas
+        try:
+            return full_values(params, deltas, *args)
+        finally:
+            marching.clear()
+
+    def planting_steps(self):
+        for k, P in steps(self):
+            for j, d in enumerate(marching):
+                if plant.get(d) == k:
+                    (P[:, j] if P.ndim == 3 else P)[node] = np.finfo(float).max
+            yield k, P
+
+    monkeypatch.setattr(convergence, "_full_values", planting_full_values)
+    monkeypatch.setattr(hjb._Marcher, "steps", planting_steps)
+
+
+# Delta lists for sweeps with a given floor: the child marches all but the
+# smallest (m - 1) // 2 of the m deltas, the caller those.
+GIVEN_FLOOR_DELTAS = ([0.6], [0.6, 0.3], [0.6, 0.3, 0.15],
+                      [0.6, 0.45, 0.3, 0.15])
+
+
 class TestForkedSweeps:
-    """The delta marches of a sweep run in forked children and give the
-    in-process reports and errors; no child outlives the sweep."""
+    """One march of a sweep runs in a forked child beside the caller's, and
+    the sweep gives the in-process reports and errors; no child outlives
+    the sweep."""
 
     @pytest.mark.parametrize("cell_average", [False, True])
     @pytest.mark.parametrize("floor", [None, 1e-9])
@@ -368,12 +422,15 @@ class TestForkedSweeps:
                                       floor, cell_average):
         params = mk_params()
         grid = mk_grid(params, n_x=149)
-        args = (params, BUTTERFLY, grid, (100.0, -1.0), [0.6, 0.3])
         kwargs = dict(cell_average_terminal=cell_average, noise_floor=floor)
-        got = SWEEPS[kind](*args, **kwargs)
-        assert len(forks) == (2 if floor is None else 1)
-        assert_no_children()
-        assert got == in_process(monkeypatch, SWEEPS[kind], *args, **kwargs)
+        for deltas in [[0.6, 0.3]] if floor is None else GIVEN_FLOOR_DELTAS:
+            forks.clear()
+            args = (params, BUTTERFLY, grid, (100.0, -1.0), deltas)
+            got = sweep_outcome(SWEEPS[kind], *args, **kwargs)
+            assert len(forks) == 1
+            assert_no_children()
+            assert got == in_process(monkeypatch, sweep_outcome, SWEEPS[kind],
+                                     *args, **kwargs)
 
     def test_stability_error(self, forks, monkeypatch):
         """The child's StabilityError reaches the caller, typed and with
@@ -386,25 +443,103 @@ class TestForkedSweeps:
         grid = dataclasses.replace(trial, n_t=n_full - 1)
         args = (params, BUTTERFLY, grid, (100.0, -1.0), [0.2, 0.5])
         err = sweep_error(run_delta_sweep, *args)
-        assert len(forks) == 2
+        assert len(forks) == 1
         assert isinstance(err, StabilityError)
         assert "delta=0.5" in str(err)
         assert err.min_time_steps == n_full
         want = sweep_error(in_process, monkeypatch, run_delta_sweep, *args)
         assert (str(err), err.min_time_steps) == (str(want), want.min_time_steps)
+        # With the floor given, as one march of all the deltas raises it.
+        for deltas in ([0.5], [0.5, 0.2], [0.5, 0.2, 0.1],
+                       [0.6, 0.5, 0.2, 0.1]):
+            args = (params, BUTTERFLY, grid, (100.0, -1.0), deltas)
+            err = sweep_error(run_delta_sweep, *args, noise_floor=0.0)
+            want = sweep_error(in_process, monkeypatch, run_delta_sweep,
+                               *args, noise_floor=0.0)
+            assert isinstance(err, StabilityError)
+            assert f"delta={deltas[0]}" in str(err)
+            assert error_fields(err) == error_fields(want) == error_fields(
+                one_march_error(*args))
 
     def test_non_finite_error(self, forks, monkeypatch):
         """A delta march that overflows raises the in-process error: the
         delta, the stack index, the step and the node."""
         params = mk_params()
-        args = (params, HUGE_BUTTERFLY, mk_grid(params, n_x=39),
-                (100.0, -1.0), [0.5, 0.2])
+        grid = mk_grid(params, n_x=39)
+        args = (params, HUGE_BUTTERFLY, grid, (100.0, -1.0), [0.5, 0.2])
         err = sweep_error(run_delta_sweep, *args)
         want = sweep_error(in_process, monkeypatch, run_delta_sweep, *args)
         assert isinstance(err, NonFiniteError)
         assert "delta=0.5" in str(err)
         assert (str(err), err.stack_index, err.time_index, err.node) == (
             str(want), want.stack_index, want.time_index, want.node)
+        # With the floor given, every delta overflows at the first step and
+        # the first delta is named, as one march of all of them names it.
+        for deltas in ([0.5], [0.5, 0.2], [0.5, 0.3, 0.2],
+                       [0.5, 0.4, 0.3, 0.2]):
+            args = (params, HUGE_BUTTERFLY, grid, (100.0, -1.0), deltas)
+            err = sweep_error(run_delta_sweep, *args, noise_floor=0.0)
+            want = sweep_error(in_process, monkeypatch, run_delta_sweep,
+                               *args, noise_floor=0.0)
+            assert isinstance(err, NonFiniteError)
+            assert "delta=0.5" in str(err)
+            assert error_fields(err) == error_fields(want) == error_fields(
+                one_march_error(*args))
+
+    @pytest.mark.parametrize("deltas, plant, named", [
+        # The caller's delta overflows at an earlier step than the child's.
+        ([0.5, 0.3, 0.2], {0.3: -10, 0.2: -5}, 0.2),
+        ([0.5, 0.4, 0.3, 0.2], {0.4: -7, 0.2: -3}, 0.2),
+        # The child's delta overflows first, or at the same step.
+        ([0.5, 0.3, 0.2], {0.5: -5, 0.2: -10}, 0.5),
+        ([0.5, 0.3, 0.2], {0.3: -5, 0.2: -5}, 0.3),
+        ([0.5, 0.2], {0.2: -8, 0.5: -4}, 0.5),
+    ])
+    def test_first_overflow_wins(self, forks, monkeypatch, deltas, plant,
+                                 named):
+        """Deltas of the child's and the caller's stacks overflow at
+        different steps: the sweep raises the error of the step met first,
+        the earlier delta on a tie, as one march of all the deltas does."""
+        params = mk_params()
+        grid = mk_grid(params, n_x=39)
+        plant_overflow(monkeypatch, {d: grid.n_t + k for d, k in plant.items()})
+        args = (params, BUTTERFLY, grid, (100.0, -1.0), deltas)
+        err = sweep_error(corrector_sweep, *args, noise_floor=0.0)
+        want = sweep_error(in_process, monkeypatch, corrector_sweep, *args,
+                           noise_floor=0.0)
+        assert len(forks) == 1
+        assert isinstance(err, NonFiniteError)
+        assert f"delta={named}" in str(err)
+        assert err.stack_index == deltas.index(named)
+        assert err.time_index == grid.n_t + plant[named] - 1
+        assert error_fields(err) == error_fields(want) == error_fields(
+            one_march_error(*args))
+
+    def test_caller_stability_error_before_child_overflow(self, forks,
+                                                          monkeypatch):
+        """The child's delta overflows and the caller's delta fails its
+        stability check: the stability error is raised, as one march of
+        all the deltas checks stability before its first step."""
+        params = mk_params()
+        grid = mk_grid(params, n_x=39)
+        plant_overflow(monkeypatch, {0.5: grid.n_t - 5})
+        require = convergence._require_stability
+
+        def refusing(params_d, *args):
+            if params_d.delta == 0.2:
+                raise StabilityError("refused", min_time_steps=grid.n_t + 1)
+            require(params_d, *args)
+
+        monkeypatch.setattr(convergence, "_require_stability", refusing)
+        args = (params, BUTTERFLY, grid, (100.0, -1.0), [0.5, 0.3, 0.2])
+        err = sweep_error(run_delta_sweep, *args, noise_floor=0.0)
+        want = sweep_error(in_process, monkeypatch, run_delta_sweep, *args,
+                           noise_floor=0.0)
+        assert len(forks) == 1
+        assert isinstance(err, StabilityError)
+        assert str(err) == "refused (while solving at delta=0.2)"
+        assert error_fields(err) == error_fields(want) == error_fields(
+            one_march_error(*args))
 
     @pytest.mark.parametrize("kind", sorted(SWEEPS))
     def test_failing_limit_wins(self, forks, monkeypatch, kind):
@@ -415,7 +550,7 @@ class TestForkedSweeps:
                 (100.0, -1.0), [0.5, 0.2])
         err = sweep_error(SWEEPS[kind], *args)
         want = sweep_error(in_process, monkeypatch, SWEEPS[kind], *args)
-        assert len(forks) == 2
+        assert len(forks) == 1
         assert isinstance(err, NonFiniteError)
         assert "delta=" not in str(err)
         assert (str(err), err.time_index, err.node) == (
@@ -467,9 +602,14 @@ class TestForkedSweeps:
         its shared output and then dies, still gives the in-process
         report."""
         params = mk_params()
-        args = (params, BUTTERFLY, mk_grid(params, n_x=149), (100.0, -1.0),
-                [0.6, 0.3])
-        want = in_process(monkeypatch, run_delta_sweep, *args)
+        grid = mk_grid(params, n_x=149)
+        cases = [([0.6, 0.3], None)]
+        if failure == "killed":
+            cases += [(deltas, 1e-9) for deltas in GIVEN_FLOOR_DELTAS]
+        wants = [in_process(monkeypatch, sweep_outcome, run_delta_sweep,
+                            params, BUTTERFLY, grid, (100.0, -1.0), deltas,
+                            noise_floor=floor)
+                 for deltas, floor in cases]
         parent = os.getpid()
         steps = []
         if failure == "killed":
@@ -494,14 +634,19 @@ class TestForkedSweeps:
 
             monkeypatch.setattr(convergence, "_solve_deltas",
                                 writing_then_dying)
-        got = run_delta_sweep(*args)
-        assert len(forks) == 2
-        assert_no_children()
-        assert got == want
-        if failure == "killed":
-            assert steps  # the parent marched both deltas itself
-        else:
-            assert steps == [1, 1]  # the parent redid both delta solves
+        for (deltas, floor), want in zip(cases, wants):
+            forks.clear()
+            steps.clear()
+            got = sweep_outcome(run_delta_sweep, params, BUTTERFLY, grid,
+                                (100.0, -1.0), deltas, noise_floor=floor)
+            assert len(forks) == 1
+            assert_no_children()
+            assert got == want
+            if failure == "killed":
+                assert steps  # the parent marched the child's deltas itself
+            else:
+                # The parent made its own delta solve and redid the child's.
+                assert steps == [1, 1]
 
     def test_sweep_forks_after_a_fixed_q_simulation(self, monkeypatch):
         """A fixed-q simulation and a coupled gap leave no pool thread
@@ -516,7 +661,7 @@ class TestForkedSweeps:
         started = count_forks(monkeypatch)
         run_delta_sweep(params, BUTTERFLY, mk_grid(params, n_x=149),
                         (100.0, -1.0), [0.6, 0.3])
-        assert len(started) == 2
+        assert len(started) == 1
         assert_no_children()
 
 
