@@ -14,13 +14,16 @@ the order given) runs with seed ``SEED + 20 w + i`` on both sides; the
 parent runs first in the odd-numbered pairs (1, 3, ...) and the change
 in the even-numbered ones.
 
-A pair entry keeps the seed, the side that ran first and each side's
-result line (the last line ``perfbench/run.py`` prints); with ``--trace
-1`` each side keeps ``{"detail": ..., "result": ...}``, the detail being
-the line before the result.  Each metric's summary gives both sides'
-quartiles (``statistics.quantiles``, exclusive method), minimum and
-maximum, the number of pairs, ``change_lower`` (pairs where the change
-read lower) and ``ties``.
+A pair entry keeps the seed, the side that ran first and, for each side,
+``{"result": ..., "op_s": ...}``: the result line (the last line
+``perfbench/run.py`` prints) and each operation's median time over the
+run's rounds, from ``op_times_s`` in the detail line before it; with
+``--trace 1`` the side also keeps that ``"detail"`` line.  The summary
+treats each operation's median time as a reading named
+``op_s.<operation>`` beside the metrics.  Each reading's summary gives
+both sides' quartiles (``statistics.quantiles``, exclusive method),
+minimum and maximum, the number of pairs, ``change_lower`` (pairs where
+the change read lower) and ``ties``.
 
 The pairs go under ``OUT.json``'s ``SECTION`` key as ``{"note": NOTE,
 "workloads": {workload: {"summary": ..., "pairs": [...]}}}``.  Other
@@ -57,15 +60,26 @@ def spread(values: list[float]) -> dict:
             "min": min(values), "max": max(values)}
 
 
-def _metrics(entry: dict) -> dict:
-    return entry.get("result", entry)["metrics"]
+def op_medians(detail: dict) -> dict:
+    """Each operation's median time over the rounds of one run."""
+    return {op: statistics.median(times)
+            for op, times in detail["op_times_s"].items()}
+
+
+def _readings(entry: dict) -> dict:
+    """One side's metric values and ``op_s.<operation>`` median times; an
+    entry that is a bare result line has no operation times."""
+    metrics = entry.get("result", entry)["metrics"]
+    values = {name: metric["value"] for name, metric in metrics.items()}
+    values.update({f"op_s.{op}": t for op, t in entry.get("op_s", {}).items()})
+    return values
 
 
 def summarize(pairs: list[dict]) -> dict:
-    """Per metric: both sides' spread, ``change_lower`` and ``ties``."""
+    """Per reading: both sides' spread, ``change_lower`` and ``ties``."""
     summary = {}
-    for name in _metrics(pairs[0]["parent"]):
-        readings = [[_metrics(pair[side])[name]["value"] for side in SIDES]
+    for name in _readings(pairs[0]["parent"]):
+        readings = [[_readings(pair[side])[name] for side in SIDES]
                     for pair in pairs]
         parent, change = (list(side) for side in zip(*readings))
         summary[name] = {
@@ -94,7 +108,10 @@ def run_side(checkout: Path, workload: str, seed: int, seconds: float,
     done = subprocess.run(args, cwd=checkout, capture_output=True, text=True,
                           check=True)
     detail, result = result_lines(done.stdout)
-    return {"detail": detail, "result": result} if trace else result
+    side = {"result": result, "op_s": op_medians(detail)}
+    if trace:
+        side["detail"] = detail
+    return side
 
 
 def run_pairs(checkouts: dict, workload: str, seed: int, n_pairs: int,

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import sde
 from .model import ModelParams, PiecewiseLinearPayoff
-from .rng import chunk_ranges
+from .rng import _check_seed, chunk_ranges
 from .sde import _march_chunks, _mean_and_se, _shared
 from .surface import (
     PriceSurface,
@@ -150,15 +150,17 @@ def _driver_for_surface(surface: PriceSurface, params: ModelParams) -> DriverSpe
 
 
 def _check_residual_run(grid, x0: float, v0: float, n_paths: int,
-                        n_steps: int) -> None:
-    """Refuse a start point off the grid interior and a path or step count
-    below one, before anything is solved or simulated."""
+                        n_steps: int, seed) -> None:
+    """Refuse a start point off the grid interior, a path or step count
+    below one and a seed Philox cannot take, before anything is solved or
+    simulated."""
     if not (grid.x_min < x0 < grid.x_max and grid.v_min < v0 < grid.v_max):
         raise ValueError(
             f"start point ({x0}, {v0}) is not inside the grid interior"
         )
     if n_paths <= 0 or n_steps <= 0:
         raise ValueError("n_paths and n_steps must be positive")
+    _check_seed(seed)
 
 
 def simulate_2bsde_residual(
@@ -169,6 +171,7 @@ def simulate_2bsde_residual(
     n_steps: int,
     seed: int,
     payoff: PiecewiseLinearPayoff | None = None,
+    normals: dict | None = None,
 ) -> BsdeResidualReport:
     """Forward-simulate the backward representation and report the residual.
 
@@ -183,10 +186,12 @@ def simulate_2bsde_residual(
 
     The retained slices must be at least as dense in time as the
     simulation steps, so the nearest-slice lookup never skips a level.
+    ``normals`` are standard normals of the batch drawn ahead, as
+    :meth:`sde._DrawAhead.ready` returns them; the call spends them.
     """
     grid = surface.grid
     x0, v0 = float(x_tilde0[0]), float(x_tilde0[1])
-    _check_residual_run(grid, x0, v0, n_paths, n_steps)
+    _check_residual_run(grid, x0, v0, n_paths, n_steps, seed)
     _require_dense_slices(surface, n_steps, surface.kind)
     driver = _driver_for_surface(surface, params)
     dt = grid.T / n_steps
@@ -235,7 +240,7 @@ def simulate_2bsde_residual(
 
     # Independent increments (rho = 0).  A half of up to _CHUNK_CELLS cells
     # marches as one chunk, so each process derives every slice's Greeks once.
-    _march_chunks(0.0, n_paths, n_steps, dt, seed, False, march)
+    _march_chunks(0.0, n_paths, n_steps, dt, seed, False, march, normals)
     n_used = int(np.count_nonzero(alive_out))
     if n_used == 0:
         raise RuntimeError(

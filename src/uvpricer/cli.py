@@ -22,7 +22,7 @@ from .config import RunConfig, apply_override, config_hash, load_config
 from .convergence import corrector_sweep, run_delta_sweep
 from .errors import ConfigError, FitError, NonFiniteError, PoleError, StabilityError
 from .hjb import min_time_steps, solve_bsb_1d, solve_hjb_2d
-from .sde import _simulate
+from .sde import _DrawAhead, _simulate
 from .surface import _write_json
 
 
@@ -182,18 +182,25 @@ def cmd_simulate(cfg: RunConfig, out: Path, chash: str) -> None:
 def cmd_check2bsde(cfg: RunConfig, out: Path, chash: str) -> None:
     block = _require_block(cfg, "check2bsde")
     x0, v0 = block.point
-    _check_residual_run(cfg.grid, x0, v0, block.n_paths, block.n_steps)
+    _check_residual_run(cfg.grid, x0, v0, block.n_paths, block.n_steps,
+                        cfg.seed)
+    kept = 2 * block.n_steps + 1
+    normals = {}
     if block.surface == "full_delta":
         grid = _resolve_grid(cfg, "full")
-        surface = solve_hjb_2d(cfg.model, cfg.payoff, grid, store_slices=True,
-                               max_kept_slices=2 * block.n_steps + 1)
+        # The draws read no surface, so a forked job makes them while the
+        # 2-D solve runs.  The limit solve is shorter than the draws.
+        with _DrawAhead(cfg.seed, block.n_paths, block.n_steps) as draws:
+            surface = solve_hjb_2d(cfg.model, cfg.payoff, grid,
+                                   store_slices=True, max_kept_slices=kept)
+            normals = draws.ready()
     else:
         grid = _resolve_grid(cfg, "bsb")
         surface = solve_bsb_1d(cfg.model, cfg.payoff, grid, store_slices=True,
-                               max_kept_slices=2 * block.n_steps + 1)
+                               max_kept_slices=kept)
     report = simulate_2bsde_residual(
         surface, cfg.model, (x0, v0), block.n_paths, block.n_steps,
-        cfg.seed, payoff=cfg.payoff,
+        cfg.seed, payoff=cfg.payoff, normals=normals,
     )
     value = surface.value_at(0, x0, v0)
     report.to_json(out / "bsde_report.json",

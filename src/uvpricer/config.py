@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 from .model import GridSpec, ModelParams, PiecewiseLinearPayoff
+from .rng import _SEED_BOUND
 
 _MISSING = object()
 
@@ -306,8 +307,7 @@ class RunConfig:
         grid, auto_n_t = _parse_grid(root.child("grid"))
         out_dir = root.take_str("out_dir", "out")
         seed = root.take_int("seed", 0)
-        if not 0 <= seed < 2**128:
-            # The Philox key holds 128 bits.
+        if not 0 <= seed < _SEED_BOUND:
             raise ConfigError(f"expected an integer in [0, 2**128), got {seed}",
                               key_path="seed")
         blocks = {}

@@ -31,7 +31,14 @@ from .hjb import (
     solve_hjb_2d,
 )
 from .model import GridSpec, ModelParams, PiecewiseLinearPayoff
-from .sde import _check_run, _Job, _march_paths, _mean_and_se, _shared
+from .sde import (
+    _check_run,
+    _DrawAhead,
+    _Job,
+    _march_paths,
+    _mean_and_se,
+    _shared,
+)
 from .surface import (
     PriceSurface,
     _bilinear_read,
@@ -80,13 +87,24 @@ def _write_rows(path, header_lines, row_type, rows) -> None:
 
 
 def fit_loglog(deltas, abs_errors) -> tuple[float, float]:
-    """Least-squares slope and intercept of log|error| against log delta."""
+    """Least-squares slope and intercept of log|error| against log delta.
+
+    Needs one error per delta, at least two distinct deltas, and every
+    delta and error finite and positive.
+    """
     d = np.asarray(deltas, dtype=float)
     e = np.asarray(abs_errors, dtype=float)
-    if d.size < 2:
-        raise ValueError("need at least two points for a slope fit")
-    if np.any(e <= 0.0):
-        raise ValueError("errors must be positive for a log-log fit")
+    if d.ndim != 1 or d.shape != e.shape:
+        raise ValueError(f"need one error per delta, got {np.size(d)} deltas "
+                         f"and {np.size(e)} errors")
+    if np.unique(d).size < 2:
+        raise ValueError("need at least two points with distinct deltas for "
+                         f"a slope fit, got deltas {d.tolist()}")
+    if not np.all(np.isfinite(d) & (d > 0.0)):
+        raise ValueError(f"deltas must be finite and positive, got {d.tolist()}")
+    if not np.all(np.isfinite(e) & (e > 0.0)):
+        raise ValueError("errors must be finite and positive for a log-log "
+                         f"fit, got {e.tolist()}")
     slope, intercept = np.polyfit(np.log(d), np.log(e), 1)
     return float(slope), float(intercept)
 
@@ -544,24 +562,31 @@ def feynman_kac_terms(
     if control_source not in ("delta", "p0"):
         raise ValueError(f"control_source must be 'delta' or 'p0', got "
                          f"{control_source!r}")
-    params_d = params.with_delta(float(delta))
-    if p_delta is None:
-        p_delta = solve_hjb_2d(
-            params_d, payoff, grid, store_slices=True,
-            max_kept_slices=2 * n_steps + 1,
-        )
-    elif p_delta.kind != "full_delta" or p_delta.grid != grid:
+    if p_delta is not None and (p_delta.kind != "full_delta"
+                                or p_delta.grid != grid):
         raise ValueError("p_delta must be a full_delta surface on the grid")
-    for surface, name in ((p0, "p0"), (p1, "p1"), (p_delta, "p_delta")):
-        _require_dense_slices(surface, n_steps, name)
-
     x0, v0 = float(point[0]), float(point[1])
+    _check_run(n_paths, n_steps, grid.T, x0, v0, seed)
+    for surface, name in ((p0, "p0"), (p1, "p1")):
+        _require_dense_slices(surface, n_steps, name)
+    params_d = params.with_delta(float(delta))
+    normals = {}
+    if p_delta is None:
+        # The draws read no surface, so a forked job makes them while the
+        # 2-D solve runs.
+        with _DrawAhead(seed, n_paths, n_steps) as draws:
+            p_delta = solve_hjb_2d(
+                params_d, payoff, grid, store_slices=True,
+                max_kept_slices=2 * n_steps + 1,
+            )
+            normals = draws.ready()
+    _require_dense_slices(p_delta, n_steps, "p_delta")
+
     greeks_d, greeks_0, greeks_1 = (
         _SliceMemo(surface, greeks) for surface in (p_delta, p0, p1)
     )
     policy = _control_sharing(greeks_d if control_source == "delta" else greeks_0,
                               params_d)
-    _check_run(n_paths, n_steps, grid.T, x0, v0)
     dt = grid.T / n_steps
     lo, hi = params.sigma_min, params.sigma_max
     d_lin = hi - lo
@@ -611,7 +636,7 @@ def feynman_kac_terms(
         return visit
 
     _march_paths(params_d, x0, v0, policy, n_paths, n_steps, grid.T, seed,
-                 consumer)
+                 consumer, normals)
     (i0, i0_se), (i1, i1_se), *higher = map(_mean_and_se, acc)
     extra = {}
     for name, (value, std_error) in zip(("i2", "i3"), higher):

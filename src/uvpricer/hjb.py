@@ -49,6 +49,8 @@ def min_time_steps(
     """
     if kind not in ("full", "bsb", "corrector"):
         raise ValueError(f"unknown solver kind {kind!r}")
+    if v is not None and not math.isfinite(v):
+        raise ValueError(f"v must be finite, got {v}")
     x_peak = grid.x_nodes[-2]
     v_peak = grid.v_max if v is None else float(v)
     rate = params.sigma_max**2 * math.exp(2.0 * v_peak) * x_peak**2 / grid.dx**2
@@ -392,13 +394,12 @@ def solve_bsb_1d(
     where the discrete curvature is nonnegative and ``sigma_min`` below
     (ties to ``sigma_max``).
     """
+    # min_time_steps refuses a non-finite v before the bound is computed.
     _require_stability(params, grid, "bsb", v)
     kept = _kept_indices(grid.n_t, store_slices, max_kept_slices)
     if v is None:
         e2v = np.exp(2.0 * grid.v_nodes)[None, :]
     else:
-        if not np.isfinite(v):
-            raise ValueError(f"v must be finite, got {v}")
         e2v = np.array([[math.exp(2.0 * v)]])
     values = _bsb_march(params, payoff, grid, cell_average_terminal, e2v).run(kept)
     if v is not None:

@@ -17,6 +17,8 @@ one channel are one contiguous row.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 from numpy.random import Philox
 
@@ -27,6 +29,16 @@ _CHUNK_CELLS = 1 << 22
 # Raw Philox words are drawn in path blocks of about this many cells, so a
 # chunk never holds all of its raw words at once.
 _BLOCK_CELLS = 1 << 16
+# The Philox key holds 128 bits.
+_SEED_BOUND = 2**128
+
+
+def _check_seed(seed) -> None:
+    """Refuse a seed that is not an integer in ``[0, 2**128)``, a ``bool``
+    included; numpy integers are integers."""
+    if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
+            or not 0 <= seed < _SEED_BOUND):
+        raise ValueError(f"seed must be an integer in [0, 2**128), got {seed!r}")
 
 
 def normal_increments(
@@ -51,6 +63,7 @@ def normal_increments(
         )
     if first_path < 0:
         raise ValueError(f"first_path must be non-negative, got {first_path}")
+    _check_seed(seed)
     if out is None:
         out = np.empty((2, n_steps, n_paths))
     elif out.shape != (2, n_steps, n_paths) or out.dtype != np.float64:

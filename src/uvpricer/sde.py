@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import PoleError
 from .model import ModelParams, PiecewiseLinearPayoff
-from .rng import _CHUNK_CELLS, chunk_ranges, normal_increments
+from .rng import _CHUNK_CELLS, _check_seed, chunk_ranges, normal_increments
 from .surface import _write_csv
 
 # Fixed-q chunks run on one thread per CPU in the process's affinity mask.
@@ -107,7 +107,8 @@ class CoupledGap:
         yield self.std_error
 
 
-def _check_run(n_paths: int, n_steps: int, T: float, x0: float, v0: float) -> None:
+def _check_run(n_paths: int, n_steps: int, T: float, x0: float, v0: float,
+               seed) -> None:
     if n_paths < 1 or n_steps < 1:
         raise ValueError(f"need n_paths >= 1 and n_steps >= 1, got {n_paths}, {n_steps}")
     if not T > 0.0:
@@ -118,6 +119,7 @@ def _check_run(n_paths: int, n_steps: int, T: float, x0: float, v0: float) -> No
         raise ValueError(
             f"x0 must be positive for the log-space scheme, got {x0}"
         )
+    _check_seed(seed)
 
 
 def _check_fixed_q(params: ModelParams, q: float) -> float:
@@ -203,6 +205,14 @@ def _shared(shape, dtype=float) -> np.ndarray:
 _FORK_MIN_PATHS = 1024
 
 
+def _halves(n_paths: int) -> list[tuple[int, int]]:
+    """The ``(first, count)`` path ranges :func:`_in_halves` runs."""
+    h = n_paths // 2
+    if h < _FORK_MIN_PATHS or not _fork_ok():
+        return [(0, n_paths)]
+    return [(0, h), (h, n_paths - h)]
+
+
 def _in_halves(n_paths: int, work) -> None:
     """``work(first, count)`` over paths ``0 .. n_paths - 1``, on both CPUs.
 
@@ -216,13 +226,13 @@ def _in_halves(n_paths: int, work) -> None:
     redone here, so its error is raised as the caller's; an error in the
     first half kills and reaps the child.
     """
-    h = n_paths // 2
-    if h < _FORK_MIN_PATHS or not _fork_ok():
-        work(0, n_paths)
+    first_half, *rest = _halves(n_paths)
+    if not rest:
+        work(*first_half)
         return
-    job = _Job(work, h, n_paths - h)
+    job = _Job(work, *rest[0])
     try:
-        work(0, h)
+        work(*first_half)
         job.wait()
     finally:
         job.cancel()
@@ -244,7 +254,7 @@ def _chunks(n_paths: int, n_steps: int, parallel: bool) -> list[tuple[int, int]]
 
 
 def _march_chunks(rho: float, n_paths: int, n_steps: int, dt: float,
-                  seed: int, parallel: bool, march) -> None:
+                  seed: int, parallel: bool, march, normals=None) -> None:
     """Call ``march(first, count, dw1, dw2)`` once per path chunk.
 
     ``dw1`` and ``dw2`` are the asset and factor Brownian increments,
@@ -256,9 +266,20 @@ def _march_chunks(rho: float, n_paths: int, n_steps: int, dt: float,
     call only; ``march`` must then write only its own path slice.
     Otherwise each of :func:`_in_halves` runs its chunks in path order,
     and ``march`` writes only its own rows of :func:`_shared` arrays.
+
+    ``normals`` maps a chunk's ``(first, count)`` to its standard normals
+    drawn ahead (:class:`_DrawAhead`): a :func:`_shared` array of shape
+    ``(2, n_steps, count)`` that ``normal_increments(seed, count, n_steps,
+    first_path=first, out=...)`` filled.  Such a chunk scales and
+    correlates its normals in place instead of drawing into a workspace.
+    They are spent once: a half redone after its child failed draws them
+    again.
     """
     sq_dt = math.sqrt(dt)
     rho_perp_dt = math.sqrt(max(0.0, 1.0 - rho * rho)) * sq_dt
+    normals = normals or {}
+    # Whether the chunk starting at each path has spent its normals.
+    spent = _shared((n_paths,), bool) if normals else None
 
     def run_paths(first_path, n):
         chunks = [(first_path + lo, count)
@@ -267,17 +288,26 @@ def _march_chunks(rho: float, n_paths: int, n_steps: int, dt: float,
         # One step-major workspace per worker, allocated on this thread and
         # handed out through a queue, so pool threads allocate only row-sized
         # temporaries and their arenas do not keep chunk-sized blocks.
-        width = max(count for _, count in chunks)
         spaces = queue.SimpleQueue()
-        for _ in range(min(_WORKERS, len(chunks)) if pooled else 1):
-            spaces.put(np.empty((2, n_steps, width)))
+        widths = [count for first, count in chunks
+                  if (first, count) not in normals]
+        if widths:
+            for _ in range(min(_WORKERS, len(widths)) if pooled else 1):
+                spaces.put(np.empty((2, n_steps, max(widths))))
 
         def run(chunk):
             first, count = chunk
-            space = spaces.get()
+            z = normals.get(chunk)
+            if z is None:
+                space = spaces.get()
+                z, fresh = space[:, :, :count], False
+            else:
+                space, fresh = None, not spent[first]
+                spent[first] = True
             try:
-                z = space[:, :, :count]
-                normal_increments(seed, count, n_steps, first_path=first, out=z)
+                if not fresh:
+                    normal_increments(seed, count, n_steps, first_path=first,
+                                      out=z)
                 dw1, dw2 = z
                 np.multiply(dw1, sq_dt, out=dw1)
                 np.multiply(dw2, rho_perp_dt, out=dw2)
@@ -285,7 +315,8 @@ def _march_chunks(rho: float, n_paths: int, n_steps: int, dt: float,
                     dw2[k] += rho * dw1[k]
                 march(first, count, dw1, dw2)
             finally:
-                spaces.put(space)
+                if space is not None:
+                    spaces.put(space)
 
         if pooled:
             with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
@@ -298,6 +329,51 @@ def _march_chunks(rho: float, n_paths: int, n_steps: int, dt: float,
         run_paths(0, n_paths)
     else:
         _in_halves(n_paths, run_paths)
+
+
+def _draw(seed: int, normals: dict) -> None:
+    """Fill each ``(first, count)`` entry of ``normals`` with the standard
+    normals of those paths."""
+    for (first, count), out in normals.items():
+        normal_increments(seed, count, out.shape[1], first_path=first, out=out)
+
+
+class _DrawAhead:
+    """A batch's standard normals, drawn by a :class:`_Job` while the
+    caller does other work, such as the solve its paths read.
+
+    Philox gives each ``(seed, path, step)`` its own counter, so the draws
+    read nothing the caller computes.  Only a batch within one chunk
+    budget (``n_paths * n_steps <= _CHUNK_CELLS``) is drawn ahead, into
+    one :func:`_shared` array per path half of :func:`_in_halves`, which
+    then holds what that half's workspace would.  Each half's array is a
+    mapping of its own, so a process reading its half maps no page of
+    the other.  :meth:`ready` reaps the job, redoing a failed draw
+    in-process, and returns the ``normals`` of :func:`_march_chunks`:
+    empty for a larger batch, which draws as it marches.  Call it before
+    the march forks its path halves, so no more than two processes run.
+    Leaving the ``with`` block kills and reaps a job not yet reaped.
+    """
+
+    def __init__(self, seed: int, n_paths: int, n_steps: int):
+        self._normals, self._job = {}, None
+        if n_paths * n_steps <= _CHUNK_CELLS:
+            self._normals = {(first, count): _shared((2, n_steps, count))
+                             for first, count in _halves(n_paths)}
+            self._job = _Job(_draw, seed, self._normals)
+
+    def ready(self) -> dict:
+        if self._job is not None:
+            self._job.wait()
+            self._job = None
+        return self._normals
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        if self._job is not None:
+            self._job.cancel()
 
 
 def _log_x_step(params: ModelParams, q, ev, dt: float, dw1):
@@ -315,10 +391,11 @@ def _factor_step(params: ModelParams, v: np.ndarray, dt: float, dw2) -> np.ndarr
 
 
 def _control(params: ModelParams, q_policy, x0: float, v0: float,
-             n_paths: int, n_steps: int, T: float) -> tuple[object, str]:
+             n_paths: int, n_steps: int, T: float,
+             seed: int) -> tuple[object, str]:
     """``(q, tag)`` of a checked path run: ``q`` is a real ``q_policy`` as
     a float, or else a policy object exposing ``values(t, x, v)``."""
-    _check_run(n_paths, n_steps, T, x0, v0)
+    _check_run(n_paths, n_steps, T, x0, v0, seed)
     if isinstance(q_policy, (numbers.Real, np.ndarray)) and np.ndim(q_policy) == 0:
         q = _check_fixed_q(params, q_policy)
         return q, f"fixed q={q}"
@@ -329,7 +406,8 @@ def _control(params: ModelParams, q_policy, x0: float, v0: float,
 
 
 def _march_paths(params: ModelParams, x0: float, v0: float, q, n_paths: int,
-                 n_steps: int, T: float, seed: int, consumer) -> None:
+                 n_steps: int, T: float, seed: int, consumer,
+                 normals=None) -> None:
     """Stream the Euler march of ``(X, V)`` under ``q`` to ``consumer``.
 
     A fixed multiplier ``q`` (a float) runs its chunks on the thread pool;
@@ -338,6 +416,7 @@ def _march_paths(params: ModelParams, x0: float, v0: float, q, n_paths: int,
     consumer(rows, dw)`` and calls ``visit(k, x, v)`` with the stored state
     at each step ``k = 0 .. n_steps``: ``x0``, then ``exp(log_x)``.  Rows
     ``0 .. k - 1`` of its increments ``dw`` are spent, free to overwrite.
+    ``normals`` are drawn ahead, as :func:`_march_chunks` takes them.
     """
     dt = T / n_steps
     fixed = isinstance(q, float)
@@ -357,7 +436,8 @@ def _march_paths(params: ModelParams, x0: float, v0: float, q, n_paths: int,
             x = np.exp(log_x)
         visit(n_steps, x, v)
 
-    _march_chunks(params.rho, n_paths, n_steps, dt, seed, fixed, march)
+    _march_chunks(params.rho, n_paths, n_steps, dt, seed, fixed, march,
+                  normals)
 
 
 def simulate_paths(
@@ -387,7 +467,7 @@ def _simulate(params, x0, v0, q_policy, n_paths, n_steps, T, seed, keep):
     """``(batch, x_T, v_T)``: the first ``keep`` paths of
     :func:`simulate_paths`'s batch, and the terminal asset and factor
     values of every path.  The other paths are not stored whole."""
-    q, tag = _control(params, q_policy, x0, v0, n_paths, n_steps, T)
+    q, tag = _control(params, q_policy, x0, v0, n_paths, n_steps, T, seed)
     if keep < 0:
         raise ValueError(f"cannot keep {keep} paths")
     keep = min(keep, n_paths)
@@ -488,7 +568,7 @@ def coupled_payoff_gap(
     ``V = v0`` for ever.  The report also carries the payoff-level gap
     ``E[(h(X^moving_T) - h(X^frozen_T))^2]``.
     """
-    _check_run(n_paths, n_steps, T, x0, v0)
+    _check_run(n_paths, n_steps, T, x0, v0, seed)
     q = _check_fixed_q(params, q)
 
     dt = T / n_steps
@@ -535,6 +615,8 @@ def mgf_components(params: ModelParams, eta: float, t: float) -> tuple[float, fl
     Raises :class:`PoleError` when the shared denominator vanishes and
     ``ValueError`` when a fractional power of a negative base appears.
     """
+    if not (math.isfinite(eta) and math.isfinite(t)):
+        raise ValueError(f"eta and t must be finite, got eta={eta}, t={t}")
     if t < 0.0:
         raise ValueError(f"t must be non-negative, got {t}")
     delta, sigma = params.delta, params.sigma
@@ -583,5 +665,7 @@ def mgf_components(params: ModelParams, eta: float, t: float) -> tuple[float, fl
 def mgf_closed_form(params: ModelParams, eta: float, t: float, v: float) -> float:
     """Closed-form MGF ``Psi(eta, t) * exp(-v * Xi(eta, t))`` of the
     integrated factor."""
+    if not math.isfinite(v):
+        raise ValueError(f"v must be finite, got {v}")
     psi, xi = mgf_components(params, eta, t)
     return psi * math.exp(-v * xi)

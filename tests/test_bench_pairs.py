@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import statistics
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -60,6 +61,51 @@ class TestSummarize:
         assert wall["parent"] == dict.fromkeys(
             ("q1", "median", "q3", "min", "max"), 0.30)
         assert (wall["pairs"], wall["change_lower"], wall["ties"]) == (1, 1, 0)
+
+
+def test_operation_medians_join_the_summary():
+    """Each side's median time per operation is a reading of its own,
+    summarized like the metrics."""
+    pairs = canned_pairs()
+    # (parent, change) op_times_s of two operations in each pair's run.
+    ops = [({"solve": [0.30, 0.10, 0.20], "paths": [0.5, 0.5]},
+            {"solve": [0.15, 0.25, 0.05], "paths": [0.4, 0.6, 0.7]}),
+           ({"solve": [0.2], "paths": [0.5]},
+            {"solve": [0.3], "paths": [0.5]})] * 2 + [
+           ({"solve": [0.4], "paths": [0.9]},
+            {"solve": [0.1], "paths": [0.8]})]
+    for pair, sides in zip(pairs, ops):
+        for side, times in zip(bench_pairs.SIDES, sides):
+            pair[side] = {"result": pair[side],
+                          "op_s": bench_pairs.op_medians({"op_times_s": times})}
+    assert pairs[0]["parent"]["op_s"] == {"solve": 0.20, "paths": 0.5}
+    assert pairs[0]["change"]["op_s"] == {"solve": 0.15, "paths": 0.6}
+    summary = bench_pairs.summarize(pairs)
+    assert list(summary) == ["wall_s", "peak_rss_mb", "op_s.solve",
+                             "op_s.paths"]
+    solve = summary["op_s.solve"]
+    assert solve["parent"]["median"] == 0.20
+    assert solve["change"]["median"] == 0.15
+    assert (solve["pairs"], solve["change_lower"], solve["ties"]) == (5, 3, 0)
+    paths = summary["op_s.paths"]
+    assert (paths["change_lower"], paths["ties"]) == (1, 2)
+    assert summary["wall_s"] == bench_pairs.summarize(canned_pairs())["wall_s"]
+
+
+def test_run_side_keeps_operation_medians(monkeypatch):
+    """Untraced, a side keeps its result line and operation medians;
+    traced, the detail line as well."""
+    detail = {"op_times_s": {"solve": [0.3, 0.1, 0.2]}, "seed": 3}
+    stdout = "\n".join([json.dumps(detail), json.dumps(result(0.3, 58.5))])
+
+    def fake_run(args, **kwargs):
+        return subprocess.CompletedProcess(args, 0, stdout=stdout)
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    side = bench_pairs.run_side(Path("."), "surface_mc", 3, 25, trace=0)
+    assert side == {"result": result(0.3, 58.5), "op_s": {"solve": 0.2}}
+    traced = bench_pairs.run_side(Path("."), "surface_mc", 3, 25, trace=1)
+    assert traced == dict(side, detail=detail)
 
 
 def test_result_lines_are_the_last_two():

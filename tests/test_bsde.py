@@ -102,6 +102,15 @@ class TestResidualSimulation:
         assert rep.n_paths_used + rep.n_paths_discarded == 500
         assert rep.n_paths_discarded > 0  # the narrow factor range loses paths
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, 2**128])
+    def test_bad_seed_is_refused(self, seed):
+        """A seed Philox cannot take is refused by name."""
+        p = mk_params(sigma_min=0.15, sigma_max=0.15)
+        surface = limit_family(p, PiecewiseLinearPayoff.call(100.0), n_x=39,
+                               n_v=7)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            simulate_2bsde_residual(surface, p, (100.0, -0.5), 50, 8, seed)
+
     def test_degenerate_call_residual_small(self):
         """One-vol call: the residual is a few percent of the price."""
         p = mk_params(sigma_min=0.15, sigma_max=0.15)

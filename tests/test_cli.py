@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -23,10 +24,10 @@ from uvpricer.config import (
     config_hash,
     load_config,
 )
-from uvpricer.errors import ConfigError
+from uvpricer.errors import ConfigError, NonFiniteError
 from uvpricer.sde import simulate_paths
 
-from forking import in_process_peak
+from forking import assert_no_children, draw_as_marching, forked, in_process_peak
 
 
 def base_doc(out_dir):
@@ -592,6 +593,109 @@ class TestCheck2bsdeCommand:
         assert message in capsys.readouterr().err
         assert solves == []
         assert not out.exists()
+
+
+def check2bsde_artifacts(doc, fork, ahead):
+    """``(exit code, bsde_report.json and summary.json bytes, forks)`` of
+    the check2bsde command on ``doc``, with the draw job or without it."""
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        if not ahead:
+            draw_as_marching(mp)
+        # The same relative out_dir every run, so the config hash is too.
+        mp.chdir(tmp)
+        path = write_doc(pathlib.Path(tmp), dict(doc, out_dir="out"))
+        rc, n_forks = forked(fork, main, ["check2bsde", "--config", path])
+        out = pathlib.Path(tmp, "out")
+        artifacts = [(out / name).read_bytes() if out.exists() else None
+                     for name in ("bsde_report.json", "summary.json")]
+    return rc, artifacts, n_forks
+
+
+def check2bsde_doc(surface="full_delta", n_paths=300, n_steps=16, seed=7):
+    doc = base_doc("out")
+    doc["seed"] = seed
+    doc["check2bsde"] = {"point": [100.0, -1.0], "n_paths": n_paths,
+                         "n_steps": n_steps, "surface": surface}
+    return doc
+
+
+class TestCheck2bsdeDrawAhead:
+    @settings(max_examples=10, deadline=None)
+    @given(n_paths=st.sampled_from([1, 2, 41]) | st.integers(1, 200),
+           n_steps=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
+    def test_drawn_ahead_equals_drawn_while_marching(self, n_paths, n_steps,
+                                                     seed):
+        """On a full_delta surface the artifacts are the same bytes with
+        the draw job beside the solve and without it, forked and
+        in-process; the job is reaped before a path half forks."""
+        doc = check2bsde_doc(n_paths=n_paths, n_steps=n_steps, seed=seed)
+        runs = []
+        for ahead in (True, False):
+            for fork in (True, False):
+                rc, artifacts, n_forks = check2bsde_artifacts(doc, fork, ahead)
+                assert n_forks == fork * (ahead + (n_paths >= 2))
+                runs.append((rc, artifacts))
+        assert_no_children()
+        assert runs[0][0] in (0, 2)
+        assert all(run == runs[0] for run in runs)
+
+    def test_failed_draw_child_is_redone_in_process(self, monkeypatch):
+        """A draw child that scribbles on the normals and exits 3 is
+        redone in-process, with the artifacts drawn while marching."""
+        doc = check2bsde_doc(n_paths=3000, n_steps=24)
+        want = check2bsde_artifacts(doc, fork=True, ahead=False)[:2]
+        parent = os.getpid()
+        draw = sde._draw
+
+        def failing(seed, normals):
+            if os.getpid() != parent:
+                for out in normals.values():
+                    out[...] = 7.0
+                os._exit(3)
+            draw(seed, normals)
+
+        monkeypatch.setattr(sde, "_draw", failing)
+        rc, artifacts, n_forks = check2bsde_artifacts(doc, fork=True,
+                                                      ahead=True)
+        assert n_forks == 2  # the draw job, then one path half
+        assert_no_children()
+        assert (rc, artifacts) == want
+        assert rc == 0
+
+    @pytest.mark.parametrize("surface, want_forks", [("full_delta", 2),
+                                                     ("limit_p0", 1)])
+    def test_forks(self, surface, want_forks):
+        """A full_delta check forks the draw job and one path half, one
+        after the other; a limit_p0 check forks only its path half."""
+        rc, _, n_forks = check2bsde_artifacts(
+            check2bsde_doc(surface, n_paths=3000, n_steps=24), fork=True,
+            ahead=True)
+        assert rc == 0
+        assert n_forks == want_forks
+        assert_no_children()
+
+    def test_stability_failure_leaves_no_child(self, capsys):
+        """A solve refused by the stability gate kills and reaps the draw
+        job and exits 2."""
+        doc = check2bsde_doc(n_paths=3000, n_steps=24)
+        doc["grid"]["n_t"] = 10
+        rc, _, n_forks = check2bsde_artifacts(doc, fork=True, ahead=True)
+        assert (rc, n_forks) == (2, 1)
+        assert "stability bound" in capsys.readouterr().err
+        assert_no_children()
+
+    def test_non_finite_solve_leaves_no_child(self, monkeypatch, capsys):
+        """A solve that turns non-finite kills and reaps the draw job and
+        exits 2."""
+        def failing_solve(*args, **kwargs):
+            raise NonFiniteError("NaN at step 3", time_index=3)
+
+        monkeypatch.setattr(cli, "solve_hjb_2d", failing_solve)
+        rc, _, n_forks = check2bsde_artifacts(
+            check2bsde_doc(n_paths=3000, n_steps=24), fork=True, ahead=True)
+        assert (rc, n_forks) == (2, 1)
+        assert "NaN at step 3" in capsys.readouterr().err
+        assert_no_children()
 
 
 class TestOutputDirectory:

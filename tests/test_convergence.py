@@ -32,7 +32,7 @@ from uvpricer.sde import coupled_payoff_gap, simulate_paths
 from uvpricer.surface import _SliceMemo, greeks, optimal_control_field
 
 from bilinear_reference import gather_read, gather_weights
-from forking import assert_no_children, forked, in_process_peak
+from forking import assert_no_children, draw_as_marching, forked, in_process_peak
 
 
 def mk_params(**overrides):
@@ -77,6 +77,26 @@ class TestFitLoglog:
             fit_loglog([0.5], [0.1])
         with pytest.raises(ValueError, match="positive"):
             fit_loglog([0.5, 0.2], [0.1, 0.0])
+
+    @pytest.mark.parametrize("deltas, errors, message", [
+        ([0.5, 0.2], [0.1, np.nan], "errors must be finite and positive"),
+        ([0.5, 0.2], [np.inf, 0.1], "errors must be finite and positive"),
+        ([0.5, 0.2], [0.1, -0.1], "errors must be finite and positive"),
+        ([0.5, 0.0], [0.1, 0.05], "deltas must be finite and positive"),
+        ([0.5, -0.2], [0.1, 0.05], "deltas must be finite and positive"),
+        ([0.5, np.nan], [0.1, 0.05], "deltas must be finite and positive"),
+        ([np.inf, 0.2], [0.1, 0.05], "deltas must be finite and positive"),
+        ([0.2, 0.2], [0.1, 0.05], "distinct deltas"),
+        ([0.5, 0.2, 0.1], [0.1, 0.05], "one error per delta"),
+        ([0.5, 0.2], [0.1, 0.05, 0.02], "one error per delta"),
+    ])
+    def test_rejects_inputs_without_a_slope(self, deltas, errors, message,
+                                            capfd):
+        """Non-finite or nonpositive values, repeated deltas and lists of
+        unequal length raise ValueError before LAPACK sees them."""
+        with pytest.raises(ValueError, match=message):
+            fit_loglog(deltas, errors)
+        assert capfd.readouterr().err == ""
 
 
 class TestRunDeltaSweep:
@@ -895,6 +915,102 @@ class TestFeynmanKacTerms:
         assert n_forks == 1  # one march, the terms inside
         assert_no_children()
         assert got == want
+
+    @pytest.mark.parametrize("bad", [dict(seed=-1), dict(seed=1.5),
+                                     dict(seed=True), dict(seed=2**128),
+                                     dict(n_paths=0)])
+    def test_bad_run_is_refused_before_the_solve(self, monkeypatch, bad):
+        """A seed Philox cannot take, or an empty batch, raises before
+        the moving-factor surface is solved."""
+        solves = []
+        monkeypatch.setattr(convergence, "solve_hjb_2d",
+                            lambda *args, **kwargs: solves.append(1))
+        with pytest.raises(ValueError, match="seed must be an integer|n_paths"):
+            self.run_terms(**bad)
+        assert solves == []
+
+    @settings(max_examples=8, deadline=None)
+    @given(n_paths=st.sampled_from([1, 2, 41]) | st.integers(1, 90),
+           n_steps=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+           include_higher=st.booleans())
+    def test_drawn_ahead_equals_drawn_while_marching(
+        self, n_paths, n_steps, seed, include_higher
+    ):
+        """With its own solve, the terms are the same whether a job draws
+        the normals beside the solve or the march draws them, forked or
+        in-process; the draw job is reaped before a path half forks."""
+        kwargs = dict(n_paths=n_paths, n_steps=n_steps, seed=seed,
+                      include_higher=include_higher)
+        reports = []
+        for ahead in (True, False):
+            for fork in (True, False):
+                with pytest.MonkeyPatch.context() as mp:
+                    if not ahead:
+                        draw_as_marching(mp)
+                    report, n_forks = forked(fork, self.run_terms, **kwargs)
+                reports.append(report)
+                assert n_forks == fork * (ahead + (n_paths >= 2))
+        assert_no_children()
+        assert all(report == reports[0] for report in reports)
+
+    def test_failed_draw_child_is_redone_in_process(self, monkeypatch):
+        """A draw job whose child scribbles on the normals and exits 3 is
+        redone in-process: the report is the one drawn while marching."""
+        kwargs = dict(n_paths=301, n_steps=12, include_higher=True)
+        with pytest.MonkeyPatch.context() as mp:
+            draw_as_marching(mp)
+            want, _ = forked(True, self.run_terms, **kwargs)
+        parent = os.getpid()
+        draw = sde._draw
+
+        def failing(seed, normals):
+            if os.getpid() != parent:
+                for out in normals.values():
+                    out[...] = 7.0
+                os._exit(3)
+            draw(seed, normals)
+
+        monkeypatch.setattr(sde, "_draw", failing)
+        got, n_forks = forked(True, self.run_terms, **kwargs)
+        assert n_forks == 2  # the draw job, then one path half
+        assert_no_children()
+        assert got == want
+
+    def test_killed_half_draws_its_spent_normals_again(self, monkeypatch):
+        """A path half SIGKILLed after scaling its drawn-ahead normals in
+        place is redone from a fresh draw of them: the report is the
+        in-process one."""
+        kwargs = dict(n_paths=301, n_steps=12, include_higher=True)
+        want, _ = forked(False, self.run_terms, **kwargs)
+        parent = os.getpid()
+        reads = []
+        bilinear_read = convergence._bilinear_read
+
+        def dying(*args):
+            reads.append(1)
+            if os.getpid() != parent and len(reads) == 40:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return bilinear_read(*args)
+
+        monkeypatch.setattr(convergence, "_bilinear_read", dying)
+        got, n_forks = forked(True, self.run_terms, **kwargs)
+        assert n_forks == 2  # the draw job, then one path half
+        assert_no_children()
+        assert got == want
+
+    @pytest.mark.parametrize("error", [
+        StabilityError("n_t too small", min_time_steps=10),
+        NonFiniteError("NaN at step 3", time_index=3),
+    ])
+    def test_failed_solve_leaves_no_child(self, monkeypatch, error):
+        """A solve that raises kills and reaps the draw job beside it."""
+        def failing_solve(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(convergence, "solve_hjb_2d", failing_solve)
+        with pytest.raises(type(error)):
+            forked(True, self.run_terms)
+        assert_no_children()
 
     def test_terms_peak_below_one_path_array(self, monkeypatch):
         """The terms accumulate inside the policy march: no path batch is

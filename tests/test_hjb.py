@@ -82,6 +82,15 @@ class TestMinTimeSteps:
         with pytest.raises(ValueError):
             min_time_steps(mk_params(), grid, "implicit")
 
+    @pytest.mark.parametrize("v", [np.nan, np.inf, -np.inf])
+    def test_non_finite_level_rejected(self, v):
+        """A NaN or infinite level is named, not overflowed or truncated."""
+        grid = GridSpec(x_min=0.0, x_max=300.0, n_x=99, v_min=-1.0, v_max=0.0,
+                        n_v=5, T=0.15, n_t=1)
+        for kind in ("full", "bsb", "corrector"):
+            with pytest.raises(ValueError, match="v must be finite"):
+                min_time_steps(mk_params(), grid, kind, v=v)
+
 
 class TestStabilityGate:
     def test_undersized_grid_refused(self):
@@ -100,6 +109,17 @@ class TestStabilityGate:
         grid = mk_grid(p, "bsb", n_x=59, v=0.0)
         surface = solve_bsb_1d(p, BUTTERFLY, grid, v=0.0)
         assert np.all(np.isfinite(surface.values))
+
+    @pytest.mark.parametrize("v", [np.nan, np.inf, -np.inf])
+    def test_non_finite_level_checked_before_the_gate(self, v):
+        """A NaN or infinite level is refused by name, also on a grid the
+        stability gate would refuse."""
+        p = mk_params()
+        grid = mk_grid(p, "bsb", n_x=59, v=0.0)
+        for n_t in (grid.n_t, 1):
+            with pytest.raises(ValueError, match="v must be finite"):
+                solve_bsb_1d(p, BUTTERFLY, dataclasses.replace(grid, n_t=n_t),
+                             v=v)
 
     def test_full_solver_gate(self):
         """The two-dimensional solve enforces its own (larger) bound."""

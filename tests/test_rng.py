@@ -1,5 +1,7 @@
 """Tests for the counter-based Gaussian increment generator."""
 
+import re
+
 import numpy as np
 import pytest
 from numpy.random import Philox
@@ -82,6 +84,28 @@ class TestNormalIncrements:
         kwargs.update(bad)
         with pytest.raises(ValueError):
             normal_increments(**kwargs)
+
+
+class TestSeedCheck:
+    @pytest.mark.parametrize("seed", [True, False, 1.5, 1.0, -1, 2**128,
+                                      np.int64(-3), "7", None])
+    def test_bad_seed_is_named(self, seed):
+        """A bool, a non-integer, a negative seed or one of 2**128 or
+        more raises ValueError naming it, not numpy's key message."""
+        with pytest.raises(ValueError, match=re.escape(f"got {seed!r}")):
+            rng._check_seed(seed)
+        with pytest.raises(ValueError,
+                           match=re.escape("seed must be an integer in [0, 2**128)")):
+            normal_increments(seed, 2, 3)
+
+    @pytest.mark.parametrize("seed", [0, 2**128 - 1, np.int64(5),
+                                      np.uint64(2**64 - 1)])
+    def test_integer_seeds_are_kept(self, seed):
+        """Python and numpy integers in range draw what Philox keyed with
+        them draws."""
+        rng._check_seed(seed)
+        assert np.array_equal(normal_increments(seed, 3, 4),
+                              reference_increments(int(seed), 3, 4))
 
 
 class TestBlockedDraw:

@@ -174,6 +174,32 @@ class TestSimulatePaths:
             simulate_paths(make_params(), **base)
 
 
+class TestSeeds:
+    @pytest.mark.parametrize("seed", [1.5, True, -1, 2**128])
+    def test_bad_seed_is_refused_before_the_march(self, seed):
+        """A float, a bool, a negative seed or one of 2**128 or more is
+        refused by name, not run as another seed or failing in numpy."""
+        p = make_params()
+        calls = (
+            lambda: simulate_paths(p, 100.0, -1.0, 0.15, 8, 4, 0.1, seed),
+            lambda: simulate_paths(p, 100.0, -1.0, _Extremes(), 8, 4, 0.1,
+                                   seed),
+            lambda: coupled_payoff_gap(p, TestCoupledPayoffGap.PAYOFF, 100.0,
+                                       -1.0, 0.15, 8, 4, 0.1, seed),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                call()
+
+    def test_numpy_integer_seed_runs_as_its_value(self):
+        """A numpy integer seed runs as that integer."""
+        p = make_params()
+        got = simulate_paths(p, 100.0, -1.0, 0.15, 8, 4, 0.1, np.int64(11))
+        want = simulate_paths(p, 100.0, -1.0, 0.15, 8, 4, 0.1, 11)
+        assert np.array_equal(got.x_paths, want.x_paths)
+        assert got.seed == 11
+
+
 class TestPathEngine:
     PAYOFF = PiecewiseLinearPayoff.butterfly(90.0, 100.0, 110.0)
 
@@ -773,3 +799,20 @@ class TestMgfClosedForm:
         """Negative times raise ValueError."""
         with pytest.raises(ValueError):
             mgf_closed_form(make_params(), 0.1, -0.1, 0.0)
+
+    @pytest.mark.parametrize("eta, t", [(math.nan, 0.3), (math.inf, 0.3),
+                                        (-math.inf, 0.3), (0.1, math.nan),
+                                        (0.1, math.inf)])
+    def test_non_finite_eta_or_t_rejected(self, eta, t):
+        """A NaN or infinite eta or t is named as such, not as a
+        fractional power of a negative base."""
+        for call in (lambda: mgf_components(make_params(), eta, t),
+                     lambda: mgf_closed_form(make_params(), eta, t, -1.0)):
+            with pytest.raises(ValueError, match="eta and t must be finite"):
+                call()
+
+    @pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
+    def test_non_finite_v_rejected(self, v):
+        """A NaN or infinite v raises instead of returning NaN or 0."""
+        with pytest.raises(ValueError, match="v must be finite"):
+            mgf_closed_form(make_params(), 0.1, 0.3, v)
