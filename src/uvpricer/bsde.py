@@ -194,6 +194,13 @@ def simulate_2bsde_residual(
     _check_residual_run(grid, x0, v0, n_paths, n_steps, seed)
     _require_dense_slices(surface, n_steps, surface.kind)
     driver = _driver_for_surface(surface, params)
+    # The f0 driver has no delta, so a limit_p0 surface may differ in it.
+    solved = surface.params
+    if surface.kind == "limit_p0":
+        solved = solved.with_delta(params.delta)
+    if solved != params:
+        raise ValueError("parameter mismatch with the surface (only delta "
+                         "may differ, and only on a limit_p0 surface)")
     dt = grid.T / n_steps
     y0_fd = surface.value_at(0, x0, v0)
     terminal = surface.slice_at(grid.n_t)

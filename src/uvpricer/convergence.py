@@ -264,101 +264,78 @@ def _solve_deltas(params_base, payoff, grid, x0, v0, ds, cell_average_terminal,
                               kept_times=kept).value_at(0, x0, v0)
 
 
-def _first_failure(early, late):
-    """The error one march of two stacks of deltas, ``early``'s before
-    ``late``'s, would raise, from each stack's own error or None.
-
-    Stability is checked for every delta before the march, and the march
-    raises at the first step at which a delta turns non-finite, the
-    earlier delta on a tie; steps run down from ``n_t``.
-    """
-    if early is None or late is None:
-        return early or late
-    if isinstance(early, NonFiniteError) and (
-            isinstance(late, StabilityError)
-            or late.time_index > early.time_index):
-        return late
-    return early
-
-
 def _sweep(params_base, payoff, grid, point, deltas, cell_average_terminal,
            noise_floor, corrector):
     """Shared core of both sweeps.
 
-    Solves the limit (and, with ``corrector``, the corrector) once and the
-    moving-factor equation for all deltas in stacked marches, then measures
-    the noise floor unless given: the change of the smallest delta's
-    remainder when the grid is refined (half the x-spacing, step count
-    re-matched to the stability bound).  Returns ``(point, rows,
-    noise_floor, p1)`` with rows ``(delta, p_delta, p0, p1, remainder,
-    excluded)`` by descending delta; a row is excluded when its remainder
-    is below ten times the floor.
+    The plain order solves the limit (and, with ``corrector``, the
+    corrector) once, the moving-factor equation for all deltas in one
+    stacked march and, unless the noise floor is given, the smallest
+    delta and the limit on a refined grid (half the x-spacing, step count
+    re-matched to the stability bound): the floor is the change of the
+    smallest delta's remainder.  Returns ``(point, rows, noise_floor,
+    p1)`` with rows ``(delta, p_delta, p0, p1, remainder, excluded)`` by
+    descending delta; a row is excluded when its remainder is below ten
+    times the floor.
 
-    One march runs as a :class:`_Job` beside this process, which marches
-    the rest.  With the floor measured, the job is the refined-grid march
-    of the smallest delta, and this process solves the limit, all deltas
-    and the refined limit.  With the floor given, the job marches all but
-    the smallest ``(m - 1) // 2`` of the ``m`` deltas, and this process
-    solves the limit, then those deltas as one stack: the limit, with or
-    without the corrector, costs about one lone delta march.  Errors keep
-    the order of one solve after the other: the limit, the deltas (as one
-    stack of them all would raise them), the refined delta, the refined
-    limit.
+    One march runs as a :class:`_Job` beside this process, which makes
+    the others: with the floor measured, the refined delta march; with it
+    given, all but the smallest ``(m - 1) // 2`` of the ``m`` deltas, as
+    the limit costs about one lone delta march.  Any failure kills the
+    job and replays the plain order here, which raises its error or,
+    after a one-off failure, returns its numbers.
     """
     ds = _check_sweep_inputs(grid, point, deltas, noise_floor)
     x0, v0 = float(point[0]), float(point[1])
     m, d_min = len(ds), ds[-1]
+    measure = noise_floor is None
+    fine = (_refined_for_floor(params_base.with_delta(d_min), grid)
+            if measure else None)
+
+    def limit(g, p1_delta):
+        return _limit_values(params_base, payoff, g, x0, v0, p1_delta,
+                             cell_average_terminal, corrector)
+
+    def march(g, lo, hi, out):
+        _solve_deltas(params_base, payoff, g, x0, v0, ds[lo:hi],
+                      cell_average_terminal, out)
+
     # P_delta per delta, then the refined P_delta of the smallest delta.
     p_out = _shared((m + 1,))
-    if noise_floor is None:
-        fine = _refined_for_floor(params_base.with_delta(d_min), grid)
-        job = _Job(_solve_deltas, params_base, payoff, fine, x0, v0, [d_min],
-                   cell_average_terminal, p_out[m:])
-    else:
-        split = m - (m - 1) // 2
-        job = _Job(_solve_deltas, params_base, payoff, grid, x0, v0,
-                   ds[:split], cell_average_terminal, p_out[:split])
+    split = m - (m - 1) // 2
+    job = (_Job(march, fine, m - 1, m, p_out[m:]) if measure
+           else _Job(march, grid, 0, split, p_out[:split]))
     try:
-        p0_val, p1_val, p1 = _limit_values(params_base, payoff, grid, x0, v0,
-                                           ds[0], cell_average_terminal,
-                                           corrector)
-        if noise_floor is None:
-            _solve_deltas(params_base, payoff, grid, x0, v0, ds,
-                          cell_average_terminal, p_out[:m])
-            try:
-                fine_limit = _limit_values(params_base, payoff, fine, x0, v0,
-                                           d_min, cell_average_terminal,
-                                           corrector)
-            except Exception as exc:
-                _attach_delta(exc, d_min)
-                fine_limit = exc
-            job.wait()
-            if isinstance(fine_limit, Exception):
-                raise fine_limit
-            p0_fine, p1_fine, _ = fine_limit
-            pd_fine, pd_min = float(p_out[m]), float(p_out[m - 1])
-            noise_floor = abs(_remainder(pd_fine, p0_fine, p1_fine, d_min)
-                              - _remainder(pd_min, p0_val, p1_val, d_min))
-        else:
-            failure = None
-            if split < m:
-                try:
-                    _solve_deltas(params_base, payoff, grid, x0, v0,
-                                  ds[split:], cell_average_terminal,
-                                  p_out[split:m])
-                except (StabilityError, NonFiniteError) as exc:
-                    if isinstance(exc, NonFiniteError):
-                        exc.stack_index += split
-                    failure = exc
-            try:
-                job.wait()
-            except (StabilityError, NonFiniteError) as exc:
-                failure = _first_failure(exc, failure)
-            if failure is not None:
-                raise failure
+        base = limit(grid, ds[0])
+        if measure:
+            march(grid, 0, m, p_out[:m])
+            refined = limit(fine, d_min)
+        elif split < m:
+            march(grid, split, m, p_out[split:m])
+        job.wait()
+    except Exception:
+        # Answered by the replay: its own error, or its numbers.
+        base = None
     finally:
         job.cancel()
+    if base is None:
+        # The plain order, in this process.
+        base = limit(grid, ds[0])
+        march(grid, 0, m, p_out[:m])
+        if measure:
+            march(fine, m - 1, m, p_out[m:])
+            try:
+                refined = limit(fine, d_min)
+            except Exception as exc:
+                _attach_delta(exc, d_min)
+                raise
 
+    p0_val, p1_val, p1 = base
+    if measure:
+        p0_fine, p1_fine, _ = refined
+        noise_floor = abs(_remainder(float(p_out[m]), p0_fine, p1_fine, d_min)
+                          - _remainder(float(p_out[m - 1]), p0_val, p1_val,
+                                       d_min))
     rows = []
     for d, p_d in zip(ds, p_out[:m].tolist()):
         e = _remainder(p_d, p0_val, p1_val, d)
@@ -570,6 +547,13 @@ def feynman_kac_terms(
     for surface, name in ((p0, "p0"), (p1, "p1")):
         _require_dense_slices(surface, n_steps, name)
     params_d = params.with_delta(float(delta))
+    for surface, name in ((p0, "p0"), (p1, "p1")):
+        if surface.params.with_delta(params.delta) != params:
+            raise ValueError(f"parameter mismatch with the {name} surface "
+                             "(only delta may differ)")
+    if p_delta is not None and p_delta.params != params_d:
+        raise ValueError("parameter mismatch with the p_delta surface (it "
+                         f"must be solved under params at delta={delta!r})")
     normals = {}
     if p_delta is None:
         # The draws read no surface, so a forked job makes them while the

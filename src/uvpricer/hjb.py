@@ -83,6 +83,10 @@ def _require_stability(params, grid, kind, v=None) -> None:
         )
 
 
+# The solvers' default slice budget, which the streamed corrector shares.
+_MAX_KEPT_SLICES = 601
+
+
 def _kept_indices(n_t: int, store_slices: bool, max_kept: int) -> tuple[int, ...]:
     """Ascending time indices to retain; always contains 0 and n_t."""
     if not store_slices:
@@ -323,7 +327,7 @@ def solve_hjb_2d(
     payoff: PiecewiseLinearPayoff,
     grid: GridSpec,
     store_slices: bool = False,
-    max_kept_slices: int = 601,
+    max_kept_slices: int = _MAX_KEPT_SLICES,
     cell_average_terminal: bool = False,
 ) -> PriceSurface:
     """Worst-case price surface from the full two-dimensional equation.
@@ -382,7 +386,7 @@ def solve_bsb_1d(
     grid: GridSpec,
     v: float | None = None,
     store_slices: bool = False,
-    max_kept_slices: int = 601,
+    max_kept_slices: int = _MAX_KEPT_SLICES,
     cell_average_terminal: bool = False,
 ) -> PriceSurface:
     """Frozen-factor limit price, bang-bang in the curvature sign.
@@ -496,7 +500,7 @@ def solve_corrector(
     grid: GridSpec,
     p0: PriceSurface,
     store_slices: bool = False,
-    max_kept_slices: int = 601,
+    max_kept_slices: int = _MAX_KEPT_SLICES,
 ) -> PriceSurface:
     """First-order correction surface driven by a stored limit solve.
 
@@ -554,7 +558,7 @@ def _limit_and_corrector(params, payoff, grid, p1_params, x0, v0,
                        np.exp(2.0 * grid.v_nodes)[None, :]).steps()
     # The corrector reads the slice that solve_bsb_1d(store_slices=True)
     # keeps nearest in time, and the limit march stops there.
-    kept_times = np.asarray(_kept_indices(grid.n_t, True, 601))
+    kept_times = np.asarray(_kept_indices(grid.n_t, True, _MAX_KEPT_SLICES))
     times = kept_times * grid.dt
     k0, F0 = grid.n_t + 1, None
 

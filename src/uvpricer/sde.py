@@ -111,8 +111,8 @@ def _check_run(n_paths: int, n_steps: int, T: float, x0: float, v0: float,
                seed) -> None:
     if n_paths < 1 or n_steps < 1:
         raise ValueError(f"need n_paths >= 1 and n_steps >= 1, got {n_paths}, {n_steps}")
-    if not T > 0.0:
-        raise ValueError(f"horizon must be positive, got {T}")
+    if not 0.0 < T < math.inf:
+        raise ValueError(f"horizon must be finite and positive, got {T}")
     if not (np.isfinite(x0) and np.isfinite(v0)):
         raise ValueError(f"initial state must be finite, got x0={x0}, v0={v0}")
     if x0 <= 0.0:

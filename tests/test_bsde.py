@@ -178,6 +178,30 @@ class TestResidualSimulation:
             with pytest.raises(ValueError):
                 simulate_2bsde_residual(surface, p, bad, 100, 8, seed=1)
 
+    @pytest.mark.parametrize("kind", ["full_delta", "limit_p0"])
+    def test_surface_under_other_parameters_is_refused(self, kind):
+        """A driver built from other bounds and correlation than the
+        surface's is refused, not run into a larger residual."""
+        p, h, surface = narrow_surface(kind)
+        other = dataclasses.replace(p, sigma_min=0.05, rho=-0.5)
+        with pytest.raises(ValueError, match="parameter mismatch"):
+            simulate_2bsde_residual(surface, other, (100.0, -0.5), 100, 8,
+                                    seed=1, payoff=h)
+
+    def test_delta_may_differ_only_on_the_limit_surface(self):
+        """The f0 driver has no delta, so the limit surface runs under any
+        delta with the same report; the full_delta surface refuses one."""
+        for kind in ("full_delta", "limit_p0"):
+            p, h, surface = narrow_surface(kind)
+            args = ((100.0, -0.5), 400, 8, 1)
+            if kind == "full_delta":
+                with pytest.raises(ValueError, match="parameter mismatch"):
+                    simulate_2bsde_residual(surface, p.with_delta(0.2), *args)
+            else:
+                assert simulate_2bsde_residual(
+                    surface, p.with_delta(0.0), *args
+                ) == simulate_2bsde_residual(surface, p, *args)
+
     def test_sparse_slices_rejected(self):
         """Slices coarser than the simulation step are refused."""
         p = mk_params(sigma_min=0.15, sigma_max=0.15)

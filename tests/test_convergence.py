@@ -364,6 +364,19 @@ def count_forks(monkeypatch):
     return started
 
 
+def count_calls(monkeypatch, *names):
+    """Counts of this process's calls of each named ``convergence``
+    function from now on."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counting(*args, real=getattr(convergence, name), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(convergence, name, counting)
+    return calls
+
+
 def in_process(monkeypatch, sweep, *args, **kwargs):
     with monkeypatch.context() as m:
         m.setattr(sde, "_fork_ok", lambda: False)
@@ -667,6 +680,59 @@ class TestForkedSweeps:
             else:
                 # The parent made its own delta solve and redid the child's.
                 assert steps == [1, 1]
+
+    @pytest.mark.parametrize("fork", [True, False])
+    @pytest.mark.parametrize("floor, deltas, solves", [
+        (None, [0.6, 0.3], 2),
+        (1e-9, [0.6], 1),
+        (1e-9, [0.6, 0.3], 1),
+        (1e-9, [0.6, 0.3, 0.15], 2),
+    ])
+    def test_successful_sweep_never_replays(self, monkeypatch, fork, floor,
+                                            deltas, solves):
+        """In-process, a sweep makes ``solves`` delta marches and one limit
+        solve per grid; forked, the caller makes all but the child's delta
+        march, so no plain order is replayed after a success."""
+        monkeypatch.setattr(sde, "_fork_ok", lambda: fork)
+        calls = count_calls(monkeypatch, "_solve_deltas", "_limit_values")
+        params = mk_params()
+        sweep_outcome(run_delta_sweep, params, BUTTERFLY,
+                      mk_grid(params, n_x=49), (100.0, -1.0), deltas,
+                      noise_floor=floor)
+        assert_no_children()
+        assert calls == {"_solve_deltas": solves - fork,
+                         "_limit_values": 1 if floor else 2}
+
+    @pytest.mark.parametrize("fork", [True, False])
+    @pytest.mark.parametrize("floor, deltas", [(None, [0.6, 0.3]),
+                                               (1e-9, [0.6, 0.3, 0.15])])
+    @pytest.mark.parametrize("kind", sorted(SWEEPS))
+    def test_one_off_failure_is_replayed(self, monkeypatch, kind, fork,
+                                         floor, deltas):
+        """The caller's first delta march raises once: the sweep kills the
+        child, replays the plain order here and returns the in-process
+        report."""
+        params = mk_params()
+        args = (params, BUTTERFLY, mk_grid(params, n_x=149), (100.0, -1.0),
+                deltas)
+        want = in_process(monkeypatch, sweep_outcome, SWEEPS[kind], *args,
+                          noise_floor=floor)
+        monkeypatch.setattr(sde, "_fork_ok", lambda: fork)
+        started = count_forks(monkeypatch)
+        parent, failed = os.getpid(), []
+        solve = convergence._solve_deltas
+
+        def failing_once(*a):
+            if os.getpid() == parent and not failed:
+                failed.append(1)
+                raise MemoryError("one-off")
+            solve(*a)
+
+        monkeypatch.setattr(convergence, "_solve_deltas", failing_once)
+        got = sweep_outcome(SWEEPS[kind], *args, noise_floor=floor)
+        assert_no_children()
+        assert failed and len(started) == fork
+        assert got == want
 
     def test_sweep_forks_after_a_fixed_q_simulation(self, monkeypatch):
         """A fixed-q simulation and a coupled gap leave no pool thread
@@ -1025,6 +1091,45 @@ class TestFeynmanKacTerms:
         got, peak = in_process_peak(self.run_terms, **kwargs)
         assert got == want
         assert peak < (n_steps + 1) * n_paths * 8
+
+    def test_p_delta_at_another_delta_is_refused(self):
+        """A p_delta solved at delta 0.5 is refused for the terms at 0.2,
+        not reported under 0.2."""
+        p_delta = solve_hjb_2d(self.params.with_delta(0.5), BUTTERFLY,
+                               self.grid, store_slices=True,
+                               max_kept_slices=10**9)
+        with pytest.raises(ValueError, match="p_delta surface .*delta=0.2"):
+            self.run_terms(p_delta=p_delta)
+
+    @pytest.mark.parametrize("name, other", [
+        ("p0", dict(sigma_min=0.05)), ("p0", dict(rho=-0.5)),
+        ("p1", dict(sigma_max=0.3)), ("p1", dict(rho=-0.5)),
+    ])
+    def test_surface_under_other_parameters_is_refused(self, monkeypatch,
+                                                       name, other):
+        """A p0 or p1 solved under other bounds or another correlation is
+        refused before the 2-D solve and before any fork; a p0 or p1 at
+        another delta is not."""
+        surface = getattr(self, name)
+        moved = dataclasses.replace(
+            surface, params=dataclasses.replace(surface.params, **other))
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the parameter check")
+
+        started = count_forks(monkeypatch)
+        with monkeypatch.context() as m:
+            m.setattr(sde, "_fork_ok", lambda: True)
+            m.setattr(convergence, "solve_hjb_2d", no_solve)
+            with pytest.raises(ValueError, match=f"mismatch with the {name} "
+                               r"surface \(only delta may differ\)"):
+                self.run_terms(**{name: moved})
+        assert started == []
+        at_other_delta = dataclasses.replace(
+            surface, params=surface.params.with_delta(0.05))
+        want = self.run_terms(n_paths=200, n_steps=10)
+        assert self.run_terms(n_paths=200, n_steps=10,
+                              **{name: at_other_delta}) == want
 
     def test_one_path_has_zero_standard_errors(self):
         """One path gives zero standard errors, as estimate_moment does,

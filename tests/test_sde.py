@@ -163,6 +163,7 @@ class TestSimulatePaths:
             (dict(n_steps=0), ValueError),
             (dict(T=0.0), ValueError),
             (dict(q_policy=np.array([0.15])), TypeError),
+            (dict(T=np.inf), ValueError),
         ],
     )
     def test_invalid_inputs_rejected(self, kwargs, exc):
@@ -735,6 +736,14 @@ class TestCoupledPayoffGap:
         )
         assert isinstance(rep, CoupledGap)
         assert 0.0 <= rep.payoff_gap_sq <= self.PAYOFF.lipschitz**2 * rep.gap_sq + 1e-12
+
+    @pytest.mark.parametrize("T", [math.inf, math.nan])
+    def test_non_finite_horizon_is_refused(self, T):
+        """An infinite horizon is refused by name, not averaged into NaN."""
+        with pytest.raises(ValueError, match="horizon must be finite and "
+                                             "positive"):
+            coupled_payoff_gap(make_params(), self.PAYOFF, 100.0, -1.0, 0.15,
+                               4, 3, T, 1)
 
 
 class TestMgfClosedForm:
