@@ -31,6 +31,7 @@ from .model import ModelParams, PiecewiseLinearPayoff
 from .rng import _check_seed, chunk_ranges
 from .sde import _march_chunks, _mean_and_se, _shared
 from .surface import (
+    GreekFields,
     PriceSurface,
     _bilinear_read,
     _bilinear_weights,
@@ -141,11 +142,19 @@ class MartingaleReport:
 
 
 def _driver_for_surface(surface: PriceSurface, params: ModelParams) -> DriverSpec:
+    """The surface's driver under its own ``params``; the f0 driver has no
+    delta, so a limit_p0 surface may differ in it."""
     kind = {"full_delta": "f_delta", "limit_p0": "f0"}.get(surface.kind)
     if kind is None:
         raise ValueError(
             f"no driver is associated with surface kind {surface.kind!r}"
         )
+    solved = surface.params
+    if surface.kind == "limit_p0":
+        solved = solved.with_delta(params.delta)
+    if solved != params:
+        raise ValueError("parameter mismatch with the surface (only delta "
+                         "may differ, and only on a limit_p0 surface)")
     return DriverSpec(kind=kind, params=params)
 
 
@@ -163,6 +172,25 @@ def _check_residual_run(grid, x0: float, v0: float, n_paths: int,
     _check_seed(seed)
 
 
+def _greeks_at_steps(surface: PriceSurface, n_steps: int):
+    """``k ->`` the Greeks at path step ``k`` of ``n_steps``: the retained
+    slice's nearest in time or, on a surface kept at each of fewer steps,
+    linear in time between the two slices around the step (a nearest read
+    would lag by up to half a surface step)."""
+    n_t, dt, t_s = surface.grid.n_t, surface.grid.T / n_steps, surface.grid.dt
+    lower, upper = _SliceMemo(surface, greeks), _SliceMemo(surface, greeks)
+    if n_t >= n_steps:
+        return lambda k: lower(k * dt)
+
+    def at(k):
+        k0, rest = divmod(k * n_t, n_steps)
+        g, w = lower(k0 * t_s), rest / n_steps
+        return g if not rest else GreekFields(*((1.0 - w) * a + w * b for a, b in zip(
+            vars(g).values(), vars(upper((k0 + 1) * t_s)).values())))
+
+    return at
+
+
 def simulate_2bsde_residual(
     surface: PriceSurface,
     params: ModelParams,
@@ -178,14 +206,15 @@ def simulate_2bsde_residual(
     Both state coordinates evolve as independent standard Brownian
     increments from ``x_tilde0``.  At each step the gradient and Hessian
     fields are read off the surface (bilinear in the state, nearest
-    retained slice in time) and ``Y`` is advanced by ``f dt + Z . dW +
+    retained slice in time, or linear in time on a surface of fewer steps
+    than the simulation) and ``Y`` is advanced by ``f dt + Z . dW +
     (S11 + S22)/2 dt`` from ``Y_0 = u(0, x_tilde0)``.  Paths leaving the
     grid rectangle are discarded from the residual and counted.  The
     terminal payoff is evaluated exactly when ``payoff`` is given, else
     read from the stored terminal slice.
 
     The retained slices must be at least as dense in time as the
-    simulation steps, so the nearest-slice lookup never skips a level.
+    simulation steps or all be kept, so a read never skips a level.
     ``normals`` are standard normals of the batch drawn ahead, as
     :meth:`sde._DrawAhead.ready` returns them; the call spends them.
     """
@@ -194,17 +223,10 @@ def simulate_2bsde_residual(
     _check_residual_run(grid, x0, v0, n_paths, n_steps, seed)
     _require_dense_slices(surface, n_steps, surface.kind)
     driver = _driver_for_surface(surface, params)
-    # The f0 driver has no delta, so a limit_p0 surface may differ in it.
-    solved = surface.params
-    if surface.kind == "limit_p0":
-        solved = solved.with_delta(params.delta)
-    if solved != params:
-        raise ValueError("parameter mismatch with the surface (only delta "
-                         "may differ, and only on a limit_p0 surface)")
     dt = grid.T / n_steps
     y0_fd = surface.value_at(0, x0, v0)
     terminal = surface.slice_at(grid.n_t)
-    fields_at = _SliceMemo(surface, greeks)
+    fields_at = _greeks_at_steps(surface, n_steps)
     resid = _shared((n_paths,))
     alive_out = _shared((n_paths,), bool)
 
@@ -214,7 +236,7 @@ def simulate_2bsde_residual(
         y = np.full(m, y0_fd)
         alive = np.ones(m, dtype=bool)
         for k in range(n_steps):
-            g = fields_at(k * dt)
+            g = fields_at(k)
             if not alive.any():
                 break
             # Every path is read; a path that left the grid keeps its exit
@@ -311,9 +333,11 @@ def driver_consistency(
 
     For each adjacent pair of retained slices the backward time difference
     of the surface is compared, on interior nodes, with the driver
-    evaluated from the later slice's discrete Greeks.  Returns the slice
-    times and the RMS profile; the profile shrinks under grid refinement
-    as both sides converge to ``du/dt``.
+    evaluated from the later slice's discrete Greeks, under ``params``,
+    the surface's own (only delta may differ, and only on a limit_p0
+    surface).  Returns the slice times and the RMS profile; the profile
+    shrinks as the space and time steps do, as both sides converge to
+    ``du/dt``.
     """
     driver = _driver_for_surface(surface, params)
     if surface.n_kept < 2:

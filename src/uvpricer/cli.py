@@ -21,18 +21,42 @@ from .bsde import _check_residual_run, simulate_2bsde_residual
 from .config import RunConfig, apply_override, config_hash, load_config
 from .convergence import corrector_sweep, run_delta_sweep
 from .errors import ConfigError, FitError, NonFiniteError, PoleError, StabilityError
-from .hjb import min_time_steps, solve_bsb_1d, solve_hjb_2d
-from .sde import _DrawAhead, _simulate
+from .hjb import _surface, min_time_steps, solve_bsb_1d, solve_hjb_2d
+from .sde import _DrawAhead, _Job, _shared, _simulate
 from .surface import _write_json
 
 
-def _resolve_grid(cfg: RunConfig, kind: str, delta: float | None = None):
+def _resolve_grid(cfg: RunConfig, kind: str, delta: float | None = None,
+                  n_steps: int = 1):
+    """The config's grid; an automatic ``n_t`` is at least ``n_steps``."""
     if not cfg.auto_n_t:
         return cfg.grid
     params = cfg.model if delta is None else cfg.model.with_delta(delta)
     return dataclasses.replace(
-        cfg.grid, n_t=min_time_steps(params, cfg.grid, kind)
+        cfg.grid, n_t=max(n_steps, min_time_steps(params, cfg.grid, kind))
     )
+
+
+def _with_limit(params, payoff, grid, cell_average_terminal):
+    """:func:`solve_hjb_2d` and :func:`solve_bsb_1d` on ``grid``, the first
+    in a forked :class:`sde._Job` beside the second; any failure replays the
+    two solves in this process, which raise in their order."""
+    kw = dict(cell_average_terminal=cell_average_terminal)
+    full = _shared((2, grid.n_x + 2, grid.n_v))
+
+    def solve_full(out):
+        out[...] = solve_hjb_2d(params, payoff, grid, **kw).values
+
+    job = _Job(solve_full, full)
+    try:
+        p0 = solve_bsb_1d(params, payoff, grid, **kw)
+        job.wait()
+        return _surface(full, grid, params, "full_delta", (0, grid.n_t)), p0
+    except Exception:
+        pass
+    finally:
+        job.cancel()
+    return [solve(params, payoff, grid, **kw) for solve in (solve_hjb_2d, solve_bsb_1d)]
 
 
 def _require_block(cfg: RunConfig, name: str):
@@ -79,20 +103,19 @@ def cmd_price(cfg: RunConfig, out: Path, chash: str) -> None:
             key_path="price.point",
         )
     grid = _resolve_grid(cfg, "full")
-    p_delta = solve_hjb_2d(
-        cfg.model, cfg.payoff, grid,
-        cell_average_terminal=block.cell_average_terminal,
-    )
+    # With P0, the two solves run side by side.
+    solves = (_with_limit(cfg.model, cfg.payoff, grid, block.cell_average_terminal)
+              if block.solve_p0 else [solve_hjb_2d(
+                  cfg.model, cfg.payoff, grid,
+                  cell_average_terminal=block.cell_average_terminal)])
+    p_delta = solves[0]
     value = p_delta.value_at(0, x0, v0)
     headers = _headers(chash, cfg)
     p_delta.to_csv(out / "surface_delta.csv", header_lines=headers)
     print(f"P_delta(0, x={x0:g}, v={v0:g}) = {value!r}")
     p0_value = error = None
     if block.solve_p0:
-        p0 = solve_bsb_1d(
-            cfg.model, cfg.payoff, grid,
-            cell_average_terminal=block.cell_average_terminal,
-        )
+        p0 = solves[1]
         p0_value = p0.value_at(0, x0, v0)
         error = value - p0_value
         p0.to_csv(out / "surface_p0.csv", header_lines=headers)
@@ -187,7 +210,7 @@ def cmd_check2bsde(cfg: RunConfig, out: Path, chash: str) -> None:
     kept = 2 * block.n_steps + 1
     normals = {}
     if block.surface == "full_delta":
-        grid = _resolve_grid(cfg, "full")
+        grid = _resolve_grid(cfg, "full", n_steps=block.n_steps)
         # The draws read no surface, so a forked job makes them while the
         # 2-D solve runs.  The limit solve is shorter than the draws.
         with _DrawAhead(cfg.seed, block.n_paths, block.n_steps) as draws:
@@ -195,7 +218,7 @@ def cmd_check2bsde(cfg: RunConfig, out: Path, chash: str) -> None:
                                    store_slices=True, max_kept_slices=kept)
             normals = draws.ready()
     else:
-        grid = _resolve_grid(cfg, "bsb")
+        grid = _resolve_grid(cfg, "bsb", n_steps=block.n_steps)
         surface = solve_bsb_1d(cfg.model, cfg.payoff, grid, store_slices=True,
                                max_kept_slices=kept)
     report = simulate_2bsde_residual(

@@ -25,9 +25,9 @@ from .hjb import (
     _full_values,
     _kept_indices,
     _limit_and_corrector,
-    _limit_value_at,
     _require_stability,
     min_time_steps,
+    solve_bsb_1d,
     solve_hjb_2d,
 )
 from .model import GridSpec, ModelParams, PiecewiseLinearPayoff
@@ -223,13 +223,11 @@ def _remainder(p_delta: float, p0: float, p1: float | None, delta: float) -> flo
 def _limit_values(params_base, payoff, grid, x0, v0, p1_delta,
                   cell_average_terminal, corrector):
     """``(P0, P1, P1 surface)`` at ``(0, x0, v0)``; the last two are None
-    unless ``corrector``.  Without it only the two v-columns that bracket
-    ``v0`` are solved; with it the whole family is, marched beside the
-    corrector, whose source reads every column."""
+    unless ``corrector``, whose march carries the limit beside it."""
     if not corrector:
-        p0_val = _limit_value_at(params_base, payoff, grid, x0, v0,
-                                 cell_average_terminal)
-        return p0_val, None, None
+        p0 = solve_bsb_1d(params_base, payoff, grid,
+                          cell_average_terminal=cell_average_terminal)
+        return p0.value_at(0, x0, v0), None, None
     p0_val, p1 = _limit_and_corrector(params_base, payoff, grid,
                                       params_base.with_delta(p1_delta), x0, v0,
                                       cell_average_terminal)
@@ -272,7 +270,7 @@ def _sweep(params_base, payoff, grid, point, deltas, cell_average_terminal,
     corrector) once, the moving-factor equation for all deltas in one
     stacked march and, unless the noise floor is given, the smallest
     delta and the limit on a refined grid (half the x-spacing, step count
-    re-matched to the stability bound): the floor is the change of the
+    re-matched to ``min_time_steps``): the floor is the change of the
     smallest delta's remainder.  Returns ``(point, rows, noise_floor,
     p1)`` with rows ``(delta, p_delta, p0, p1, remainder, excluded)`` by
     descending delta; a row is excluded when its remainder is below ten
@@ -358,7 +356,7 @@ def run_delta_sweep(
     Both surfaces are evaluated at ``(t=0, point)``; the error column is
     their signed difference.  Unless supplied, the noise floor is the
     change of the error at the smallest delta when the grid is refined
-    (half the x-spacing, step count re-matched to the stability bound):
+    (half the x-spacing, step count re-matched to ``min_time_steps``):
     shared discretization error cancels in the difference, so the floor
     isolates genuine scheme noise.  Rows with ``|error|`` below ten times
     the floor are excluded from the slope fit; at least two rows must

@@ -26,7 +26,7 @@ class ConfigError(ValueError):
 
 
 class StabilityError(RuntimeError):
-    """The requested explicit time step violates the stability bound.
+    """The requested step count is below the solver's ``min_time_steps``.
 
     ``min_time_steps`` is the smallest admissible number of time steps for
     the grid and parameters that triggered the error.

@@ -223,8 +223,9 @@ class PriceSurface:
         return pos
 
     def nearest_pos(self, t: float) -> int:
-        """Storage row whose time value is closest to ``t``."""
-        return _nearest_pos(self._times, t)
+        """Storage row whose time value is closest to ``t``; ties to the
+        first."""
+        return int(np.abs(self._times - t).argmin())
 
     def slice_at(self, time_index: int) -> np.ndarray:
         """The (n_x+2, n_v) slice at an exact time index."""
@@ -249,11 +250,6 @@ class PriceSurface:
                    np.tile(np.repeat(grid.x_nodes, grid.n_v), len(ks)),
                    np.tile(grid.v_nodes, (grid.n_x + 2) * len(ks)),
                    self.values[[self.pos_of(int(k)) for k in ks]].ravel())
-
-
-def _nearest_pos(times: np.ndarray, t: float) -> int:
-    """Index of the entry of ``times`` closest to ``t``; ties to the first."""
-    return int(np.abs(times - t).argmin())
 
 
 def _bilinear_weights(grid: GridSpec, x, v, extrapolate: bool = True):
@@ -348,46 +344,46 @@ def _q_sup(aa, bb, lo: float, hi: float, out=None):
     wins.  Overflow and invalid operations (an infinite ``bb`` over an
     infinite ``aa``) are not warned about.
     """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _q_sup_bare(aa, bb, lo, hi, out)
-
-
-def _q_sup_bare(aa, bb, lo: float, hi: float, out=None):
-    """:func:`_q_sup` in the caller's floating-point error state: the march
-    calls it once per step, and sets that state once for all of them."""
     if out is None:
         out = (*(np.empty(np.shape(aa)) for _ in range(3)),
                *(np.empty(np.shape(aa), dtype=bool) for _ in range(2)))
     sup, f_lo, f_hi, concave, rising = out
-    np.multiply(aa, lo * lo, out=f_lo)
-    np.add(f_lo, np.multiply(bb, lo, out=sup), out=f_lo)
-    np.multiply(aa, hi * hi, out=f_hi)
-    np.add(f_hi, np.multiply(bb, hi, out=sup), out=f_hi)
-    np.maximum(f_lo, f_hi, out=sup)
-    np.less(aa, 0.0, out=concave)
-    np.greater(bb, 0.0, out=rising)
-    candidates = np.logical_and(concave, rising, out=concave).ravel().nonzero()[0]
-    a, b = aa.take(candidates), bb.take(candidates)
-    q_hat = -b / (2.0 * a)
-    interior = (q_hat > lo) & (q_hat < hi)
-    inside = candidates[interior]
-    a, b, q_hat = a[interior], b[interior], q_hat[interior]
-    f_hat = -(b * b) / (4.0 * a)
-    # b * b leaves the normal range unless 2**-511 <= b < 2**512; there
-    # f(q_hat) is taken as the equal b q_hat / 2.
-    if b.min(initial=1.0) < 2.0**-511 or b.max(initial=1.0) >= 2.0**512:
-        lost = (b < 2.0**-511) | (b >= 2.0**512)
-        f_hat[lost] = 0.5 * b[lost] * q_hat[lost]
-    sup.put(inside, np.maximum(sup.take(inside), f_hat))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        np.multiply(aa, lo * lo, out=f_lo)
+        np.add(f_lo, np.multiply(bb, lo, out=sup), out=f_lo)
+        np.multiply(aa, hi * hi, out=f_hi)
+        np.add(f_hi, np.multiply(bb, hi, out=sup), out=f_hi)
+        np.maximum(f_lo, f_hi, out=sup)
+        np.less(aa, 0.0, out=concave)
+        np.greater(bb, 0.0, out=rising)
+        candidates = np.logical_and(concave, rising,
+                                    out=concave).ravel().nonzero()[0]
+        a, b = aa.take(candidates), bb.take(candidates)
+        q_hat = -b / (2.0 * a)
+        interior = (q_hat > lo) & (q_hat < hi)
+        inside = candidates[interior]
+        a, b, q_hat = a[interior], b[interior], q_hat[interior]
+        f_hat = -(b * b) / (4.0 * a)
+        # b * b leaves the normal range unless 2**-511 <= b < 2**512; there
+        # f(q_hat) is taken as the equal b q_hat / 2.
+        if b.min(initial=1.0) < 2.0**-511 or b.max(initial=1.0) >= 2.0**512:
+            lost = (b < 2.0**-511) | (b >= 2.0**512)
+            f_hat[lost] = 0.5 * b[lost] * q_hat[lost]
+        sup.put(inside, np.maximum(sup.take(inside), f_hat))
     return sup, f_lo, f_hi, inside, q_hat
 
 
-def _q_argsup(aa, bb, lo: float, hi: float) -> np.ndarray:
-    """A maximizer of :func:`_q_sup`'s quadratic; ties go to ``hi``."""
-    sup, f_lo, f_hi, inside, q_inside = _q_sup(aa, bb, lo, hi)
-    q = np.where(f_hi >= f_lo, hi, lo)
-    wins = sup.take(inside) > np.maximum(f_lo.take(inside), f_hi.take(inside))
-    q.reshape(-1)[inside[wins]] = q_inside[wins]
+def _q_argsup(aa, bb, lo: float, hi: float, out=None) -> np.ndarray:
+    """A maximizer of :func:`_q_sup`'s quadratic; ties go to ``hi``.  With
+    ``out`` as for :func:`_q_sup`, which a march reuses every step, the
+    supremum stays in its first array and the maximizer is written over its
+    second (``f_lo``)."""
+    sup, q, f_hi, inside, q_inside = _q_sup(aa, bb, lo, hi, out)
+    wins = sup.take(inside) > np.maximum(q.take(inside), f_hi.take(inside))
+    higher = f_hi >= q
+    q.fill(lo)
+    np.copyto(q, hi, where=higher)
+    q.put(inside[wins], q_inside[wins])
     return q
 
 
@@ -528,6 +524,7 @@ def _require_dense_slices(surface: PriceSurface, n_steps: int, name: str) -> Non
         if gaps.max() > surface.grid.T / n_steps * (1.0 + 1e-9):
             raise ValueError(
                 f"{name} surface slices are coarser in time than the "
-                f"simulation; re-solve with store_slices=True and "
-                f"max_kept_slices >= {n_steps + 1}"
+                f"simulation's {n_steps} steps (n_t={surface.grid.n_t}, "
+                f"{surface.n_kept} kept); re-solve with store_slices=True "
+                f"and max_kept_slices >= {n_steps + 1}"
             )

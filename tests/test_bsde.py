@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uvpricer import rng, sde
+from uvpricer import bsde, rng, sde
 from uvpricer.analytic import bs_call
 from uvpricer.bsde import (
     BsdeResidualReport,
@@ -201,6 +201,24 @@ class TestResidualSimulation:
                 assert simulate_2bsde_residual(
                     surface, p.with_delta(0.0), *args
                 ) == simulate_2bsde_residual(surface, p, *args)
+
+    def test_coarse_surface_is_read_between_its_slices(self):
+        """A surface of fewer steps than the paths, kept at every step, is
+        read linearly in time between the two slices that bracket a path
+        step: at a slice's own time its Greeks, midway their mean."""
+        p = mk_params(sigma_min=0.15, sigma_max=0.15)
+        surface = limit_family(p, PiecewiseLinearPayoff.call(100.0),
+                               n_x=39, n_v=7)
+        n_t = surface.grid.n_t
+        at = bsde._greeks_at_steps(surface, 2 * n_t)
+        for k in (0, 1, 6, 7, 2 * n_t - 1):
+            got, lo, hi = at(k), greeks(surface, k // 2), greeks(surface, k // 2 + 1)
+            for f in dataclasses.fields(lo):
+                a, b = getattr(lo, f.name), getattr(hi, f.name)
+                want = a if k % 2 == 0 else 0.5 * a + 0.5 * b
+                assert np.array_equal(getattr(got, f.name), want)
+        dense = bsde._greeks_at_steps(surface, n_t)
+        assert np.array_equal(dense(7).gamma, greeks(surface, 7).gamma)
 
     def test_sparse_slices_rejected(self):
         """Slices coarser than the simulation step are refused."""
@@ -500,27 +518,56 @@ class TestMartingaleCheck:
 
 
 class TestDriverConsistency:
-    def test_limit_family_is_discretely_exact(self):
-        """With every slice kept, the limit driver reproduces the march."""
+    def test_limit_family_gap_is_first_order_in_time(self):
+        """With every slice kept, the limit driver misses the march's one-
+        step difference by the step's time error: the gap halves with the
+        step (the implicit step is no one-step Euler relation, so the gap
+        is not zero as it was for the explicit march)."""
         p = mk_params(sigma_min=0.15, sigma_max=0.15)
-        surface = limit_family(p, PiecewiseLinearPayoff.call(100.0),
-                               n_x=49, n_v=9)
-        _, rms = driver_consistency(surface, p)
-        assert rms.max() < 1e-9
+        grid = mk_grid(p, "bsb", n_x=49, n_v=9)
+        gaps = []
+        for n_t in (128, 256, 512):
+            surface = solve_bsb_1d(p, PiecewiseLinearPayoff.call(100.0),
+                                   dataclasses.replace(grid, n_t=n_t),
+                                   store_slices=True, max_kept_slices=10**9)
+            gaps.append(driver_consistency(surface, p)[1].mean())
+        for coarse, fine in zip(gaps, gaps[1:]):
+            assert 1.8 < coarse / fine < 2.2
 
     def test_gap_shrinks_under_refinement(self):
-        """The moving-factor consistency gap decreases with the mesh."""
+        """The moving-factor consistency gap decreases with the mesh: half
+        the space steps and a quarter of the time step."""
         p = mk_params(delta=0.25)
         h = PiecewiseLinearPayoff.call(100.0)
 
-        def solve(n_x, n_v):
-            grid = mk_grid(p, "full", n_x=n_x, n_v=n_v)
+        def solve(n_x, n_v, n_t):
+            grid = dataclasses.replace(mk_grid(p, "full", n_x=n_x, n_v=n_v),
+                                       n_t=n_t)
             return solve_hjb_2d(p, h, grid, store_slices=True,
                                 max_kept_slices=10**9)
 
-        _, rms_c = driver_consistency(solve(49, 9), p)
-        _, rms_f = driver_consistency(solve(99, 17), p)
+        _, rms_c = driver_consistency(solve(49, 9, 128), p)
+        _, rms_f = driver_consistency(solve(99, 17, 512), p)
         assert rms_f.mean() < rms_c.mean()
+
+    def test_surface_under_other_parameters_is_refused(self):
+        """A driver built from other parameters than the surface's is
+        refused, not run into a larger gap; on the limit surface, whose f0
+        driver has no delta, delta may differ."""
+        p = mk_params()
+        h = PiecewiseLinearPayoff.call(100.0)
+        limit = limit_family(p, h, n_x=39, n_v=7)
+        full = solve_hjb_2d(p.with_delta(0.3), h,
+                            mk_grid(p.with_delta(0.3), "full", n_x=39, n_v=7),
+                            store_slices=True, max_kept_slices=10**9)
+        wide = dataclasses.replace(p, sigma_min=0.05, sigma_max=0.4)
+        for surface, other in ((limit, wide), (full, wide.with_delta(0.3)),
+                               (full, p.with_delta(0.2))):
+            with pytest.raises(ValueError, match="parameter mismatch"):
+                driver_consistency(surface, other)
+        got = driver_consistency(limit, p.with_delta(0.7))
+        want = driver_consistency(limit, p)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     def test_profile_shape(self):
         """One RMS entry per retained slice pair, timed at the later slice."""

@@ -423,13 +423,13 @@ class TestSweepCommands:
 
     def test_corrector_solves_each_limit_surface_once(self, tmp_path,
                                                       monkeypatch):
-        """The corrector command marches P0 once and P1 once."""
+        """The corrector command marches P0 and P1 once, in one stack."""
         marches = []
         steps = hjb._Marcher.steps
 
         def counted(marcher):
-            # Named by the builder of the march's right-hand side.
-            marches.append(marcher.rhs.__qualname__.split(".")[0])
+            # Named by the builder of the march's explicit part.
+            marches.append(marcher.explicit.__qualname__.split(".")[0])
             return steps(marcher)
 
         monkeypatch.setattr(hjb._Marcher, "steps", counted)
@@ -438,8 +438,8 @@ class TestSweepCommands:
                             "noise_floor": 0.0}
         assert main(["corrector", "--config", write_doc(tmp_path, doc)]) == 0
         # The delta march may run in a forked child, out of sight.
-        limit_marches = sorted(m for m in marches if m != "_full_values")
-        assert limit_marches == ["_bsb_march", "_corrector_march"]
+        limit_marches = sorted(m for m in marches if m != "_full_explicit")
+        assert limit_marches == ["_corrector_march"]
 
 
 class TestSimulateCommand:
@@ -568,6 +568,34 @@ class TestCheck2bsdeCommand:
         assert main(["check2bsde", "--config", path]) == 2
         assert "left the grid" in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize("surface", ["full_delta", "limit_p0"])
+    def test_more_steps_than_the_step_count_solve_each_step(
+            self, tmp_path, monkeypatch, surface):
+        """The shipped check2bsde config at 256 path steps, twice its
+        ``min_time_steps``: the automatic ``n_t`` resolves to 256, so the
+        surface is kept at every path step."""
+        grids = []
+        for name in ("solve_hjb_2d", "solve_bsb_1d"):
+            solve = getattr(cli, name)
+
+            def recording(params, payoff, grid, *a, solve=solve, **kw):
+                grids.append(grid)
+                return solve(params, payoff, grid, *a, **kw)
+
+            monkeypatch.setattr(cli, name, recording)
+        root = pathlib.Path(__file__).resolve().parents[1]
+        config = RunConfig.from_dict(load_config(root / "configs" / "check2bsde.json"))
+        assert hjb.min_time_steps(config.model, config.grid) == 128
+        assert main(["check2bsde", "--config",
+                     str(root / "configs" / "check2bsde.json"),
+                     "--out", str(tmp_path / "out"),
+                     "--set", "check2bsde.n_steps=256",
+                     "--set", "check2bsde.n_paths=2000",
+                     "--set", f"check2bsde.surface={json.dumps(surface)}"]) == 0
+        assert [g.n_t for g in grids] == [256]
+        report = json.loads((tmp_path / "out" / "bsde_report.json").read_text())
+        assert report["n_paths_used"] + report["n_paths_discarded"] == 2000
 
     @pytest.mark.parametrize("setting, message", [
         ("check2bsde.n_paths=0", "n_paths and n_steps must be positive"),

@@ -200,7 +200,7 @@ class TestRunDeltaSweep:
         """A stability failure during the sweep carries the offending delta."""
         params = mk_params()
         trial = GridSpec(x_min=0.0, x_max=200.0, n_x=99, v_min=-1.5,
-                         v_max=-0.5, n_v=21, T=0.15, n_t=1)
+                         v_max=-0.5, n_v=81, T=0.15, n_t=1)
         n_bsb = min_time_steps(params, trial, "bsb")
         n_full = min_time_steps(dataclasses.replace(params, delta=0.5),
                                 trial, "full")
@@ -333,15 +333,31 @@ class TestCorrectorSweep:
         assert doc["rows"][0]["delta"] == 0.36
 
 
-# Large enough that the 2-D march overflows at its first step, while the
-# limit march stays finite.
-HUGE_BUTTERFLY = PiecewiseLinearPayoff.from_calls(
-    [(90.0, 1e306), (100.0, -2e306), (110.0, 1e306)]
-)
+# Large enough that every march, the limit's too, overflows at its first
+# step.
 TOO_HUGE_BUTTERFLY = PiecewiseLinearPayoff.from_calls(
     [(90.0, 1e307), (100.0, -2e307), (110.0, 1e307)]
 )
 SWEEPS = {"sweep": run_delta_sweep, "corrector": corrector_sweep}
+# A butterfly whose marches overflow under ``overflowing_multiplier``, the
+# larger delta at the earlier step, while the limit's stays finite.
+BIG_BUTTERFLY = PiecewiseLinearPayoff.from_calls(
+    [(90.0, 1e160), (100.0, -2e160), (110.0, 1e160)]
+)
+
+
+def overflowing_multiplier(monkeypatch):
+    """Make the multiplier infinite where it is an interior maximizer with
+    ``b >= 2**512``: a source of overflow that grows with delta and that
+    the limit, where ``b`` is zero, never meets."""
+    q_argsup = hjb._q_argsup
+
+    def overflowing(aa, bb, lo, hi, out):
+        q = q_argsup(aa, bb, lo, hi, out)
+        q[(q > lo) & (q < hi) & (bb >= 2.0**512)] = np.inf
+        return q
+
+    monkeypatch.setattr(hjb, "_q_argsup", overflowing)
 
 
 @pytest.fixture
@@ -471,7 +487,7 @@ class TestForkedSweeps:
         has it in-process."""
         params = mk_params()
         trial = GridSpec(x_min=0.0, x_max=200.0, n_x=99, v_min=-1.5,
-                         v_max=-0.5, n_v=21, T=0.15, n_t=1)
+                         v_max=-0.5, n_v=81, T=0.15, n_t=1)
         n_full = min_time_steps(params.with_delta(0.5), trial, "full")
         grid = dataclasses.replace(trial, n_t=n_full - 1)
         args = (params, BUTTERFLY, grid, (100.0, -1.0), [0.2, 0.5])
@@ -497,20 +513,21 @@ class TestForkedSweeps:
     def test_non_finite_error(self, forks, monkeypatch):
         """A delta march that overflows raises the in-process error: the
         delta, the stack index, the step and the node."""
+        overflowing_multiplier(monkeypatch)
         params = mk_params()
         grid = mk_grid(params, n_x=39)
-        args = (params, HUGE_BUTTERFLY, grid, (100.0, -1.0), [0.5, 0.2])
+        args = (params, BIG_BUTTERFLY, grid, (100.0, -1.0), [0.5, 0.2])
         err = sweep_error(run_delta_sweep, *args)
         want = sweep_error(in_process, monkeypatch, run_delta_sweep, *args)
         assert isinstance(err, NonFiniteError)
         assert "delta=0.5" in str(err)
         assert (str(err), err.stack_index, err.time_index, err.node) == (
             str(want), want.stack_index, want.time_index, want.node)
-        # With the floor given, every delta overflows at the first step and
-        # the first delta is named, as one march of all of them names it.
+        # With the floor given, the first and largest delta overflows first
+        # and is named, as one march of all of them names it.
         for deltas in ([0.5], [0.5, 0.2], [0.5, 0.3, 0.2],
                        [0.5, 0.4, 0.3, 0.2]):
-            args = (params, HUGE_BUTTERFLY, grid, (100.0, -1.0), deltas)
+            args = (params, BIG_BUTTERFLY, grid, (100.0, -1.0), deltas)
             err = sweep_error(run_delta_sweep, *args, noise_floor=0.0)
             want = sweep_error(in_process, monkeypatch, run_delta_sweep,
                                *args, noise_floor=0.0)
@@ -646,15 +663,15 @@ class TestForkedSweeps:
         parent = os.getpid()
         steps = []
         if failure == "killed":
-            q_sup = hjb._q_sup_bare
+            q_argsup = hjb._q_argsup
 
             def dying(*a, **kw):
                 steps.append(1)
                 if os.getpid() != parent and len(steps) == 10:
                     os.kill(os.getpid(), signal.SIGKILL)
-                return q_sup(*a, **kw)
+                return q_argsup(*a, **kw)
 
-            monkeypatch.setattr(hjb, "_q_sup_bare", dying)
+            monkeypatch.setattr(hjb, "_q_argsup", dying)
         else:
             solve = convergence._solve_deltas
 

@@ -1,4 +1,5 @@
-"""Tests for the explicit finite-difference solvers."""
+"""Tests for the finite-difference solvers, their IMEX-BDF2 step and its
+tridiagonal kernel."""
 
 import dataclasses
 
@@ -8,15 +9,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import solver_reference as ref
-from uvpricer import hjb
+from uvpricer import cli, hjb, sde
 from uvpricer.errors import NonFiniteError, StabilityError
 from uvpricer.analytic import bs_call, fixed_vol_price
-from uvpricer.convergence import _refined_for_floor, _solve_deltas
+from uvpricer.convergence import _limit_values, _refined_for_floor, _solve_deltas
 from uvpricer.hjb import (
     _full_values,
     _kept_indices,
     _limit_and_corrector,
-    _limit_value_at,
+    _Tridiagonal,
     min_time_steps,
     solve_bsb_1d,
     solve_corrector,
@@ -42,38 +43,66 @@ def mk_grid(params, kind, x_max=300.0, n_x=299, v_min=-1.0, v_max=0.0, n_v=5,
     return dataclasses.replace(trial, n_t=n_t)
 
 
+# A fine v-axis, on which the explicit factor terms bind above the
+# accuracy floor.
+FINE_V = GridSpec(x_min=0.0, x_max=300.0, n_x=99, v_min=-1.0, v_max=0.0,
+                  n_v=81, T=0.15, n_t=1)
+
+
 class TestMinTimeSteps:
     def test_wider_interval_needs_more_steps(self):
-        """The bound grows with sigma_max."""
-        grid = GridSpec(x_min=0.0, x_max=300.0, n_x=99, v_min=-1.0, v_max=0.0,
-                        n_v=5, T=0.15, n_t=1)
-        narrow = min_time_steps(mk_params(sigma_max=0.15), grid, "bsb")
-        wide = min_time_steps(mk_params(sigma_max=0.3), grid, "bsb")
-        assert wide > narrow
+        """Where the explicit terms bind, the bound grows with sigma_max,
+        through the cross term."""
+        narrow = min_time_steps(mk_params(sigma_max=0.15, delta=0.5), FINE_V)
+        wide = min_time_steps(mk_params(sigma_max=0.3, delta=0.5), FINE_V)
+        assert wide > narrow > 128
 
     def test_factor_terms_enter_the_full_bound(self):
         """With delta > 0 the two-dimensional bound exceeds the asset-only one."""
-        grid = GridSpec(x_min=0.0, x_max=300.0, n_x=99, v_min=-1.0, v_max=0.0,
-                        n_v=5, T=0.15, n_t=1)
         p = mk_params(delta=0.5)
-        assert min_time_steps(p, grid, "full") > min_time_steps(p, grid, "bsb")
+        assert min_time_steps(p, FINE_V, "full") > min_time_steps(p, FINE_V, "bsb")
         p0 = mk_params(delta=0.0)
-        assert min_time_steps(p0, grid, "full") == min_time_steps(p0, grid, "bsb")
+        for grid in (FINE_V, dataclasses.replace(FINE_V, n_v=5)):
+            assert min_time_steps(p0, grid, "full") == min_time_steps(p0, grid, "bsb")
 
-    def test_single_level_relaxes_the_bound(self):
-        """Evaluating e^{2v} at a low level needs fewer steps than at v_max."""
+    def test_single_level_enters_no_term(self):
+        """The x-diffusion, the one term that read ``e^{2v}``, is implicit:
+        a single level gives the family's count, the accuracy floor."""
         grid = GridSpec(x_min=0.0, x_max=300.0, n_x=99, v_min=-1.0, v_max=0.0,
                         n_v=5, T=0.15, n_t=1)
         p = mk_params()
-        assert min_time_steps(p, grid, "bsb", v=-1.0) < min_time_steps(p, grid, "bsb")
+        for kind in ("bsb", "corrector"):
+            assert min_time_steps(p, grid, kind, v=-1.0) == min_time_steps(
+                p, grid, kind) == 128
 
     def test_refinement_scales_quadratically(self):
-        """Halving dx roughly quadruples the required step count."""
-        p = mk_params()
-        coarse = GridSpec(x_min=0.0, x_max=300.0, n_x=149, v_min=-1.0, v_max=0.0,
-                          n_v=5, T=0.15, n_t=1)
-        fine = coarse.refined(factor_x=2)
-        assert min_time_steps(p, fine, "bsb") > 3.8 * min_time_steps(p, coarse, "bsb")
+        """Halving dx and dv roughly quadruples the count where the
+        v-diffusion and cross terms bind; halving dx alone leaves the
+        asset-only count at the floor."""
+        p = mk_params(delta=0.5)
+        fine = FINE_V.refined(factor_x=2, factor_v=2)
+        assert min_time_steps(p, fine) > 3.8 * min_time_steps(p, FINE_V)
+        assert min_time_steps(p, FINE_V.refined(factor_x=2), "bsb") == 128
+
+    def test_accuracy_floor_and_binding_term(self):
+        """The count is the larger of the explicit terms' bound and 128, and
+        a refusal names the binding term: 128 on section-4's grid and on
+        the refined grid of the benchmark's sweep (2,474 and 2,415
+        explicit steps before)."""
+        p = ModelParams(r=0.0, a=0.6, b=0.5, alpha=2.0, sigma=0.5, rho=0.5,
+                        sigma_min=0.1, sigma_max=0.2, delta=0.5)
+        section4 = GridSpec(x_min=0.0, x_max=400.0, n_x=400, v_min=-2.0,
+                            v_max=0.0, n_v=40, T=0.15, n_t=1)
+        bench = GridSpec(x_min=0.0, x_max=400.0, n_x=200, v_min=-2.0, v_max=0.0,
+                         n_v=20, T=0.15, n_t=1)
+        assert min_time_steps(p, section4) == 128
+        assert _refined_for_floor(p.with_delta(0.001), bench).n_t == 128
+        for grid, want in ((section4, "128-step accuracy floor"),
+                           (FINE_V, "explicit v-diffusion term")):
+            needed = min_time_steps(p, grid)
+            with pytest.raises(StabilityError, match=want) as err:
+                solve_hjb_2d(p, BUTTERFLY, dataclasses.replace(grid, n_t=needed - 1))
+            assert err.value.min_time_steps == needed
 
     def test_unknown_kind_rejected(self):
         """Only the three solver kinds are recognized."""
@@ -124,9 +153,101 @@ class TestStabilityGate:
     def test_full_solver_gate(self):
         """The two-dimensional solve enforces its own (larger) bound."""
         p = mk_params(delta=0.5)
-        grid = mk_grid(p, "bsb", n_x=99)  # misses the factor terms
+        grid = mk_grid(p, "bsb", n_x=99, n_v=81)  # misses the factor terms
         with pytest.raises(StabilityError):
             solve_hjb_2d(p, BUTTERFLY, grid)
+
+
+def tridiagonal_systems():
+    """Sizes 1 to 70, the powers of two and their predecessors among them,
+    trailing shapes of up to two axes, and diagonally dominant rows with
+    their couplings, some of them zero."""
+    sizes = st.one_of(st.integers(1, 70),
+                      st.sampled_from([2**k - 1 for k in range(1, 7)]
+                                      + [2**k for k in range(7)]))
+    trailing = st.lists(st.integers(1, 4), max_size=2).map(tuple)
+    return st.tuples(sizes, trailing, st.integers(0, 2**32 - 1))
+
+
+class TestTridiagonal:
+    """The cyclic-reduction kernel against dense solves."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(system=tridiagonal_systems())
+    @example(system=(1, (), 0))
+    @example(system=(63, (2, 3), 1))
+    @example(system=(64, (5,), 2))
+    def test_matches_dense_solve(self, system):
+        n, trailing, seed = system
+        rng = np.random.default_rng(seed)
+        shape = (n, *trailing)
+        lower, upper = (-rng.uniform(0.0, 50.0, shape) for _ in range(2))
+        for coupling in (lower, upper):
+            coupling[rng.random(shape) < 0.2] = 0.0
+        diag = rng.uniform(0.5, 3.0, shape) - lower - upper
+        d = rng.normal(0.0, 10.0, shape)
+        tri = _Tridiagonal(shape)
+        tri.lower[...], tri.diag[...], tri.upper[...], tri.rhs[...] = (
+            lower, diag, upper, d)
+        tri.solve()
+        y = tri.rhs
+        for col in np.ndindex(*trailing):
+            at = (slice(None), *col)
+            M = (np.diag(diag[at]) + np.diag(lower[at][1:], -1)
+                 + np.diag(upper[at][:-1], 1))
+            want = np.linalg.solve(M, d[at])
+            scale = np.abs(M) @ np.abs(want) + np.abs(d[at])
+            assert np.all(np.abs(M @ y[at] - d[at]) <= 1e-13 * scale.max())
+            assert np.allclose(y[at], want, rtol=1e-10, atol=1e-12 * scale.max())
+
+    def test_columns_are_independent(self):
+        """A column's bits do not depend on the columns solved beside it."""
+        rng = np.random.default_rng(5)
+        shape = (37, 3, 4)
+        parts = [rng.uniform(0.0, 5.0, shape) for _ in range(4)]
+        parts[1] += parts[0] + parts[3]
+        parts[0], parts[3] = -parts[0], -parts[3]
+        whole, alone = _Tridiagonal(shape), _Tridiagonal((37, 4))
+        for tri, cut in ((whole, np.s_[:]), (alone, np.s_[:, 1])):
+            for slot, part in zip((tri.lower, tri.diag, tri.rhs, tri.upper), parts):
+                slot[...] = part[cut]
+            tri.solve()
+        assert np.array_equal(whole.rhs[:, 1], alone.rhs)
+
+
+class TestTimeStep:
+    """The IMEX-BDF2 step against the explicit march and against itself."""
+
+    def test_agrees_with_the_explicit_march_within_its_time_error(self):
+        """The explicit Euler march at its stability bound misses its time
+        limit by about twice its change on doubling the steps; the IMEX
+        march lies within that of it, and nearer the finer march."""
+        p = mk_params(delta=0.25)
+        grid = mk_grid(p, "full", x_max=200.0, n_x=39)
+        n_e = ref.explicit_min_steps(p, grid, "full")
+        coarse, fine = (ref.explicit_solve_hjb_2d(
+            p, BUTTERFLY, dataclasses.replace(grid, n_t=n))[0][0]
+            for n in (n_e, 2 * n_e))
+        imex = solve_hjb_2d(p, BUTTERFLY, grid).values[0]
+        change = np.abs(coarse - fine).max()
+        assert change > 1e-3
+        assert np.abs(imex - coarse).max() <= 2.5 * change
+        assert np.abs(imex - fine).max() < np.abs(imex - coarse).max()
+
+    def test_second_order_ladder(self):
+        """At 128, 256 and 512 steps the successive changes of P_delta, P0
+        and their difference fall by a factor between 3 and 5."""
+        p = mk_params(delta=0.25)
+        grid = mk_grid(p, "full", x_max=200.0, n_x=99, v_min=-2.0, n_v=9)
+        ladder = []
+        for n_t in (128, 256, 512):
+            g = dataclasses.replace(grid, n_t=n_t)
+            ladder.append([solve_hjb_2d(p, BUTTERFLY, g).value_at(0, 100.0, -1.0),
+                           solve_bsb_1d(p, BUTTERFLY, g).value_at(0, 100.0, -1.0)])
+        ladder = np.array(ladder)
+        ladder = np.column_stack([ladder, ladder[:, 0] - ladder[:, 1]])
+        first, second = np.diff(ladder, axis=0)
+        assert np.all((3.0 <= first / second) & (first / second <= 5.0))
 
 
 class TestBsbSolver:
@@ -394,10 +515,16 @@ def sized(params, grid, kind, extra):
     )
 
 
+def assert_same_bits(got, want):
+    """Equal arrays, with equal sign bits (``-0.0`` against ``0.0``)."""
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def assert_same_march(surface, reference):
     values, kept = reference
     assert surface.kept_times == kept
-    assert np.array_equal(surface.values, values)
+    assert_same_bits(surface.values, values)
 
 
 def smallest_case(x_min, extra, cell_average=False):
@@ -483,8 +610,10 @@ class TestStackedMarch:
     @given(case=stacked_cases())
     @examples(SMALLEST_CASES, smallest_stack)
     def test_equals_each_lone_solve(self, case):
-        """Every delta's kept slices equal its own ``solve_hjb_2d``."""
+        """Every delta's kept slices equal its own ``solve_hjb_2d``, sign
+        bits included, and a zero delta's the limit family's."""
         p, h, grid, deltas, options = case
+        deltas = [*deltas, 0.0] if 0.0 not in deltas else deltas
         kept = _kept_indices(grid.n_t, options["store_slices"],
                              options["max_kept_slices"])
         values = _full_values(p, deltas, h, grid, kept,
@@ -493,25 +622,32 @@ class TestStackedMarch:
         for j, d in enumerate(deltas):
             alone = solve_hjb_2d(p.with_delta(d), h, grid, **options)
             assert alone.kept_times == kept
-            assert np.array_equal(values[:, :, j], alone.values)
+            assert_same_bits(values[:, :, j], alone.values)
+            if d == 0.0:
+                assert_same_bits(values[:, :, j],
+                                 solve_bsb_1d(p, h, grid, **options).values)
 
     @settings(max_examples=40, deadline=None)
     @given(case=solver_cases(), where=st.sampled_from(["min", "node", "max", "any"]),
            u=floats(0.0, 1.0))
     def test_column_limit_equals_the_family_read(self, case, where, u):
-        """The limit read from the two bracketing v-columns equals the
-        family solve's ``value_at``, on nodes and at both v-edges."""
+        """A sweep's limit read, and the zero member of a stacked delta
+        march, equal the family solve's ``value_at``, on nodes and at both
+        v-edges."""
         p, h, grid, extra, options, _ = case
-        grid = sized(p, grid, "bsb", extra)
+        grid = sized(p.with_delta(1.0), grid, "full", extra)
         v0 = {"min": grid.v_min, "max": grid.v_max,
               "node": float(grid.v_nodes[int(u * (grid.n_v - 1))]),
               "any": grid.v_min + u * (grid.v_max - grid.v_min)}[where]
         x0 = grid.x_min + u * (grid.x_max - grid.x_min)
         cell = options["cell_average_terminal"]
         family = solve_bsb_1d(p, h, grid, cell_average_terminal=cell)
-        got = _limit_value_at(p, h, grid, x0, v0, cell)
-        assert type(got) is float
+        got, p1, _ = _limit_values(p, h, grid, x0, v0, None, cell, False)
+        assert type(got) is float and p1 is None
+        stacked = np.empty(2)
+        _solve_deltas(p, h, grid, x0, v0, [1.0, 0.0], cell, stacked)
         assert np.array_equal(got, family.value_at(0, x0, v0))
+        assert np.array_equal(stacked[1], got)
 
 
 # Large enough that the 2-D march overflows at its first step.
@@ -630,13 +766,13 @@ class TestLimitBesideCorrector:
 
         def overflowing(*args):
             march = corrector_march(*args)
-            rhs = march.rhs
+            explicit = march.explicit
 
-            def rhs_inf(P, k, out):
-                rhs(P, k, out)
-                out[0, 0] = np.inf
+            def explicit_inf(V, k, E, w):
+                explicit(V, k, E, w)
+                E[0, 1, 0] = np.inf  # the correction's first interior node
 
-            march.rhs = rhs_inf
+            march.explicit = explicit_inf
             return march
 
         monkeypatch.setattr(hjb, "_corrector_march", overflowing)
@@ -649,6 +785,38 @@ class TestLimitBesideCorrector:
         if payoff is BUTTERFLY:
             assert got[2]["time_index"] == grid.n_t - 1
             assert got[2]["node"] == (1, 0)
+
+
+class TestPriceSolves:
+    """``price`` solves ``P_delta`` in a forked job beside ``P0``."""
+
+    @pytest.mark.parametrize("fork", [True, False])
+    def test_equal_the_two_solves(self, monkeypatch, fork):
+        monkeypatch.setattr(sde, "_fork_ok", lambda: fork)
+        p = mk_params(delta=0.25, r=0.02)
+        grid = mk_grid(p, "full", x_max=200.0, n_x=39)
+        for cell in (False, True):
+            got = cli._with_limit(p, BUTTERFLY, grid, cell)
+            for surface, solve in zip(got, (solve_hjb_2d, solve_bsb_1d)):
+                want = solve(p, BUTTERFLY, grid, cell_average_terminal=cell)
+                assert (surface.kind, surface.kept_times) == (want.kind,
+                                                              want.kept_times)
+                assert_same_bits(surface.values, want.values)
+                assert not surface.values.flags.writeable
+
+    @pytest.mark.parametrize("fork", [True, False])
+    def test_errors_come_in_the_order_of_the_two_solves(self, monkeypatch,
+                                                        fork):
+        """Both solves overflow, or take too few steps: ``P_delta``'s error
+        is raised, as the two solves one after the other raise it."""
+        monkeypatch.setattr(sde, "_fork_ok", lambda: fork)
+        p = mk_params(delta=0.25)
+        grid = mk_grid(p, "full", x_max=200.0, n_x=39)
+        for payoff, g in ((HUGE_BUTTERFLY, grid),
+                          (BUTTERFLY, dataclasses.replace(grid, n_t=grid.n_t - 1))):
+            got = outcome(cli._with_limit, p, payoff, g, False)
+            assert got[0] in (NonFiniteError, StabilityError)
+            assert got == outcome(solve_hjb_2d, p, payoff, g)
 
 
 @st.composite
@@ -702,10 +870,12 @@ class TestNonFinite:
     first appears, as the allocating march reports it."""
 
     def test_full_solver(self):
+        """The tridiagonal solve spreads a non-finite value over its whole
+        column, so the first non-finite node is the column's first row."""
         p = mk_params(delta=0.25)
         grid = mk_grid(p, "full", x_max=200.0, n_x=39)
         got = nonfinite_report(solve_hjb_2d, p, HUGE_BUTTERFLY, grid)
-        assert got == (24, (18, 1))
+        assert got == (127, (1, 0))
         assert got == nonfinite_report(ref.solve_hjb_2d, p, HUGE_BUTTERFLY, grid)
 
     def test_full_solver_discounted_from_x_min(self):
@@ -714,10 +884,11 @@ class TestNonFinite:
                                    x_min=10.0)
         grid = dataclasses.replace(grid, n_t=min_time_steps(p, grid, "full"))
         got = nonfinite_report(solve_hjb_2d, p, HUGE_BUTTERFLY, grid)
+        assert got == (127, (0, 0))
         assert got == nonfinite_report(ref.solve_hjb_2d, p, HUGE_BUTTERFLY, grid)
 
-    @pytest.mark.parametrize("v, expected", [(None, (22, (18, 3))),
-                                             (-0.5, (22, (20, 0)))])
+    @pytest.mark.parametrize("v, expected", [(None, (127, (1, 0))),
+                                             (-0.5, (127, (1, 0)))])
     def test_limit_solver(self, v, expected):
         p = mk_params(delta=0.25)
         grid = mk_grid(p, "bsb", x_max=200.0, n_x=39)
@@ -728,26 +899,29 @@ class TestNonFinite:
 
     def test_stacked_deltas(self, monkeypatch):
         """The stacked solve names a delta that went non-finite first, at
-        the step and node that delta's own solve reports.  The q-sup is
-        made infinite where an interior maximizer has ``b >= 2**512``, a
-        source that depends on delta: on a 1e300 butterfly 0.2 and 0.05
-        both fail first, at step 21, and 0.2 comes first."""
-        q_sup = hjb._q_sup_bare
+        the step and node that delta's own solve reports.  The multiplier
+        is made infinite where it is an interior maximizer with ``b >=
+        2**512``, a source that depends on delta: on a 1e160 butterfly 0.4
+        fails first, at step 90, then 0.2 and 0.1, and 0.05 never."""
+        q_argsup = hjb._q_argsup
 
         def overflowing(aa, bb, lo, hi, out):
-            sup, f_lo, f_hi, inside, q_inside = q_sup(aa, bb, lo, hi, out)
-            sup.reshape(-1)[inside[np.take(bb, inside) >= 2.0**512]] = np.inf
-            return sup, f_lo, f_hi, inside, q_inside
+            q = q_argsup(aa, bb, lo, hi, out)
+            q[(q > lo) & (q < hi) & (bb >= 2.0**512)] = np.inf
+            return q
 
-        monkeypatch.setattr(hjb, "_q_sup_bare", overflowing)
+        monkeypatch.setattr(hjb, "_q_argsup", overflowing)
         payoff = PiecewiseLinearPayoff.from_calls(
-            [(90.0, 1e300), (100.0, -2e300), (110.0, 1e300)]
+            [(90.0, 1e160), (100.0, -2e160), (110.0, 1e160)]
         )
         p = mk_params()
-        ds = [0.4, 0.2, 0.1, 0.05]
+        ds = [0.1, 0.4, 0.2, 0.05]
         grid = mk_grid(p.with_delta(1.0), "full", x_max=200.0, n_x=39)
         alone = [nonfinite_report(solve_hjb_2d, p.with_delta(d), payoff, grid)
-                 for d in ds]
+                 for d in ds[:3]]
+        with np.errstate(all="ignore"):
+            assert solve_hjb_2d(p.with_delta(0.05), payoff, grid).n_kept == 2
+        assert [t for t, _ in alone] == [36, 90, 67]
         first = max(t for t, _ in alone)
         named = next(j for j, (t, _) in enumerate(alone) if t == first)
         with np.errstate(all="ignore"), pytest.raises(NonFiniteError) as err:
@@ -759,18 +933,20 @@ class TestNonFinite:
 
     @pytest.mark.parametrize("v0", [-0.4, -0.1])
     def test_column_limit(self, v0):
-        """The column solve reports a bracketing column's failure at its
-        full-grid column, as the family solve does."""
+        """A sweep's limit read reports the family solve's failure, at its
+        full-grid column."""
         p = mk_params(delta=0.25)
         grid = mk_grid(p, "bsb", x_max=200.0, n_x=39)
-        got = nonfinite_report(_limit_value_at, p, TOO_HUGE_BUTTERFLY, grid,
-                               100.0, v0, False)
-        assert got == (22, (18, 3))
+        got = nonfinite_report(_limit_values, p, TOO_HUGE_BUTTERFLY, grid,
+                               100.0, v0, None, False, False)
+        assert got == (127, (1, 0))
         assert got == nonfinite_report(solve_bsb_1d, p, TOO_HUGE_BUTTERFLY, grid)
 
     def test_corrector(self):
         """A limit slice whose x-differences overflow drives the correction
-        non-finite from the first step that reads it."""
+        non-finite from the first step that reads it: the step from 96,
+        whose extrapolation takes the slice at 64 twice (96 ties between 64
+        and 128 and reads the earlier)."""
         p = mk_params(delta=0.25)
         grid = mk_grid(p, "bsb", x_max=200.0, n_x=39)
         values = np.zeros((3, grid.n_x + 2, grid.n_v))
@@ -778,7 +954,7 @@ class TestNonFinite:
         p0 = PriceSurface(values=values, grid=grid, params=p, kind="limit_p0",
                           kept_times=(0, grid.n_t // 2, grid.n_t))
         got = nonfinite_report(solve_corrector, p, BUTTERFLY, grid, p0)
-        assert got == (16, (21, 1))
+        assert got == (95, (1, 2))
         assert got == nonfinite_report(ref.solve_corrector, p, BUTTERFLY, grid, p0)
 
     @pytest.mark.parametrize("solve, kind, v", [(solve_hjb_2d, "full", None),

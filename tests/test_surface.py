@@ -17,7 +17,6 @@ from uvpricer.surface import (
     _bilinear_weights,
     _q_argsup,
     _q_sup,
-    _q_sup_bare,
     default_gamma_tolerance,
     greeks,
     mismatch_set,
@@ -493,7 +492,7 @@ class TestQSup:
             aa, bb = (np.array([[node[draw][i] for node in row] for row in rows])
                       for i in (0, 1))
             with np.errstate(all="ignore"):
-                got = _q_sup_bare(aa, bb, lo, lo + width, out=out)
+                got = _q_sup(aa, bb, lo, lo + width, out=out)
                 want = solver_reference.q_sup_parts(aa, bb, lo, lo + width)
             assert got[0] is out[0]
             for g, w in zip(got, want, strict=True):
