@@ -1,4 +1,4 @@
-"""Run the README's ten *Refactor check* commands and hash their output.
+"""Run the README's eleven *Refactor check* commands and hash their output.
 
 Usage, from the root of a checkout::
 
@@ -36,13 +36,15 @@ RUNS = (
     + [("check2bsde", "check2bsde", []),
        ("check2bsde", "check2bsde", ["--set", "check2bsde.surface=limit_p0"]),
        ("section4", "price", ["--set", "price.cell_average_terminal=true"]),
-       ("quickstart", "sweep", ["--set", "sweep.cell_average_terminal=true"])]
+       ("quickstart", "sweep", ["--set", "sweep.cell_average_terminal=true"]),
+       ("section4", "corrector", ["--set", "corrector.noise_floor=null"])]
 )
 
 # The directory suffix of each run with a ``--set``, after its config name.
 SET_DIRS = {"check2bsde.surface=limit_p0": "limit",
             "price.cell_average_terminal=true": "price_cell_average",
-            "sweep.cell_average_terminal=true": "sweep_cell_average"}
+            "sweep.cell_average_terminal=true": "sweep_cell_average",
+            "corrector.noise_floor=null": "corrector_measured_floor"}
 
 
 def run_dir(config: str, command: str, extra: list[str]) -> str:

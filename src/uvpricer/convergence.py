@@ -276,12 +276,15 @@ def _sweep(params_base, payoff, grid, point, deltas, cell_average_terminal,
     descending delta; a row is excluded when its remainder is below ten
     times the floor.
 
-    One march runs as a :class:`_Job` beside this process, which makes
-    the others: with the floor measured, the refined delta march; with it
-    given, all but the smallest ``(m - 1) // 2`` of the ``m`` deltas, as
-    the limit costs about one lone delta march.  Any failure kills the
-    job and replays the plain order here, which raises its error or,
-    after a one-off failure, returns its numbers.
+    One :class:`_Job` runs beside this process, which makes the rest:
+    with the floor measured, the refined pair, the smallest delta's march
+    and then the limit (with ``corrector``, the stack of ``P0`` and
+    ``P1``), 103 + 72 ms on the ``pde_sweep`` grid against the caller's
+    39 + 153 ms for the limit and the delta stack; with the floor given,
+    all but the smallest ``(m - 1) // 2`` of the ``m`` deltas, as the
+    limit costs about one lone delta march.  Any failure kills the job
+    and replays the plain order here, which raises its error or, after a
+    one-off failure, returns its numbers.
     """
     ds = _check_sweep_inputs(grid, point, deltas, noise_floor)
     x0, v0 = float(point[0]), float(point[1])
@@ -298,17 +301,26 @@ def _sweep(params_base, payoff, grid, point, deltas, cell_average_terminal,
         _solve_deltas(params_base, payoff, g, x0, v0, ds[lo:hi],
                       cell_average_terminal, out)
 
-    # P_delta per delta, then the refined P_delta of the smallest delta.
-    p_out = _shared((m + 1,))
-    split = m - (m - 1) // 2
-    job = (_Job(march, fine, m - 1, m, p_out[m:]) if measure
+    def refine(out):
+        # P_delta, P0 and P1 (0 without a corrector: it subtracts nothing)
+        # of the smallest delta on the refined grid.
+        march(fine, m - 1, m, out[:1])
+        try:
+            p0_fine, p1_fine, _ = limit(fine, d_min)
+        except Exception as exc:
+            _attach_delta(exc, d_min)
+            raise
+        out[1:] = p0_fine, 0.0 if p1_fine is None else p1_fine
+
+    # P_delta per delta, then the refined triple; the job marches
+    # ds[:split] and the caller ds[split:].
+    p_out = _shared((m + 3,))
+    split = 0 if measure else m - (m - 1) // 2
+    job = (_Job(refine, p_out[m:]) if measure
            else _Job(march, grid, 0, split, p_out[:split]))
     try:
         base = limit(grid, ds[0])
-        if measure:
-            march(grid, 0, m, p_out[:m])
-            refined = limit(fine, d_min)
-        elif split < m:
+        if split < m:
             march(grid, split, m, p_out[split:m])
         job.wait()
     except Exception:
@@ -321,17 +333,11 @@ def _sweep(params_base, payoff, grid, point, deltas, cell_average_terminal,
         base = limit(grid, ds[0])
         march(grid, 0, m, p_out[:m])
         if measure:
-            march(fine, m - 1, m, p_out[m:])
-            try:
-                refined = limit(fine, d_min)
-            except Exception as exc:
-                _attach_delta(exc, d_min)
-                raise
+            refine(p_out[m:])
 
     p0_val, p1_val, p1 = base
     if measure:
-        p0_fine, p1_fine, _ = refined
-        noise_floor = abs(_remainder(float(p_out[m]), p0_fine, p1_fine, d_min)
+        noise_floor = abs(_remainder(*p_out[m:].tolist(), d_min)
                           - _remainder(float(p_out[m - 1]), p0_val, p1_val,
                                        d_min))
     rows = []

@@ -381,16 +381,18 @@ def count_forks(monkeypatch):
 
 
 def count_calls(monkeypatch, *names):
-    """Counts of this process's calls of each named ``convergence``
-    function from now on."""
-    calls = dict.fromkeys(names, 0)
-    for name in names:
-        def counting(*args, real=getattr(convergence, name), name=name):
-            calls[name] += 1
+    """A function that returns the counts of each named ``convergence``
+    function's calls from now on, by this process (``"caller"``) and by
+    its children (``"child"``), which count in shared memory."""
+    parent, counts = os.getpid(), sde._shared((2, len(names)), np.int64)
+    for j, name in enumerate(names):
+        def counting(*args, real=getattr(convergence, name), j=j):
+            counts[int(os.getpid() != parent), j] += 1
             return real(*args)
 
         monkeypatch.setattr(convergence, name, counting)
-    return calls
+    return lambda: {side: dict(zip(names, row.tolist()))
+                    for side, row in zip(("caller", "child"), counts)}
 
 
 def in_process(monkeypatch, sweep, *args, **kwargs):
@@ -451,6 +453,43 @@ def plant_overflow(monkeypatch, plant, node=(20, 2)):
 
     monkeypatch.setattr(convergence, "_full_values", planting_full_values)
     monkeypatch.setattr(hjb._Marcher, "steps", planting_steps)
+
+
+def fail_off_grid(monkeypatch, name, grid):
+    """Make the named ``convergence`` solve raise ``ValueError("refined
+    NAME")`` on any grid but ``grid``."""
+    solve = getattr(convergence, name)
+
+    def call(params_base, payoff, g, *args):
+        if g != grid:
+            raise ValueError(f"refined {name}")
+        return solve(params_base, payoff, g, *args)
+
+    monkeypatch.setattr(convergence, name, call)
+
+
+def in_refined_limit(monkeypatch, grid, act):
+    """Call ``act(k, P)`` at each step ``k`` of the marches that
+    ``_limit_values`` makes on any grid but ``grid``: the refined limit's,
+    or the refined stack of ``P0`` and ``P1``."""
+    limit_values, steps = convergence._limit_values, hjb._Marcher.steps
+    refining = []
+
+    def flagging(params_base, payoff, g, *args):
+        refining.append(g != grid)
+        try:
+            return limit_values(params_base, payoff, g, *args)
+        finally:
+            refining.pop()
+
+    def acting(self):
+        for k, P in steps(self):
+            if any(refining):
+                act(k, P)
+            yield k, P
+
+    monkeypatch.setattr(convergence, "_limit_values", flagging)
+    monkeypatch.setattr(hjb._Marcher, "steps", acting)
 
 
 # Delta lists for sweeps with a given floor: the child marches all but the
@@ -624,26 +663,81 @@ class TestForkedSweeps:
     def test_refined_delta_error_before_refined_limit(self, monkeypatch,
                                                       fork):
         """Both refined solves fail: the refined delta march's error is
-        raised, as one solve after the other raised it, although the
-        refined limit failed first."""
+        raised, as one solve after the other raised it.  Forked, the child
+        makes both refined solves in that plain order, so its refined limit
+        never starts."""
         monkeypatch.setattr(sde, "_fork_ok", lambda: fork)
         params = mk_params()
         grid = mk_grid(params, n_x=49)
-
-        def failing_off_grid(solve, message):
-            def call(params_base, payoff, g, *args):
-                if g != grid:
-                    raise ValueError(message)
-                return solve(params_base, payoff, g, *args)
-            return call
-
         for name in ("_solve_deltas", "_limit_values"):
-            monkeypatch.setattr(convergence, name, failing_off_grid(
-                getattr(convergence, name), f"refined {name}"))
+            fail_off_grid(monkeypatch, name, grid)
         with pytest.raises(ValueError, match="refined _solve_deltas"):
             run_delta_sweep(params, BUTTERFLY, grid, (100.0, -1.0),
                             [0.36, 0.09])
         assert_no_children()
+
+    @pytest.mark.parametrize("failure", ["value_error", "overflow"])
+    @pytest.mark.parametrize("kind", sorted(SWEEPS))
+    def test_refined_limit_error_names_the_smallest_delta(
+            self, forks, monkeypatch, kind, failure):
+        """Only the refined limit fails, by a ValueError on the refined
+        grid or by an overflow in its march: forked and in-process, the
+        sweep raises the plain order's error, the smallest delta named."""
+        params = mk_params()
+        grid = mk_grid(params, n_x=49)
+        if failure == "value_error":
+            fail_off_grid(monkeypatch, "_limit_values", grid)
+        else:
+            def overflowing(k, P):
+                if k == 64:
+                    P[20, ..., 2] = np.finfo(float).max
+
+            in_refined_limit(monkeypatch, grid, overflowing)
+        args = (params, BUTTERFLY, grid, (100.0, -1.0), [0.36, 0.09])
+        err = sweep_error(SWEEPS[kind], *args)
+        want = sweep_error(in_process, monkeypatch, SWEEPS[kind], *args)
+        assert len(forks) == 1
+        assert isinstance(err, ValueError if failure == "value_error"
+                          else NonFiniteError)
+        assert str(err).endswith("(while solving at delta=0.09)")
+        assert error_fields(err) == error_fields(want)
+
+    @pytest.mark.parametrize("failure", ["killed", "wrong_values"])
+    @pytest.mark.parametrize("kind", sorted(SWEEPS))
+    def test_failed_refined_limit_is_redone_in_process(
+            self, forks, monkeypatch, kind, failure):
+        """A child killed during its refined limit, or one that writes
+        wrong values into all three refined slots and then dies, still
+        gives the in-process report."""
+        params = mk_params()
+        grid = mk_grid(params, n_x=149)
+        args = (params, BUTTERFLY, grid, (100.0, -1.0), [0.6, 0.3])
+        want = in_process(monkeypatch, sweep_outcome, SWEEPS[kind], *args)
+        shared, arrays = convergence._shared, []
+
+        def keeping(*a):
+            arrays.append(shared(*a))
+            return arrays[-1]
+
+        monkeypatch.setattr(convergence, "_shared", keeping)
+        parent, steps = os.getpid(), []
+
+        def dying(k, P):
+            if os.getpid() == parent:
+                steps.append(k)
+                return
+            if failure == "killed" and k > 64:
+                return
+            if failure == "wrong_values":
+                arrays[-1][-3:] = -1.0  # the refined P_delta, P0 and P1
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        in_refined_limit(monkeypatch, grid, dying)
+        got = sweep_outcome(SWEEPS[kind], *args)
+        assert len(forks) == 1
+        assert_no_children()
+        assert got == want
+        assert steps  # the parent marched the refined limit itself
 
     @pytest.mark.parametrize("failure", ["killed", "wrong_values"])
     def test_failed_child_is_redone_in_process(self, forks, monkeypatch,
@@ -708,8 +802,9 @@ class TestForkedSweeps:
     def test_successful_sweep_never_replays(self, monkeypatch, fork, floor,
                                             deltas, solves):
         """In-process, a sweep makes ``solves`` delta marches and one limit
-        solve per grid; forked, the caller makes all but the child's delta
-        march, so no plain order is replayed after a success."""
+        solve per grid; forked, the child makes one delta march and, with
+        the floor measured, the refined limit after it, and the caller the
+        rest, so no plain order is replayed after a success."""
         monkeypatch.setattr(sde, "_fork_ok", lambda: fork)
         calls = count_calls(monkeypatch, "_solve_deltas", "_limit_values")
         params = mk_params()
@@ -717,8 +812,14 @@ class TestForkedSweeps:
                       mk_grid(params, n_x=49), (100.0, -1.0), deltas,
                       noise_floor=floor)
         assert_no_children()
-        assert calls == {"_solve_deltas": solves - fork,
-                         "_limit_values": 1 if floor else 2}
+        child = {"_solve_deltas": int(fork),
+                 "_limit_values": int(fork and floor is None)}
+        assert calls() == {
+            "caller": {"_solve_deltas": solves - child["_solve_deltas"],
+                       "_limit_values": (1 if floor else 2)
+                       - child["_limit_values"]},
+            "child": child,
+        }
 
     @pytest.mark.parametrize("fork", [True, False])
     @pytest.mark.parametrize("floor, deltas", [(None, [0.6, 0.3]),
