@@ -199,7 +199,6 @@ def simulate_2bsde_residual(
     n_steps: int,
     seed: int,
     payoff: PiecewiseLinearPayoff | None = None,
-    normals: dict | None = None,
 ) -> BsdeResidualReport:
     """Forward-simulate the backward representation and report the residual.
 
@@ -215,8 +214,6 @@ def simulate_2bsde_residual(
 
     The retained slices must be at least as dense in time as the
     simulation steps or all be kept, so a read never skips a level.
-    ``normals`` are standard normals of the batch drawn ahead, as
-    :meth:`sde._DrawAhead.ready` returns them; the call spends them.
     """
     grid = surface.grid
     x0, v0 = float(x_tilde0[0]), float(x_tilde0[1])
@@ -269,7 +266,7 @@ def simulate_2bsde_residual(
 
     # Independent increments (rho = 0).  A half of up to _CHUNK_CELLS cells
     # marches as one chunk, so each process derives every slice's Greeks once.
-    _march_chunks(0.0, n_paths, n_steps, dt, seed, False, march, normals)
+    _march_chunks(0.0, n_paths, n_steps, dt, seed, False, march)
     n_used = int(np.count_nonzero(alive_out))
     if n_used == 0:
         raise RuntimeError(

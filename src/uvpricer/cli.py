@@ -22,7 +22,7 @@ from .config import RunConfig, apply_override, config_hash, load_config
 from .convergence import corrector_sweep, run_delta_sweep
 from .errors import ConfigError, FitError, NonFiniteError, PoleError, StabilityError
 from .hjb import _surface, min_time_steps, solve_bsb_1d, solve_hjb_2d
-from .sde import _DrawAhead, _Job, _shared, _simulate
+from .sde import _Job, _shared, _simulate
 from .surface import _write_json
 
 
@@ -39,8 +39,9 @@ def _resolve_grid(cfg: RunConfig, kind: str, delta: float | None = None,
 
 def _with_limit(params, payoff, grid, cell_average_terminal):
     """:func:`solve_hjb_2d` and :func:`solve_bsb_1d` on ``grid``, the first
-    in a forked :class:`sde._Job` beside the second; any failure replays the
-    two solves in this process, which raise in their order."""
+    in a forked :class:`sde._Job` beside the second; with no child, or
+    after any failure, the two solves run in this process, which raise in
+    their order."""
     kw = dict(cell_average_terminal=cell_average_terminal)
     full = _shared((2, grid.n_x + 2, grid.n_v))
 
@@ -49,9 +50,10 @@ def _with_limit(params, payoff, grid, cell_average_terminal):
 
     job = _Job(solve_full, full)
     try:
-        p0 = solve_bsb_1d(params, payoff, grid, **kw)
-        job.wait()
-        return _surface(full, grid, params, "full_delta", (0, grid.n_t)), p0
+        if job.forked:
+            p0 = solve_bsb_1d(params, payoff, grid, **kw)
+            job.wait()
+            return _surface(full, grid, params, "full_delta", (0, grid.n_t)), p0
     except Exception:
         pass
     finally:
@@ -207,23 +209,14 @@ def cmd_check2bsde(cfg: RunConfig, out: Path, chash: str) -> None:
     x0, v0 = block.point
     _check_residual_run(cfg.grid, x0, v0, block.n_paths, block.n_steps,
                         cfg.seed)
-    kept = 2 * block.n_steps + 1
-    normals = {}
-    if block.surface == "full_delta":
-        grid = _resolve_grid(cfg, "full", n_steps=block.n_steps)
-        # The draws read no surface, so a forked job makes them while the
-        # 2-D solve runs.  The limit solve is shorter than the draws.
-        with _DrawAhead(cfg.seed, block.n_paths, block.n_steps) as draws:
-            surface = solve_hjb_2d(cfg.model, cfg.payoff, grid,
-                                   store_slices=True, max_kept_slices=kept)
-            normals = draws.ready()
-    else:
-        grid = _resolve_grid(cfg, "bsb", n_steps=block.n_steps)
-        surface = solve_bsb_1d(cfg.model, cfg.payoff, grid, store_slices=True,
-                               max_kept_slices=kept)
+    full = block.surface == "full_delta"
+    solve, kind = (solve_hjb_2d, "full") if full else (solve_bsb_1d, "bsb")
+    grid = _resolve_grid(cfg, kind, n_steps=block.n_steps)
+    surface = solve(cfg.model, cfg.payoff, grid, store_slices=True,
+                    max_kept_slices=2 * block.n_steps + 1)
     report = simulate_2bsde_residual(
         surface, cfg.model, (x0, v0), block.n_paths, block.n_steps,
-        cfg.seed, payoff=cfg.payoff, normals=normals,
+        cfg.seed, payoff=cfg.payoff,
     )
     value = surface.value_at(0, x0, v0)
     report.to_json(out / "bsde_report.json",
@@ -235,7 +228,7 @@ def cmd_check2bsde(cfg: RunConfig, out: Path, chash: str) -> None:
     print(f"y0_fd = {report.y0_fd!r}")
     print(f"y0_mean = {report.y0_mean!r}")
     print(f"terminal_residual_rms = {report.terminal_residual_rms!r}")
-    value_key = "p_delta" if block.surface == "full_delta" else "p0"
+    value_key = "p_delta" if full else "p0"
     _write_summary(out, "check2bsde", chash, cfg,
                    **{value_key: value},
                    details=dict(report.as_dict(), surface=block.surface,

@@ -31,14 +31,7 @@ from .hjb import (
     solve_hjb_2d,
 )
 from .model import GridSpec, ModelParams, PiecewiseLinearPayoff
-from .sde import (
-    _check_run,
-    _DrawAhead,
-    _Job,
-    _march_paths,
-    _mean_and_se,
-    _shared,
-)
+from .sde import _check_run, _Job, _march_paths, _mean_and_se, _shared
 from .surface import (
     PriceSurface,
     _bilinear_read,
@@ -284,7 +277,8 @@ def _sweep(params_base, payoff, grid, point, deltas, cell_average_terminal,
     all but the smallest ``(m - 1) // 2`` of the ``m`` deltas, as the
     limit costs about one lone delta march.  Any failure kills the job
     and replays the plain order here, which raises its error or, after a
-    one-off failure, returns its numbers.
+    one-off failure, returns its numbers.  With no child, the plain order
+    runs here once.
     """
     ds = _check_sweep_inputs(grid, point, deltas, noise_floor)
     x0, v0 = float(point[0]), float(point[1])
@@ -316,20 +310,22 @@ def _sweep(params_base, payoff, grid, point, deltas, cell_average_terminal,
     # ds[:split] and the caller ds[split:].
     p_out = _shared((m + 3,))
     split = 0 if measure else m - (m - 1) // 2
+    base = None
     job = (_Job(refine, p_out[m:]) if measure
            else _Job(march, grid, 0, split, p_out[:split]))
     try:
-        base = limit(grid, ds[0])
-        if split < m:
-            march(grid, split, m, p_out[split:m])
-        job.wait()
+        if job.forked:
+            base = limit(grid, ds[0])
+            if split < m:
+                march(grid, split, m, p_out[split:m])
+            job.wait()
     except Exception:
         # Answered by the replay: its own error, or its numbers.
         base = None
     finally:
         job.cancel()
     if base is None:
-        # The plain order, in this process.
+        # The plain order, in this process: with no child, its only run.
         base = limit(grid, ds[0])
         march(grid, 0, m, p_out[:m])
         if measure:
@@ -558,16 +554,9 @@ def feynman_kac_terms(
     if p_delta is not None and p_delta.params != params_d:
         raise ValueError("parameter mismatch with the p_delta surface (it "
                          f"must be solved under params at delta={delta!r})")
-    normals = {}
     if p_delta is None:
-        # The draws read no surface, so a forked job makes them while the
-        # 2-D solve runs.
-        with _DrawAhead(seed, n_paths, n_steps) as draws:
-            p_delta = solve_hjb_2d(
-                params_d, payoff, grid, store_slices=True,
-                max_kept_slices=2 * n_steps + 1,
-            )
-            normals = draws.ready()
+        p_delta = solve_hjb_2d(params_d, payoff, grid, store_slices=True,
+                               max_kept_slices=2 * n_steps + 1)
     _require_dense_slices(p_delta, n_steps, "p_delta")
 
     greeks_d, greeks_0, greeks_1 = (
@@ -624,7 +613,7 @@ def feynman_kac_terms(
         return visit
 
     _march_paths(params_d, x0, v0, policy, n_paths, n_steps, grid.T, seed,
-                 consumer, normals)
+                 consumer)
     (i0, i0_se), (i1, i1_se), *higher = map(_mean_and_se, acc)
     extra = {}
     for name, (value, std_error) in zip(("i2", "i3"), higher):

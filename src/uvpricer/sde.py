@@ -172,6 +172,11 @@ class _Job:
                 os._exit(status)
         self._pid = pid
 
+    @property
+    def forked(self) -> bool:
+        """Whether a child runs ``fn`` and is not yet reaped."""
+        return self._pid is not None
+
     def _reap(self, kill: bool) -> int:
         if kill:
             os.kill(self._pid, signal.SIGKILL)
@@ -205,14 +210,6 @@ def _shared(shape, dtype=float) -> np.ndarray:
 _FORK_MIN_PATHS = 1024
 
 
-def _halves(n_paths: int) -> list[tuple[int, int]]:
-    """The ``(first, count)`` path ranges :func:`_in_halves` runs."""
-    h = n_paths // 2
-    if h < _FORK_MIN_PATHS or not _fork_ok():
-        return [(0, n_paths)]
-    return [(0, h), (h, n_paths - h)]
-
-
 def _in_halves(n_paths: int, work) -> None:
     """``work(first, count)`` over paths ``0 .. n_paths - 1``, on both CPUs.
 
@@ -226,13 +223,13 @@ def _in_halves(n_paths: int, work) -> None:
     redone here, so its error is raised as the caller's; an error in the
     first half kills and reaps the child.
     """
-    first_half, *rest = _halves(n_paths)
-    if not rest:
-        work(*first_half)
+    h = n_paths // 2
+    if h < _FORK_MIN_PATHS or not _fork_ok():
+        work(0, n_paths)
         return
-    job = _Job(work, *rest[0])
+    job = _Job(work, h, n_paths - h)
     try:
-        work(*first_half)
+        work(0, h)
         job.wait()
     finally:
         job.cancel()
@@ -254,7 +251,7 @@ def _chunks(n_paths: int, n_steps: int, parallel: bool) -> list[tuple[int, int]]
 
 
 def _march_chunks(rho: float, n_paths: int, n_steps: int, dt: float,
-                  seed: int, parallel: bool, march, normals=None) -> None:
+                  seed: int, parallel: bool, march) -> None:
     """Call ``march(first, count, dw1, dw2)`` once per path chunk.
 
     ``dw1`` and ``dw2`` are the asset and factor Brownian increments,
@@ -266,20 +263,11 @@ def _march_chunks(rho: float, n_paths: int, n_steps: int, dt: float,
     call only; ``march`` must then write only its own path slice.
     Otherwise each of :func:`_in_halves` runs its chunks in path order,
     and ``march`` writes only its own rows of :func:`_shared` arrays.
-
-    ``normals`` maps a chunk's ``(first, count)`` to its standard normals
-    drawn ahead (:class:`_DrawAhead`): a :func:`_shared` array of shape
-    ``(2, n_steps, count)`` that ``normal_increments(seed, count, n_steps,
-    first_path=first, out=...)`` filled.  Such a chunk scales and
-    correlates its normals in place instead of drawing into a workspace.
-    They are spent once: a half redone after its child failed draws them
-    again.
+    This is the one place that turns a seed and a path range into
+    Brownian increments.
     """
     sq_dt = math.sqrt(dt)
     rho_perp_dt = math.sqrt(max(0.0, 1.0 - rho * rho)) * sq_dt
-    normals = normals or {}
-    # Whether the chunk starting at each path has spent its normals.
-    spent = _shared((n_paths,), bool) if normals else None
 
     def run_paths(first_path, n):
         chunks = [(first_path + lo, count)
@@ -288,26 +276,17 @@ def _march_chunks(rho: float, n_paths: int, n_steps: int, dt: float,
         # One step-major workspace per worker, allocated on this thread and
         # handed out through a queue, so pool threads allocate only row-sized
         # temporaries and their arenas do not keep chunk-sized blocks.
+        width = max(count for _, count in chunks)
         spaces = queue.SimpleQueue()
-        widths = [count for first, count in chunks
-                  if (first, count) not in normals]
-        if widths:
-            for _ in range(min(_WORKERS, len(widths)) if pooled else 1):
-                spaces.put(np.empty((2, n_steps, max(widths))))
+        for _ in range(min(_WORKERS, len(chunks)) if pooled else 1):
+            spaces.put(np.empty((2, n_steps, width)))
 
         def run(chunk):
             first, count = chunk
-            z = normals.get(chunk)
-            if z is None:
-                space = spaces.get()
-                z, fresh = space[:, :, :count], False
-            else:
-                space, fresh = None, not spent[first]
-                spent[first] = True
+            space = spaces.get()
             try:
-                if not fresh:
-                    normal_increments(seed, count, n_steps, first_path=first,
-                                      out=z)
+                z = space[:, :, :count]
+                normal_increments(seed, count, n_steps, first_path=first, out=z)
                 dw1, dw2 = z
                 np.multiply(dw1, sq_dt, out=dw1)
                 np.multiply(dw2, rho_perp_dt, out=dw2)
@@ -315,8 +294,7 @@ def _march_chunks(rho: float, n_paths: int, n_steps: int, dt: float,
                     dw2[k] += rho * dw1[k]
                 march(first, count, dw1, dw2)
             finally:
-                if space is not None:
-                    spaces.put(space)
+                spaces.put(space)
 
         if pooled:
             with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
@@ -329,51 +307,6 @@ def _march_chunks(rho: float, n_paths: int, n_steps: int, dt: float,
         run_paths(0, n_paths)
     else:
         _in_halves(n_paths, run_paths)
-
-
-def _draw(seed: int, normals: dict) -> None:
-    """Fill each ``(first, count)`` entry of ``normals`` with the standard
-    normals of those paths."""
-    for (first, count), out in normals.items():
-        normal_increments(seed, count, out.shape[1], first_path=first, out=out)
-
-
-class _DrawAhead:
-    """A batch's standard normals, drawn by a :class:`_Job` while the
-    caller does other work, such as the solve its paths read.
-
-    Philox gives each ``(seed, path, step)`` its own counter, so the draws
-    read nothing the caller computes.  Only a batch within one chunk
-    budget (``n_paths * n_steps <= _CHUNK_CELLS``) is drawn ahead, into
-    one :func:`_shared` array per path half of :func:`_in_halves`, which
-    then holds what that half's workspace would.  Each half's array is a
-    mapping of its own, so a process reading its half maps no page of
-    the other.  :meth:`ready` reaps the job, redoing a failed draw
-    in-process, and returns the ``normals`` of :func:`_march_chunks`:
-    empty for a larger batch, which draws as it marches.  Call it before
-    the march forks its path halves, so no more than two processes run.
-    Leaving the ``with`` block kills and reaps a job not yet reaped.
-    """
-
-    def __init__(self, seed: int, n_paths: int, n_steps: int):
-        self._normals, self._job = {}, None
-        if n_paths * n_steps <= _CHUNK_CELLS:
-            self._normals = {(first, count): _shared((2, n_steps, count))
-                             for first, count in _halves(n_paths)}
-            self._job = _Job(_draw, seed, self._normals)
-
-    def ready(self) -> dict:
-        if self._job is not None:
-            self._job.wait()
-            self._job = None
-        return self._normals
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        if self._job is not None:
-            self._job.cancel()
 
 
 def _log_x_step(params: ModelParams, q, ev, dt: float, dw1):
@@ -406,8 +339,7 @@ def _control(params: ModelParams, q_policy, x0: float, v0: float,
 
 
 def _march_paths(params: ModelParams, x0: float, v0: float, q, n_paths: int,
-                 n_steps: int, T: float, seed: int, consumer,
-                 normals=None) -> None:
+                 n_steps: int, T: float, seed: int, consumer) -> None:
     """Stream the Euler march of ``(X, V)`` under ``q`` to ``consumer``.
 
     A fixed multiplier ``q`` (a float) runs its chunks on the thread pool;
@@ -416,7 +348,6 @@ def _march_paths(params: ModelParams, x0: float, v0: float, q, n_paths: int,
     consumer(rows, dw)`` and calls ``visit(k, x, v)`` with the stored state
     at each step ``k = 0 .. n_steps``: ``x0``, then ``exp(log_x)``.  Rows
     ``0 .. k - 1`` of its increments ``dw`` are spent, free to overwrite.
-    ``normals`` are drawn ahead, as :func:`_march_chunks` takes them.
     """
     dt = T / n_steps
     fixed = isinstance(q, float)
@@ -436,8 +367,7 @@ def _march_paths(params: ModelParams, x0: float, v0: float, q, n_paths: int,
             x = np.exp(log_x)
         visit(n_steps, x, v)
 
-    _march_chunks(params.rho, n_paths, n_steps, dt, seed, fixed, march,
-                  normals)
+    _march_chunks(params.rho, n_paths, n_steps, dt, seed, fixed, march)
 
 
 def simulate_paths(

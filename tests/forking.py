@@ -53,11 +53,3 @@ def in_process_peak(call, *args, **kwargs):
         finally:
             tracemalloc.stop()
 
-
-def draw_as_marching(mp):
-    """Patch :class:`sde._DrawAhead` to draw nothing ahead, so every chunk
-    of the march draws its own normals, as without the draw job."""
-    def init(self, seed, n_paths, n_steps):
-        self._normals, self._job = {}, None
-
-    mp.setattr(sde._DrawAhead, "__init__", init)

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pathlib
+import signal
 import subprocess
 import sys
 import tempfile
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import uvpricer.hjb as hjb
-from uvpricer import cli, sde
+from uvpricer import bsde, cli, sde
 from uvpricer.analytic import bs_call
 from uvpricer.cli import main
 from uvpricer.config import (
@@ -27,7 +28,7 @@ from uvpricer.config import (
 from uvpricer.errors import ConfigError, NonFiniteError
 from uvpricer.sde import simulate_paths
 
-from forking import assert_no_children, draw_as_marching, forked, in_process_peak
+from forking import assert_no_children, forked, in_process_peak
 
 
 def base_doc(out_dir):
@@ -247,6 +248,30 @@ class TestOverrideRoundTrip:
 
 
 class TestPriceCommand:
+    def test_failing_full_solve_is_made_once_without_a_child(
+            self, tmp_path, monkeypatch, capsys):
+        """With no child, a failing full solve is made once, as the first
+        of the two solves in their order, and nothing is replayed."""
+        monkeypatch.setattr(sde, "_fork_ok", lambda: False)
+        calls = []
+
+        def failing_solve(*args, **kwargs):
+            calls.append("full")
+            raise NonFiniteError("NaN at step 3", time_index=3)
+
+        def counting_bsb(*args, real=cli.solve_bsb_1d, **kwargs):
+            calls.append("bsb")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "solve_hjb_2d", failing_solve)
+        monkeypatch.setattr(cli, "solve_bsb_1d", counting_bsb)
+        config = (pathlib.Path(__file__).resolve().parents[1] / "configs"
+                  / "quickstart.json")
+        assert main(["price", "--config", str(config), "--out",
+                     str(tmp_path / "out")]) == 2
+        assert "NaN at step 3" in capsys.readouterr().err
+        assert calls == ["full"]
+
     def test_price_writes_artifacts_and_summary(self, tmp_path, capsys):
         """The price command prints values and persists hashed artifacts."""
         out = tmp_path / "out"
@@ -623,12 +648,10 @@ class TestCheck2bsdeCommand:
         assert not out.exists()
 
 
-def check2bsde_artifacts(doc, fork, ahead):
+def check2bsde_artifacts(doc, fork):
     """``(exit code, bsde_report.json and summary.json bytes, forks)`` of
-    the check2bsde command on ``doc``, with the draw job or without it."""
+    the check2bsde command on ``doc``, forked or in-process."""
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-        if not ahead:
-            draw_as_marching(mp)
         # The same relative out_dir every run, so the config hash is too.
         mp.chdir(tmp)
         path = write_doc(pathlib.Path(tmp), dict(doc, out_dir="out"))
@@ -648,80 +671,75 @@ def check2bsde_doc(surface="full_delta", n_paths=300, n_steps=16, seed=7):
 
 
 class TestCheck2bsdeDrawAhead:
+    """The check's path halves draw their own normals as they march: only
+    the second half forks, after the solve."""
+
     @settings(max_examples=10, deadline=None)
     @given(n_paths=st.sampled_from([1, 2, 41]) | st.integers(1, 200),
            n_steps=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
-    def test_drawn_ahead_equals_drawn_while_marching(self, n_paths, n_steps,
-                                                     seed):
-        """On a full_delta surface the artifacts are the same bytes with
-        the draw job beside the solve and without it, forked and
-        in-process; the job is reaped before a path half forks."""
+    def test_forked_equals_in_process(self, n_paths, n_steps, seed):
+        """On a full_delta surface the artifacts are the same bytes forked
+        and in-process."""
         doc = check2bsde_doc(n_paths=n_paths, n_steps=n_steps, seed=seed)
         runs = []
-        for ahead in (True, False):
-            for fork in (True, False):
-                rc, artifacts, n_forks = check2bsde_artifacts(doc, fork, ahead)
-                assert n_forks == fork * (ahead + (n_paths >= 2))
-                runs.append((rc, artifacts))
+        for fork in (True, False):
+            rc, artifacts, n_forks = check2bsde_artifacts(doc, fork)
+            assert n_forks == fork * (n_paths >= 2)
+            runs.append((rc, artifacts))
         assert_no_children()
         assert runs[0][0] in (0, 2)
-        assert all(run == runs[0] for run in runs)
+        assert runs[0] == runs[1]
 
-    def test_failed_draw_child_is_redone_in_process(self, monkeypatch):
-        """A draw child that scribbles on the normals and exits 3 is
-        redone in-process, with the artifacts drawn while marching."""
+    def test_killed_half_is_redone_in_process(self, monkeypatch):
+        """A path half SIGKILLed halfway through its march is redone
+        in-process, with the in-process artifacts."""
         doc = check2bsde_doc(n_paths=3000, n_steps=24)
-        want = check2bsde_artifacts(doc, fork=True, ahead=False)[:2]
-        parent = os.getpid()
-        draw = sde._draw
+        want = check2bsde_artifacts(doc, fork=False)[:2]
+        parent, reads = os.getpid(), []
+        bilinear_read = bsde._bilinear_read
 
-        def failing(seed, normals):
-            if os.getpid() != parent:
-                for out in normals.values():
-                    out[...] = 7.0
-                os._exit(3)
-            draw(seed, normals)
+        def dying(*args):
+            reads.append(1)
+            if os.getpid() != parent and len(reads) == 40:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return bilinear_read(*args)
 
-        monkeypatch.setattr(sde, "_draw", failing)
-        rc, artifacts, n_forks = check2bsde_artifacts(doc, fork=True,
-                                                      ahead=True)
-        assert n_forks == 2  # the draw job, then one path half
+        monkeypatch.setattr(bsde, "_bilinear_read", dying)
+        rc, artifacts, n_forks = check2bsde_artifacts(doc, fork=True)
+        assert n_forks == 1
         assert_no_children()
         assert (rc, artifacts) == want
         assert rc == 0
 
-    @pytest.mark.parametrize("surface, want_forks", [("full_delta", 2),
+    @pytest.mark.parametrize("surface, want_forks", [("full_delta", 1),
                                                      ("limit_p0", 1)])
     def test_forks(self, surface, want_forks):
-        """A full_delta check forks the draw job and one path half, one
-        after the other; a limit_p0 check forks only its path half."""
+        """A check on either surface forks one path half."""
         rc, _, n_forks = check2bsde_artifacts(
-            check2bsde_doc(surface, n_paths=3000, n_steps=24), fork=True,
-            ahead=True)
+            check2bsde_doc(surface, n_paths=3000, n_steps=24), fork=True)
         assert rc == 0
         assert n_forks == want_forks
         assert_no_children()
 
     def test_stability_failure_leaves_no_child(self, capsys):
-        """A solve refused by the stability gate kills and reaps the draw
-        job and exits 2."""
+        """A solve refused by the stability gate exits 2 before any child
+        forks."""
         doc = check2bsde_doc(n_paths=3000, n_steps=24)
         doc["grid"]["n_t"] = 10
-        rc, _, n_forks = check2bsde_artifacts(doc, fork=True, ahead=True)
-        assert (rc, n_forks) == (2, 1)
+        rc, _, n_forks = check2bsde_artifacts(doc, fork=True)
+        assert (rc, n_forks) == (2, 0)
         assert "stability bound" in capsys.readouterr().err
         assert_no_children()
 
     def test_non_finite_solve_leaves_no_child(self, monkeypatch, capsys):
-        """A solve that turns non-finite kills and reaps the draw job and
-        exits 2."""
+        """A solve that turns non-finite exits 2 before any child forks."""
         def failing_solve(*args, **kwargs):
             raise NonFiniteError("NaN at step 3", time_index=3)
 
         monkeypatch.setattr(cli, "solve_hjb_2d", failing_solve)
         rc, _, n_forks = check2bsde_artifacts(
-            check2bsde_doc(n_paths=3000, n_steps=24), fork=True, ahead=True)
-        assert (rc, n_forks) == (2, 1)
+            check2bsde_doc(n_paths=3000, n_steps=24), fork=True)
+        assert (rc, n_forks) == (2, 0)
         assert "NaN at step 3" in capsys.readouterr().err
         assert_no_children()
 

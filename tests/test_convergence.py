@@ -32,7 +32,7 @@ from uvpricer.sde import coupled_payoff_gap, simulate_paths
 from uvpricer.surface import _SliceMemo, greeks, optimal_control_field
 
 from bilinear_reference import gather_read, gather_weights
-from forking import assert_no_children, draw_as_marching, forked, in_process_peak
+from forking import assert_no_children, forked, in_process_peak
 
 
 def mk_params(**overrides):
@@ -801,10 +801,11 @@ class TestForkedSweeps:
     ])
     def test_successful_sweep_never_replays(self, monkeypatch, fork, floor,
                                             deltas, solves):
-        """In-process, a sweep makes ``solves`` delta marches and one limit
-        solve per grid; forked, the child makes one delta march and, with
-        the floor measured, the refined limit after it, and the caller the
-        rest, so no plain order is replayed after a success."""
+        """In-process, a sweep runs the plain order once: one stacked
+        march of its deltas and one limit solve per grid.  Forked, it makes
+        ``solves`` delta marches: the child one and, with the floor
+        measured, the refined limit after it, and the caller the rest, so
+        no plain order is replayed after a success."""
         monkeypatch.setattr(sde, "_fork_ok", lambda: fork)
         calls = count_calls(monkeypatch, "_solve_deltas", "_limit_values")
         params = mk_params()
@@ -812,14 +813,27 @@ class TestForkedSweeps:
                       mk_grid(params, n_x=49), (100.0, -1.0), deltas,
                       noise_floor=floor)
         assert_no_children()
+        grids = 1 if floor else 2
         child = {"_solve_deltas": int(fork),
                  "_limit_values": int(fork and floor is None)}
-        assert calls() == {
-            "caller": {"_solve_deltas": solves - child["_solve_deltas"],
-                       "_limit_values": (1 if floor else 2)
-                       - child["_limit_values"]},
-            "child": child,
-        }
+        caller = ({"_solve_deltas": solves - 1, "_limit_values": 1} if fork
+                  else {"_solve_deltas": grids, "_limit_values": grids})
+        assert calls() == {"caller": caller, "child": child}
+
+    @pytest.mark.parametrize("kind", sorted(SWEEPS))
+    def test_no_child_runs_the_plain_order_once(self, monkeypatch, kind):
+        """With no child, a sweep whose refined limit raises makes each
+        solve of the plain order once and raises its error: nothing is
+        replayed."""
+        monkeypatch.setattr(sde, "_fork_ok", lambda: False)
+        params = mk_params()
+        grid = mk_grid(params, n_x=49)
+        fail_off_grid(monkeypatch, "_limit_values", grid)
+        calls = count_calls(monkeypatch, "_solve_deltas", "_limit_values")
+        with pytest.raises(ValueError, match="refined _limit_values"):
+            SWEEPS[kind](params, BUTTERFLY, grid, (100.0, -1.0), [0.36, 0.09])
+        assert_no_children()
+        assert calls()["caller"] == {"_solve_deltas": 2, "_limit_values": 2}
 
     @pytest.mark.parametrize("fork", [True, False])
     @pytest.mark.parametrize("floor, deltas", [(None, [0.6, 0.3]),
@@ -827,9 +841,10 @@ class TestForkedSweeps:
     @pytest.mark.parametrize("kind", sorted(SWEEPS))
     def test_one_off_failure_is_replayed(self, monkeypatch, kind, fork,
                                          floor, deltas):
-        """The caller's first delta march raises once: the sweep kills the
-        child, replays the plain order here and returns the in-process
-        report."""
+        """The caller's first delta march raises once.  Forked, the sweep
+        kills the child, replays the plain order here and returns the
+        in-process report; with no child, the plain order runs once and
+        raises the error."""
         params = mk_params()
         args = (params, BUTTERFLY, mk_grid(params, n_x=149), (100.0, -1.0),
                 deltas)
@@ -847,10 +862,13 @@ class TestForkedSweeps:
             solve(*a)
 
         monkeypatch.setattr(convergence, "_solve_deltas", failing_once)
-        got = sweep_outcome(SWEEPS[kind], *args, noise_floor=floor)
+        if fork:
+            assert sweep_outcome(SWEEPS[kind], *args, noise_floor=floor) == want
+        else:
+            with pytest.raises(MemoryError, match="one-off"):
+                SWEEPS[kind](*args, noise_floor=floor)
         assert_no_children()
         assert failed and len(started) == fork
-        assert got == want
 
     def test_sweep_forks_after_a_fixed_q_simulation(self, monkeypatch):
         """A fixed-q simulation and a coupled gap leave no pool thread
@@ -1117,83 +1135,35 @@ class TestFeynmanKacTerms:
     @given(n_paths=st.sampled_from([1, 2, 41]) | st.integers(1, 90),
            n_steps=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
            include_higher=st.booleans())
-    def test_drawn_ahead_equals_drawn_while_marching(
+    def test_own_solve_forked_equals_in_process(
         self, n_paths, n_steps, seed, include_higher
     ):
-        """With its own solve, the terms are the same whether a job draws
-        the normals beside the solve or the march draws them, forked or
-        in-process; the draw job is reaped before a path half forks."""
+        """With its own solve, the terms are the same forked and
+        in-process; only a path half forks, after the solve."""
         kwargs = dict(n_paths=n_paths, n_steps=n_steps, seed=seed,
                       include_higher=include_higher)
         reports = []
-        for ahead in (True, False):
-            for fork in (True, False):
-                with pytest.MonkeyPatch.context() as mp:
-                    if not ahead:
-                        draw_as_marching(mp)
-                    report, n_forks = forked(fork, self.run_terms, **kwargs)
-                reports.append(report)
-                assert n_forks == fork * (ahead + (n_paths >= 2))
+        for fork in (True, False):
+            report, n_forks = forked(fork, self.run_terms, **kwargs)
+            reports.append(report)
+            assert n_forks == fork * (n_paths >= 2)
         assert_no_children()
-        assert all(report == reports[0] for report in reports)
-
-    def test_failed_draw_child_is_redone_in_process(self, monkeypatch):
-        """A draw job whose child scribbles on the normals and exits 3 is
-        redone in-process: the report is the one drawn while marching."""
-        kwargs = dict(n_paths=301, n_steps=12, include_higher=True)
-        with pytest.MonkeyPatch.context() as mp:
-            draw_as_marching(mp)
-            want, _ = forked(True, self.run_terms, **kwargs)
-        parent = os.getpid()
-        draw = sde._draw
-
-        def failing(seed, normals):
-            if os.getpid() != parent:
-                for out in normals.values():
-                    out[...] = 7.0
-                os._exit(3)
-            draw(seed, normals)
-
-        monkeypatch.setattr(sde, "_draw", failing)
-        got, n_forks = forked(True, self.run_terms, **kwargs)
-        assert n_forks == 2  # the draw job, then one path half
-        assert_no_children()
-        assert got == want
-
-    def test_killed_half_draws_its_spent_normals_again(self, monkeypatch):
-        """A path half SIGKILLed after scaling its drawn-ahead normals in
-        place is redone from a fresh draw of them: the report is the
-        in-process one."""
-        kwargs = dict(n_paths=301, n_steps=12, include_higher=True)
-        want, _ = forked(False, self.run_terms, **kwargs)
-        parent = os.getpid()
-        reads = []
-        bilinear_read = convergence._bilinear_read
-
-        def dying(*args):
-            reads.append(1)
-            if os.getpid() != parent and len(reads) == 40:
-                os.kill(os.getpid(), signal.SIGKILL)
-            return bilinear_read(*args)
-
-        monkeypatch.setattr(convergence, "_bilinear_read", dying)
-        got, n_forks = forked(True, self.run_terms, **kwargs)
-        assert n_forks == 2  # the draw job, then one path half
-        assert_no_children()
-        assert got == want
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("error", [
         StabilityError("n_t too small", min_time_steps=10),
         NonFiniteError("NaN at step 3", time_index=3),
     ])
     def test_failed_solve_leaves_no_child(self, monkeypatch, error):
-        """A solve that raises kills and reaps the draw job beside it."""
+        """A solve that raises does so before any child forks."""
         def failing_solve(*args, **kwargs):
             raise error
 
         monkeypatch.setattr(convergence, "solve_hjb_2d", failing_solve)
+        started = count_forks(monkeypatch)
         with pytest.raises(type(error)):
             forked(True, self.run_terms)
+        assert started == []
         assert_no_children()
 
     def test_terms_peak_below_one_path_array(self, monkeypatch):

@@ -1,7 +1,7 @@
 """The README's *One child contract*, *Threads versus processes* and *One
 explicit march*, read off the package source with ``ast``: each of
-``os.fork``, the thread pool, anonymous shared memory and the tridiagonal
-kernel has one owner."""
+``os.fork``, the thread pool, anonymous shared memory, the Brownian
+increments and the tridiagonal kernel has one owner."""
 
 import ast
 import os
@@ -55,6 +55,7 @@ def uses(module, name):
     ("os", "fork", ("sde", ("_Job", "__init__"))),
     ("concurrent.futures", "ThreadPoolExecutor", ("sde", ("_march_chunks",))),
     ("mmap", "mmap", ("sde", ("_shared",))),
+    ("rng", "normal_increments", ("sde", ("_march_chunks",))),
 ])
 def test_one_owner(module, name, owner):
     """``module.name`` is used, and only inside its owner (or a function
