@@ -40,8 +40,8 @@ def _resolve_grid(cfg: RunConfig, kind: str, delta: float | None = None,
 def _with_limit(params, payoff, grid, cell_average_terminal):
     """:func:`solve_hjb_2d` and :func:`solve_bsb_1d` on ``grid``, the first
     in a forked :class:`sde._Job` beside the second; with no child, or
-    after any failure, the two solves run in this process, which raise in
-    their order."""
+    after any failure (the child's too), the two solves run in this
+    process once, which raise in their order."""
     kw = dict(cell_average_terminal=cell_average_terminal)
     full = _shared((2, grid.n_x + 2, grid.n_v))
 
@@ -52,8 +52,8 @@ def _with_limit(params, payoff, grid, cell_average_terminal):
     try:
         if job.forked:
             p0 = solve_bsb_1d(params, payoff, grid, **kw)
-            job.wait()
-            return _surface(full, grid, params, "full_delta", (0, grid.n_t)), p0
+            if job.wait():
+                return _surface(full, grid, params, "full_delta", (0, grid.n_t)), p0
     except Exception:
         pass
     finally:

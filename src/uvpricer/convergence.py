@@ -275,10 +275,10 @@ def _sweep(params_base, payoff, grid, point, deltas, cell_average_terminal,
     ``P1``), 103 + 72 ms on the ``pde_sweep`` grid against the caller's
     39 + 153 ms for the limit and the delta stack; with the floor given,
     all but the smallest ``(m - 1) // 2`` of the ``m`` deltas, as the
-    limit costs about one lone delta march.  Any failure kills the job
-    and replays the plain order here, which raises its error or, after a
-    one-off failure, returns its numbers.  With no child, the plain order
-    runs here once.
+    limit costs about one lone delta march.  Any failure, the child's
+    included, ends the job and replays the plain order here once, which
+    raises its error or, after a one-off failure, returns its numbers.
+    With no child, the plain order runs here once.
     """
     ds = _check_sweep_inputs(grid, point, deltas, noise_floor)
     x0, v0 = float(point[0]), float(point[1])
@@ -318,7 +318,8 @@ def _sweep(params_base, payoff, grid, point, deltas, cell_average_terminal,
             base = limit(grid, ds[0])
             if split < m:
                 march(grid, split, m, p_out[split:m])
-            job.wait()
+            if not job.wait():
+                base = None
     except Exception:
         # Answered by the replay: its own error, or its numbers.
         base = None

@@ -9,8 +9,9 @@ P^{k+1}``, and each step is one tridiagonal solve, by cyclic reduction
 along x, over every v-column and stacked solve.  :func:`solve_hjb_2d`
 solves the full worst-case equation, :func:`solve_bsb_1d` its frozen-factor
 limit (the same equation at ``delta = 0``, bang-bang in the curvature
-sign) and :func:`solve_corrector` the first-order correction beside the
-limit.  Stacked solves give the lone solves' bits.
+sign) and :func:`solve_corrector` the first-order correction, in a stack
+of two beside a limit it marches itself from the terminal slice, so it
+reads no stored slice.  Stacked solves give the lone solves' bits.
 
 At ``x_min = 0`` the equation degenerates and is solved exactly; for
 ``x_min > 0`` and at ``x_max`` the row next to the edge has no implicit
@@ -78,7 +79,7 @@ def _require_stability(params, grid, kind, v=None) -> None:
         )
 
 
-# The solvers' default slice budget, which the streamed corrector shares.
+# The solvers' default slice budget.
 _MAX_KEPT_SLICES = 601
 
 
@@ -451,22 +452,18 @@ def solve_bsb_1d(
                     None if v is None else float(v))
 
 
-def _corrector_march(params, payoff, grid, terminal, limit_bar=None):
+def _corrector_march(params, payoff, grid, terminal):
     """The march of a stack of two: the limit (the full equation at delta
     = 0) from ``terminal``, and the correction from zero, its diffusion
     frozen at the limit's multiplier of the same step (so its matrix is the
     limit's), its source ``q rho sigma x e^v`` times the limit's mixed
-    derivative on the same slice.  ``limit_bar(k, out)``, if given, writes
-    the limit's extrapolated slice of step ``k`` over the march's own."""
+    derivative on the same slice: the one definition of ``P1``."""
     limit, q, pxv = _full_explicit(params, (0.0,), grid, grid.v_nodes)
     src = params.rho * params.sigma * grid.x_nodes[1:-1][:, None] * np.exp(grid.v_nodes)
     F, E0, w0, d2 = np.empty_like(terminal), *(np.empty_like(src) for _ in range(3))
 
     def explicit(P, k, E, w):
-        if limit_bar is not None and k is not None:
-            limit_bar(k, F)
-        else:
-            np.copyto(F, P[:, 0])
+        np.copyto(F, P[:, 0])
         limit(F, k, E0, w0)
         E[:, 0], w[:, 0], w[:, 1] = E0, w0, w0
         _diff2(P[2:, 1], P[1:-1, 1], P[:-2, 1], grid.dx**2, d2)
@@ -488,15 +485,14 @@ def solve_corrector(
     store_slices: bool = False,
     max_kept_slices: int = _MAX_KEPT_SLICES,
 ) -> PriceSurface:
-    """First-order correction surface driven by a stored limit solve.
+    """First-order correction surface beside the limit solve ``p0``.
 
     Marches the linear equation with diffusion frozen at the limit's
     bang-bang multiplier and source ``q* rho sigma e^v x`` times the
-    limit's mixed derivative, from zero, beside the limit from ``p0``'s
-    terminal slice; each multistep step extrapolates the stored slices
-    nearest in time, so with every slice stored the limit is ``p0`` bit for
-    bit.  Needs ``r = 0`` (the correction PDE is derived without
-    discounting) and a ``limit_p0`` family on the same grid with slices."""
+    limit's mixed derivative, from zero, beside the limit marched from
+    ``p0``'s terminal slice, so ``P1`` does not depend on the slices
+    ``p0`` kept.  Needs ``r = 0`` (the correction PDE is derived without
+    discounting) and a ``limit_p0`` family on the same grid."""
     if p0.kind != "limit_p0":
         raise ValueError(f"corrector needs a limit_p0 surface, got {p0.kind!r}")
     if p0.grid != grid:
@@ -511,31 +507,21 @@ def solve_corrector(
         )
     if params.r != 0.0:
         raise ValueError("corrector is defined for r = 0")
-    if p0.n_kept < min(3, grid.n_t + 1):
-        raise ValueError(
-            "corrector needs the limit solve with stored slices "
-            "(solve_bsb_1d(..., store_slices=True))"
-        )
     _require_stability(params, grid, "corrector")
     kept = _kept_indices(grid.n_t, store_slices, max_kept_slices)
-
-    def limit_bar(k, out):
-        now, before = (p0.values[p0.nearest_pos(j * grid.dt)] for j in (k, k + 1))
-        np.subtract(np.multiply(now, 2.0, out=out), before, out=out)
-
-    march = _corrector_march(params, payoff, grid, p0.values[-1], limit_bar)
+    march = _corrector_march(params, payoff, grid, p0.values[-1])
     return _surface(march.run(kept)[:, :, 1], grid, params, "corrector_p1", kept)
 
 
 def _limit_and_corrector(params, payoff, grid, p1_params, x0, v0,
                          cell_average_terminal):
-    """``(P0(0, x0, v0), P1)``, bit for bit what :func:`solve_bsb_1d` with
-    stored slices and :func:`solve_corrector` on it give (``P1`` keeps the
-    slices at 0 and ``n_t``).  Where that solve keeps every slice, one march
-    of the corrector's stack gives both and keeps no slices; any error in
-    it replays the two solves, which raise in their order."""
+    """``(P0(0, x0, v0), P1)``, bit for bit what :func:`solve_bsb_1d` and
+    :func:`solve_corrector` on it give (``P1`` keeps the slices at 0 and
+    ``n_t``), from the one march of the corrector's stack, which keeps no
+    slices.  Any error in it replays the two solves, which raise in their
+    order."""
     kept = _kept_indices(grid.n_t, False, 2)
-    if p1_params.r == 0.0 and grid.n_t < _MAX_KEPT_SLICES:
+    if p1_params.r == 0.0:
         try:
             _require_stability(params, grid, "bsb")  # and so the corrector's
             values = _corrector_march(params, payoff, grid, _terminal_slice(
@@ -544,6 +530,6 @@ def _limit_and_corrector(params, payoff, grid, p1_params, x0, v0,
                     _surface(values[:, :, 1], grid, p1_params, "corrector_p1", kept))
         except (ValueError, RuntimeError):
             pass
-    p0 = solve_bsb_1d(params, payoff, grid, store_slices=True,
+    p0 = solve_bsb_1d(params, payoff, grid,
                       cell_average_terminal=cell_average_terminal)
     return p0.value_at(0, x0, v0), solve_corrector(p1_params, payoff, grid, p0)

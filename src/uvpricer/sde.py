@@ -146,16 +146,15 @@ class _Job:
     ``fn`` writes its results into :func:`_shared` arrays and returns
     nothing.  The child always leaves by ``os._exit``, with status 0 only
     once ``fn`` has returned: it never returns into the caller's stack nor
-    flushes the stdio it inherited.  :meth:`wait` reaps the child; when
-    there was no child, or its status is not 0, it makes the call
-    in-process, so a failure reaches the caller as its own error and
-    whatever the child wrote is written again.  Processes, not threads:
+    flushes the stdio it inherited.  :meth:`wait` reaps the child and
+    tells whether it ran ``fn`` to its return; it never makes the call,
+    so each caller redoes or replays a failed one once, in-process, where
+    its error is the caller's own.  Processes, not threads:
     the marches' many small numpy calls hand the GIL back and forth, and
     two solves on two threads ran slower than one after the other.
     """
 
     def __init__(self, fn, *args):
-        self._call = fn, args
         self._pid = None
         if not _fork_ok():
             return
@@ -184,10 +183,9 @@ class _Job:
         self._pid = None
         return status
 
-    def wait(self) -> None:
-        if self._pid is None or self._reap(kill=False) != 0:
-            fn, args = self._call
-            fn(*args)
+    def wait(self) -> bool:
+        """Whether a child ran ``fn`` and exited 0, once it is reaped."""
+        return self._pid is not None and self._reap(kill=False) == 0
 
     def cancel(self) -> None:
         """Kill and reap the child, if it is still outstanding."""
@@ -230,7 +228,8 @@ def _in_halves(n_paths: int, work) -> None:
     job = _Job(work, h, n_paths - h)
     try:
         work(0, h)
-        job.wait()
+        if not job.wait():
+            work(h, n_paths - h)
     finally:
         job.cancel()
 

@@ -227,9 +227,9 @@ def solve_bsb_1d(params, payoff, grid, v=None, store_slices=False,
 
 def solve_corrector(params, payoff, grid, p0, store_slices=False,
                     max_kept_slices=601):
-    """The limit (member 0, from ``p0``'s terminal slice, its multistep
-    slices read off ``p0``) and the correction (member 1) marched as one
-    stack; the correction's slices."""
+    """The limit (member 0, from ``p0``'s terminal slice) and the
+    correction (member 1) marched as one stack, each step reading member
+    0's own slice; the correction's slices."""
     assert p0.kind == "limit_p0" and p0.grid == grid and p0.v_constant is None
     assert dataclasses.replace(p0.params, delta=params.delta) == params
     assert params.r == 0.0
@@ -239,12 +239,8 @@ def solve_corrector(params, payoff, grid, p0, store_slices=False,
     src = params.rho * params.sigma * grid.x_nodes[1:-1][:, None] * np.exp(
         grid.v_nodes)[None, :]
 
-    def stored(k):
-        return p0.values[p0.nearest_pos(k * grid.dt)]
-
     def explicit(P, k):
-        F = P[:, 0] if k is None else 2.0 * stored(k) - stored(k + 1)
-        E0, w0, q0, mixed, _ = limit(F)
+        E0, w0, q0, mixed, _ = limit(P[:, 0])
         E1 = w0 * pxx(P[:, 1], grid.dx) + q0 * src * mixed
         return np.stack([E0, E1], axis=1), np.stack([w0, w0], axis=1)
 

@@ -789,8 +789,9 @@ class TestForkedSweeps:
             if failure == "killed":
                 assert steps  # the parent marched the child's deltas itself
             else:
-                # The parent made its own delta solve and redid the child's.
-                assert steps == [1, 1]
+                # The parent made its own delta solve, then replayed the
+                # plain order's two: the sweep grid's and the child's.
+                assert steps == [1, 1, 1]
 
     @pytest.mark.parametrize("fork", [True, False])
     @pytest.mark.parametrize("floor, deltas, solves", [

@@ -462,9 +462,10 @@ class TestCorrector:
         with pytest.raises(ValueError, match="mismatch"):
             solve_corrector(dataclasses.replace(p, sigma=0.7), BUTTERFLY, grid, p0)
 
-        thin = solve_bsb_1d(p, BUTTERFLY, grid)
-        with pytest.raises(ValueError, match="stored slices"):
-            solve_corrector(p, BUTTERFLY, grid, thin)
+        # A limit solve without stored slices gives the same correction.
+        thin = solve_bsb_1d(p, BUTTERFLY, grid, cell_average_terminal=True)
+        assert np.array_equal(solve_corrector(p, BUTTERFLY, grid, thin).values,
+                              solve_corrector(p, BUTTERFLY, grid, p0).values)
 
     def test_discounting_rejected(self):
         """The correction march is only defined without discounting."""
@@ -700,9 +701,10 @@ class TestLimitBesideCorrector:
     """The corrector sweep marches the limit beside the corrector and gets
     the numbers and errors of the two solves one after the other."""
 
-    # 601 limit slices are kept: 599 and 600 steps read every slice, 631
-    # every second (odd steps tie between two), 1201 and 1300 every third.
-    @pytest.mark.parametrize("n_t", [None, 599, 600, 631, 1201, 1300, "refined"])
+    # The stored limit keeps 601 slices: every one at 128 to 600 steps,
+    # every second at 631, every third at 1201 and 1300; P1 reads none.
+    @pytest.mark.parametrize("n_t", [None, 128, 599, 600, 631, 1201, 1300,
+                                     "refined"])
     @settings(max_examples=10, deadline=None)
     @given(data=st.data())
     def test_equals_the_stored_limit_and_corrector(self, n_t, data):
@@ -716,23 +718,23 @@ class TestLimitBesideCorrector:
         assert np.array_equal(got_p1.values, want_p1.values)
         assert not got_p1.values.flags.writeable
 
-    def test_odd_steps_read_the_earlier_of_two_tied_slices(self):
-        """At limit-slice stride 2 an odd step lies midway between two kept
-        slices and reads the earlier one, as ``nearest_pos`` does."""
+    @pytest.mark.parametrize("n_t", [128, 600, 631, 1201])
+    def test_p1_does_not_depend_on_the_kept_limit_slices(self, n_t):
+        """``solve_corrector`` gives one P1, bit for bit, on a limit solve
+        with the default slice budget (every second slice kept at 631
+        steps, every third at 1201), with every slice and with none."""
         p = mk_params()
-        grid = dataclasses.replace(mk_grid(p, "bsb", x_max=200.0, n_x=19),
-                                   n_t=631)
-        kept = _kept_indices(grid.n_t, True, 601)
-        assert kept[:3] == (0, 2, 4)
-        surface = PriceSurface(values=np.zeros((len(kept), grid.n_x + 2, grid.n_v)),
-                               grid=grid, params=p, kind="limit_p0",
-                               kept_times=kept)
-        assert surface.nearest_pos(3 * grid.dt) == 1
-        case = (p, BUTTERFLY, grid, p.with_delta(0.3), 100.0, -0.5, False)
-        got_p0, got_p1 = _limit_and_corrector(*case)
-        want_p0, want_p1 = limit_then_corrector(*case)
-        assert got_p0 == want_p0
-        assert np.array_equal(got_p1.values, want_p1.values)
+        grid = dataclasses.replace(mk_grid(p, "bsb", x_max=200.0, n_x=39),
+                                   n_t=n_t)
+        budgets = (dict(store_slices=True),
+                   dict(store_slices=True, max_kept_slices=10**9),
+                   dict(store_slices=False))
+        p1s = [solve_corrector(p, BUTTERFLY, grid,
+                               solve_bsb_1d(p, BUTTERFLY, grid, **kw)).values
+               for kw in budgets]
+        assert np.abs(p1s[0]).max() > 0.0
+        for p1 in p1s[1:]:
+            assert_same_bits(p1, p1s[0])
 
     def test_limit_stability_error_comes_first(self):
         p = mk_params(r=0.03)
@@ -826,7 +828,7 @@ def affine_cases(draw):
     p, _, grid, extra, options, v = draw(solver_cases())
     c, s = draw(floats(-100.0, 100.0)), draw(floats(-2.0, 2.0))
     payoff = PiecewiseLinearPayoff(knots=(0.0,), slopes=(s, s), anchor_value=c)
-    # The corrector reads a limit family of three kept slices or more.
+    # A few kept slices, each checked against the payoff.
     options = dict(options, store_slices=True,
                    max_kept_slices=draw(st.integers(3, 12)))
     scale = abs(c) + abs(s) * grid.x_max
@@ -943,18 +945,20 @@ class TestNonFinite:
         assert got == nonfinite_report(solve_bsb_1d, p, TOO_HUGE_BUTTERFLY, grid)
 
     def test_corrector(self):
-        """A limit slice whose x-differences overflow drives the correction
-        non-finite from the first step that reads it: the step from 96,
-        whose extrapolation takes the slice at 64 twice (96 ties between 64
-        and 128 and reads the earlier)."""
-        p = mk_params(delta=0.25)
-        grid = mk_grid(p, "bsb", x_max=200.0, n_x=39)
-        values = np.zeros((3, grid.n_x + 2, grid.n_v))
-        values[1, 20, 2], values[1, 22, 2] = 1e308, -1e308
+        """A terminal limit slice that jumps by ``2e305`` along v on one
+        row drives the correction non-finite at the first step, through
+        the mixed derivative in its source, while the limit beside it stays
+        finite: the error names the correction (stack index 1)."""
+        p = mk_params(delta=0.25, rho=0.9, sigma=100.0)
+        grid = mk_grid(p, "bsb", x_max=200.0, n_x=39, n_v=21)
+        values = np.zeros((2, grid.n_x + 2, grid.n_v))
+        values[1, 20, :10], values[1, 20, 10:] = 1e305, -1e305
         p0 = PriceSurface(values=values, grid=grid, params=p, kind="limit_p0",
-                          kept_times=(0, grid.n_t // 2, grid.n_t))
-        got = nonfinite_report(solve_corrector, p, BUTTERFLY, grid, p0)
-        assert got == (95, (1, 2))
+                          kept_times=(0, grid.n_t))
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteError) as err:
+            solve_corrector(p, BUTTERFLY, grid, p0)
+        got = err.value.time_index, err.value.node
+        assert (err.value.stack_index, got) == (1, (127, (1, 9)))
         assert got == nonfinite_report(ref.solve_corrector, p, BUTTERFLY, grid, p0)
 
     @pytest.mark.parametrize("solve, kind, v", [(solve_hjb_2d, "full", None),

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uvpricer import sde
+from uvpricer import cli, convergence, sde
+from uvpricer.convergence import run_delta_sweep
 from uvpricer.errors import PoleError
 from uvpricer.hjb import min_time_steps, solve_hjb_2d
 from uvpricer.model import GridSpec, ModelParams, PiecewiseLinearPayoff
@@ -625,6 +626,55 @@ class TestForkThreshold:
                 (first, count)))
             assert (calls, len(started)) == (here, forks)
             assert_no_children()
+
+
+class TestFailedChild:
+    """``sde._Job.wait`` only reports a failed child; each caller makes the
+    failed call once more, in-process, where its error is the caller's."""
+
+    @pytest.mark.parametrize("caller", ["in_halves", "with_limit", "sweep"])
+    def test_failing_forked_call_is_made_twice(self, monkeypatch, caller):
+        """A call that fails in the child is made once there and once in
+        the caller, counted in shared memory: never a third time."""
+        monkeypatch.setattr(sde, "_fork_ok", lambda: True)
+        parent, counts = os.getpid(), sde._shared((2,), np.int64)
+
+        def fail(*_, **__):
+            counts[int(os.getpid() != parent)] += 1
+            raise ArithmeticError(f"failing {caller}")
+
+        params = make_params()
+        payoff = PiecewiseLinearPayoff.butterfly(90.0, 100.0, 110.0)
+        trial = GridSpec(x_min=0.0, x_max=200.0, n_x=39, v_min=-1.5,
+                         v_max=-0.5, n_v=5, T=0.15, n_t=1)
+        grid = dataclasses.replace(trial, n_t=min_time_steps(
+            params.with_delta(0.6), trial, "full"))
+        if caller == "in_halves":
+            monkeypatch.setattr(sde, "_FORK_MIN_PATHS", 1)
+
+            def work(first, _):
+                if first:  # the child's half
+                    fail()
+
+            call = functools.partial(sde._in_halves, 4, work)
+        elif caller == "with_limit":
+            monkeypatch.setattr(cli, "solve_hjb_2d", fail)
+            call = functools.partial(cli._with_limit, params, payoff, grid, False)
+        else:
+            limit_values = convergence._limit_values
+
+            def refined_fails(params_base, payoff, g, *args):
+                if g != grid:
+                    fail()
+                return limit_values(params_base, payoff, g, *args)
+
+            monkeypatch.setattr(convergence, "_limit_values", refined_fails)
+            call = functools.partial(run_delta_sweep, params, payoff, grid,
+                                     (100.0, -1.0), [0.6, 0.3])
+        with pytest.raises(ArithmeticError, match=f"failing {caller}"):
+            call()
+        assert_no_children()
+        assert counts.tolist() == [1, 1]  # the caller's, the child's
 
 
 class TestEstimateMoment:

@@ -1,7 +1,8 @@
 """The README's *One child contract*, *Threads versus processes* and *One
 explicit march*, read off the package source with ``ast``: each of
 ``os.fork``, the thread pool, anonymous shared memory, the Brownian
-increments and the tridiagonal kernel has one owner."""
+increments and the tridiagonal kernel has one owner, and no solver reads
+a stored surface's slices by time."""
 
 import ast
 import os
@@ -64,6 +65,18 @@ def test_one_owner(module, name, owner):
     found = uses(module, name)
     assert found, f"{module}.{name} is not used at all"
     assert all((s, sc[:len(scope)]) == owner for s, sc in found), found
+
+
+def test_only_surface_reads_slices_by_time():
+    """``PriceSurface.nearest_pos`` is read only inside ``surface``: a
+    solver marches what it needs (the corrector its own limit) and never
+    reads the interior slices of a stored surface."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        found += [path.stem for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "nearest_pos"]
+    assert found and set(found) == {"surface"}, found
 
 
 def test_one_tridiagonal_kernel():
